@@ -160,7 +160,7 @@ func NewBO(t *Topology, spec ClusterSpec, template Config, opts BOOptions) Strat
 
 // MaxConcurrentTrials reports how many trial deployments needing
 // tasksPerTrial task instances a cluster can host at once — the upper
-// bound for TuneBatch's q on real hardware.
+// bound for Tuner.RunBatch's q on real hardware.
 func MaxConcurrentTrials(spec ClusterSpec, tasksPerTrial int) int {
 	return spec.MaxConcurrentTrials(tasksPerTrial)
 }

@@ -1,6 +1,7 @@
 package stormtune_test
 
 import (
+	"context"
 	"testing"
 
 	"stormtune"
@@ -19,7 +20,11 @@ func TestEndToEndDeterminism(t *testing.T) {
 		ev := storm.NewFluidSim(top, cluster.Paper(), storm.SinkTuples, 9)
 		strat := core.NewBO(top, cluster.Paper(), storm.DefaultSyntheticConfig(top, 1),
 			core.BOOptions{Seed: 5})
-		tr := core.Tune(ev, strat, 12, 0, 0)
+		sess := core.NewSession(strat, core.AsBackend(ev), core.SessionOptions{MaxSteps: 12})
+		tr, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		best, ok := tr.Best()
 		if !ok {
 			t.Fatal("no best")

@@ -188,9 +188,10 @@ func (opt *Optimizer) approxThreshold() int {
 
 // rebuildModels constructs the surrogate ensemble from scratch for the
 // current epoch, conditioned on the training window plus the given
-// fantasies (in that canonical order). This is the cold path: refit
-// epochs, windowed (MaxGPPoints) sessions, the DenseRebuild reference
-// mode, and recovery from a failed incremental update all land here.
+// fantasies (in that canonical order). This is the cold path: the first
+// ask of each refit epoch, windowed (MaxGPPoints) sessions and recovery
+// from a failed incremental update land here, and tests drive it on
+// every ask as the reference the incremental path is pinned against.
 func (opt *Optimizer) rebuildModels(fant []fantasyPoint) error {
 	c := &opt.cache
 	d := opt.Space.D()

@@ -88,11 +88,6 @@ type Options struct {
 	// RFFFeatures is the number of random Fourier features used past
 	// ApproxAfter (default 256).
 	RFFFeatures int
-	// DenseRebuild forces the surrogate ensemble to be rebuilt from
-	// scratch on every ask instead of extending cached factors. Same
-	// epoch schedule, same RNG stream, bit-identical proposals — the
-	// reference path the incremental cache is pinned against in tests.
-	DenseRebuild bool
 	// InitHypers seeds the first refit epoch with an existing
 	// hyperparameter posterior (an incumbent session's HyperState), so a
 	// retune session reuses the cache its parent already paid for
@@ -353,11 +348,10 @@ func (opt *Optimizer) suggestGP() []float64 {
 	// Bring the ensemble to the canonical conditioning state. Windowed
 	// sessions (MaxGPPoints) rebuild per ask — a sliding window has no
 	// stable prefix to extend — but still reuse the epoch's frozen
-	// hypers, so they skip the slice-sampling cost too. DenseRebuild is
-	// the bit-identical reference path for the cache.
+	// hypers, so they skip the slice-sampling cost too.
 	windowed := opt.Opts.MaxGPPoints > 0 && len(opt.obs) > opt.Opts.MaxGPPoints
 	var err error
-	if windowed || opt.Opts.DenseRebuild {
+	if windowed {
 		err = opt.rebuildModels(fant)
 	} else {
 		err = opt.syncModels(fant)

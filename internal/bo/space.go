@@ -16,10 +16,12 @@
 // out by trailing extend/retract, instead of refitting the ensemble
 // from scratch. Past Options.ApproxAfter observations the ensemble
 // switches to a random-Fourier-feature surrogate whose per-ask cost is
-// constant in n. Options.DenseRebuild selects the cold
-// rebuild-every-ask reference path, which the cache is pinned against
-// bit-for-bit in tests; Options.InitHypers warm-starts the first epoch
-// from another session's HyperState.
+// constant in n. Sessions with Options.MaxGPPoints condition on a
+// sliding window instead: they rebuild the ensemble every ask on the
+// epoch's frozen hypers and never switch to the approximation. Tests
+// pin the cache bit-for-bit against a cold rebuild on every ask;
+// Options.InitHypers warm-starts the first epoch from another session's
+// HyperState.
 package bo
 
 import (

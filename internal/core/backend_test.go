@@ -83,7 +83,7 @@ func (c *eventCounter) OnEvent(e Event) {
 // same RunIndex, so the recovered measurement is the same draw.
 func TestRetryFlakyBackendMatchesCleanRun(t *testing.T) {
 	tp := testTopo()
-	want := Tune(testEval(tp), newTestBO(9), 8, 0, 0)
+	want := runPass(t, testEval(tp), newTestBO(9), 8, 1, 0)
 
 	flaky := newFlaky(AsBackend(testEval(tp)), 2, nil)
 	counter := &eventCounter{}
@@ -254,7 +254,7 @@ func TestCancellationMidRetryKeepsTrialPending(t *testing.T) {
 // that never failed.
 func TestSnapshotResumeMidRetry(t *testing.T) {
 	tp := testTopo()
-	full := Tune(testEval(tp), newTestBO(7), 10, 0, 0)
+	full := runPass(t, testEval(tp), newTestBO(7), 10, 1, 0)
 
 	// First process: trial 4's measurement is lost; cancel during the
 	// retry backoff, snapshot, and "restart".
@@ -389,7 +389,7 @@ func TestTrialTimeoutRetriesThenFails(t *testing.T) {
 // policy per trial without losing determinism of the record set.
 func TestRunBatchRetriesConcurrently(t *testing.T) {
 	tp := testTopo()
-	want := TuneBatch(testEval(tp), newTestBO(6), 9, 3, 0, 0)
+	want := runPass(t, testEval(tp), newTestBO(6), 9, 3, 0)
 
 	flaky := newFlaky(AsBackend(testEval(tp)), 1, nil)
 	sess := NewSession(newTestBO(6), flaky, SessionOptions{

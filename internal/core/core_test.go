@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"stormtune/internal/bo"
@@ -31,6 +32,20 @@ func testEval(t *topo.Topology) *storm.FluidSim {
 
 func fastBOOpts() BOOptions {
 	return BOOptions{Opt: bo.Options{Candidates: 120, HyperSamples: 2, LocalSearchIters: 4}}
+}
+
+// runPass drives one in-process session of steps evaluations of ev:
+// sequentially for q ≤ 1, in constant-liar barrier batches of q
+// otherwise, stopping after stopAfterZeros consecutive zero-performance
+// runs when positive.
+func runPass(t testing.TB, ev storm.Evaluator, strat Strategy, steps, q, stopAfterZeros int) TuneResult {
+	t.Helper()
+	s := NewSession(strat, AsBackend(ev), SessionOptions{MaxSteps: steps, StopAfterZeros: stopAfterZeros})
+	res, err := s.RunBatch(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestPLAUniformAscent(t *testing.T) {
@@ -83,7 +98,7 @@ func TestTuneStopsAfterConsecutiveZeros(t *testing.T) {
 	f := storm.NewFluidSim(tp, spec, storm.SinkTuples, 1)
 	f.Noise = storm.NoNoise()
 	// 4 nodes × hint k tasks; capacity 8 → fails from k=3 on.
-	res := Tune(f, NewPLA(tp, storm.DefaultSyntheticConfig(tp, 1)), 60, 3, 0)
+	res := runPass(t, f, NewPLA(tp, storm.DefaultSyntheticConfig(tp, 1)), 60, 1, 3)
 	if len(res.Records) >= 60 {
 		t.Fatalf("pla should stop early, ran %d steps", len(res.Records))
 	}
@@ -102,7 +117,7 @@ func TestTuneStopsAfterConsecutiveZeros(t *testing.T) {
 func TestTuneRecordsBestStep(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
-	res := Tune(f, NewPLA(tp, storm.DefaultSyntheticConfig(tp, 1)), 20, 3, 0)
+	res := runPass(t, f, NewPLA(tp, storm.DefaultSyntheticConfig(tp, 1)), 20, 1, 3)
 	if res.BestStep <= 0 || res.BestStep > 20 {
 		t.Fatalf("best step = %d", res.BestStep)
 	}
@@ -121,7 +136,7 @@ func TestBOStrategyImprovesOverInitial(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
 	strat := NewBO(tp, cluster.Small(), storm.DefaultSyntheticConfig(tp, 1), fastBOOpts())
-	res := Tune(f, strat, 25, 0, 0)
+	res := runPass(t, f, strat, 25, 1, 0)
 	if len(res.Records) != 25 {
 		t.Fatalf("ran %d steps", len(res.Records))
 	}
@@ -182,7 +197,7 @@ func TestTuneBatchRespectsBudgetAndSteps(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
 	strat := NewBO(tp, cluster.Small(), storm.DefaultSyntheticConfig(tp, 1), fastBOOpts())
-	res := TuneBatch(f, strat, 10, 4, 0, 0)
+	res := runPass(t, f, strat, 10, 4, 0)
 	if len(res.Records) != 10 {
 		t.Fatalf("ran %d steps, want exactly the 10-step budget", len(res.Records))
 	}
@@ -201,7 +216,7 @@ func TestTuneBatchDeterministic(t *testing.T) {
 		tp := testTopo()
 		f := testEval(tp)
 		strat := NewBO(tp, cluster.Small(), storm.DefaultSyntheticConfig(tp, 1), fastBOOpts())
-		return TuneBatch(f, strat, 12, 3, 0, 0)
+		return runPass(t, f, strat, 12, 3, 0)
 	}
 	a, b := run(), run()
 	if len(a.Records) != len(b.Records) {
@@ -221,14 +236,14 @@ func TestTuneBatchRegretParity(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
 	budget := 24
-	seq := Tune(f, NewBO(tp, cluster.Small(), storm.DefaultSyntheticConfig(tp, 1), fastBOOpts()), budget, 0, 0)
+	seq := runPass(t, f, NewBO(tp, cluster.Small(), storm.DefaultSyntheticConfig(tp, 1), fastBOOpts()), budget, 1, 0)
 	seqBest, ok := seq.Best()
 	if !ok {
 		t.Fatal("sequential run found nothing")
 	}
 	for _, q := range []int{2, 4} {
 		strat := NewBO(tp, cluster.Small(), storm.DefaultSyntheticConfig(tp, 1), fastBOOpts())
-		res := TuneBatch(f, strat, budget, q, 0, 0)
+		res := runPass(t, f, strat, budget, q, 0)
 		best, ok := res.Best()
 		if !ok {
 			t.Fatalf("q=%d found nothing", q)
@@ -246,9 +261,9 @@ func TestTuneBatchStopsAfterZeros(t *testing.T) {
 		NICBytesPerSec: 128e6, TaskSlotsPerMachine: 4, ThrashTasksPerCore: 4}
 	f := storm.NewFluidSim(tp, spec, storm.SinkTuples, 1)
 	f.Noise = storm.NoNoise()
-	// PLA has no NextBatch; TuneBatch assembles batches via Next and
+	// PLA has no NextBatch; the batch driver assembles batches via Next and
 	// must still honor the zero-performance stopping rule.
-	res := TuneBatch(f, NewPLA(tp, storm.DefaultSyntheticConfig(tp, 1)), 60, 2, 3, 0)
+	res := runPass(t, f, NewPLA(tp, storm.DefaultSyntheticConfig(tp, 1)), 60, 2, 3)
 	if len(res.Records) >= 60 {
 		t.Fatalf("batch pla should stop early, ran %d steps", len(res.Records))
 	}

@@ -37,12 +37,12 @@ func sameRecords(t *testing.T, a, b []RunRecord) {
 }
 
 // TestSessionAskTellMatchesTune drives a session by hand through
-// Propose/Report and checks the result is identical to the one-shot
-// Tune driver with the same seed.
+// Propose/Report and checks the result is identical to the sequential
+// Run driver with the same seed.
 func TestSessionAskTellMatchesTune(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
-	want := Tune(f, newTestBO(9), 12, 0, 0)
+	want := runPass(t, f, newTestBO(9), 12, 1, 0)
 
 	sess := NewSession(newTestBO(9), nil, SessionOptions{MaxSteps: 12})
 	ctx := context.Background()
@@ -71,7 +71,7 @@ func TestSessionAskTellMatchesTune(t *testing.T) {
 func TestSessionRunAsyncOneSlotMatchesTune(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
-	want := Tune(f, newTestBO(4), 10, 0, 0)
+	want := runPass(t, f, newTestBO(4), 10, 1, 0)
 	sess := NewSession(newTestBO(4), AsBackend(f), SessionOptions{MaxSteps: 10})
 	got, err := sess.RunAsync(context.Background(), 1)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestSessionRunAsyncOneSlotMatchesTune(t *testing.T) {
 func TestSessionSnapshotResumeBitIdentical(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
-	full := Tune(f, newTestBO(7), 16, 0, 0)
+	full := runPass(t, f, newTestBO(7), 16, 1, 0)
 
 	half := NewSession(newTestBO(7), AsBackend(f), SessionOptions{MaxSteps: 8})
 	if _, err := half.Run(context.Background()); err != nil {
@@ -114,7 +114,7 @@ func TestSessionSnapshotResumeBitIdentical(t *testing.T) {
 func TestSessionSnapshotCarriesPendingTrials(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
-	full := Tune(f, newTestBO(3), 10, 0, 0)
+	full := runPass(t, f, newTestBO(3), 10, 1, 0)
 
 	sess := NewSession(newTestBO(3), AsBackend(f), SessionOptions{MaxSteps: 10})
 	ctx := context.Background()
@@ -375,19 +375,30 @@ func TestSessionProposeFillIsAtomic(t *testing.T) {
 	}
 }
 
-// TestSessionRunBatchMatchesTuneBatch: the session batch driver is the
-// implementation under the legacy TuneBatch wrapper; both entry points
-// must agree.
-func TestSessionRunBatchMatchesTuneBatch(t *testing.T) {
+// TestSessionRunBatchMatchesAskTellBatches: the barrier driver is the
+// ask/tell loop in rounds of q — proposing q trials, then reporting
+// every one before the next round must give identical records.
+func TestSessionRunBatchMatchesAskTellBatches(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
-	want := TuneBatch(f, newTestBO(5), 12, 3, 0, 0)
-	sess := NewSession(newTestBO(5), AsBackend(f), SessionOptions{MaxSteps: 12})
-	got, err := sess.RunBatch(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
+	want := runPass(t, f, newTestBO(5), 12, 3, 0)
+	sess := NewSession(newTestBO(5), nil, SessionOptions{MaxSteps: 12})
+	ctx := context.Background()
+	for {
+		trials, err := sess.Propose(ctx, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trials) == 0 {
+			break
+		}
+		for _, tr := range trials {
+			if err := sess.Report(tr, f.Run(tr.Config, tr.RunIndex)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	sameRecords(t, want.Records, got.Records)
+	sameRecords(t, want.Records, sess.Result().Records)
 }
 
 // TestSessionDecisionTimes: per-record decision time stays comparable

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"stormtune/internal/storm"
@@ -101,27 +100,6 @@ func (t TuneResult) MeanDecisionSeconds() float64 {
 	return sum.Seconds() / float64(len(t.Records))
 }
 
-// TuneBatch runs one optimization pass with concurrent trial
-// deployments: per round the strategy proposes up to q configurations
-// (via NextBatch when it implements BatchStrategy, otherwise by calling
-// Next q times) and the evaluator measures them in parallel, one
-// goroutine per trial — both simulators are pure per Run call, and the
-// result depends only on (config, run index), so the pass is
-// deterministic. Records keep sequential step numbers; each record's
-// Decision is the batch decision time amortized over the batch, keeping
-// MeanDecisionSeconds comparable with sequential passes. q ≤ 1 degrades
-// to Tune.
-//
-// It is a convenience wrapper over Session.RunBatch; build a Session
-// directly for cancellation, events, async dispatch or snapshots.
-func TuneBatch(ev storm.Evaluator, strat Strategy, maxSteps, q, stopAfterZeros, runOffset int) TuneResult {
-	s := NewSession(strat, AsBackend(ev), SessionOptions{
-		MaxSteps: maxSteps, StopAfterZeros: stopAfterZeros, RunOffset: runOffset,
-	})
-	res, _ := s.RunBatch(context.Background(), q)
-	return res
-}
-
 // nextBatch pulls up to q configurations from the strategy, using its
 // native batch interface when available, and reports the total decision
 // time spent assembling the batch.
@@ -141,19 +119,4 @@ func nextBatch(strat Strategy, q int) ([]storm.Config, time.Duration, bool) {
 		cfgs = append(cfgs, cfg)
 	}
 	return cfgs, dec, len(cfgs) > 0
-}
-
-// Tune runs one optimization pass: up to maxSteps evaluations of ev, or
-// fewer if the strategy exhausts itself or — when stopAfterZeros > 0 —
-// after that many consecutive zero-performance runs (the paper stops
-// the pla strategies after three).
-//
-// It is a convenience wrapper over Session.Run; build a Session
-// directly for cancellation, events, async dispatch or snapshots.
-func Tune(ev storm.Evaluator, strat Strategy, maxSteps, stopAfterZeros int, runOffset int) TuneResult {
-	s := NewSession(strat, AsBackend(ev), SessionOptions{
-		MaxSteps: maxSteps, StopAfterZeros: stopAfterZeros, RunOffset: runOffset,
-	})
-	res, _ := s.Run(context.Background())
-	return res
 }

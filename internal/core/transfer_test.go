@@ -16,7 +16,7 @@ func archiveDonor(t *testing.T, store archive.Store, key string, seed int64, ste
 	t.Helper()
 	tp := testTopo()
 	f := testEval(tp)
-	res := Tune(f, newTestBO(seed), steps, 0, 0)
+	res := runPass(t, f, newTestBO(seed), steps, 1, 0)
 	rec, err := NewArchiveRecorder(store, SessionMetaFor(key, tp, cluster.Small(), "bo", Hints, seed))
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestComputeTransferWarmStartsDeterministic(t *testing.T) {
 		if s.opt.Opts.PriorMean == nil {
 			t.Fatal("ApplyTransfer should install the prior mean")
 		}
-		return Tune(f, s, 10, 0, 0)
+		return runPass(t, f, s, 10, 1, 0)
 	}
 	sameRecords(t, run().Records, run().Records)
 }
@@ -139,7 +139,7 @@ func TestWarmStartHalvesTrialsToIncumbent(t *testing.T) {
 		t.Fatal("same-fingerprint donor must warm-start")
 	}
 	warmStrat.ApplyTransfer(seed)
-	warm := Tune(f, warmStrat, 7, 0, 0)
+	warm := runPass(t, f, warmStrat, 7, 1, 0)
 	reached := -1
 	for _, r := range warm.Records {
 		if !r.Result.Failed && r.Result.Throughput >= coldBest.Result.Throughput {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -51,8 +52,9 @@ func BatchScaling(sc Scale) *Report {
 				MaxGPPoints:      60,
 			},
 		})
+		sess := core.NewSession(strat, core.AsBackend(ev), core.SessionOptions{MaxSteps: sc.Steps})
 		start := time.Now()
-		tr := core.TuneBatch(ev, strat, sc.Steps, q, 0, 0)
+		tr, _ := sess.RunBatch(context.Background(), q)
 		wall := time.Since(start)
 		best, ok := tr.Best()
 		b := 0.0

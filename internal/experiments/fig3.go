@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"stormtune/internal/cluster"
@@ -31,7 +32,9 @@ func Fig3(sc Scale) *Report {
 	for _, size := range []string{"large", "medium", "small"} {
 		t := topo.BuildSynthetic(size, topo.Condition{}, sc.Seed+3)
 		ev := storm.NewFluidSim(t, spec, storm.SinkTuples, sc.Seed+42)
-		tr := core.Tune(ev, core.NewIPLA(t, storm.DefaultSyntheticConfig(t, 1)), sc.Steps, 3, 0)
+		sess := core.NewSession(core.NewIPLA(t, storm.DefaultSyntheticConfig(t, 1)), core.AsBackend(ev),
+			core.SessionOptions{MaxSteps: sc.Steps, StopAfterZeros: 3})
+		tr, _ := sess.Run(context.Background())
 		best, ok := tr.Best()
 		if !ok {
 			r.AddRow(size, "-", "-")

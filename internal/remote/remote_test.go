@@ -532,7 +532,11 @@ func TestEndToEndSnapshotResumeBitIdentical(t *testing.T) {
 	const steps = 12
 
 	// Reference: uninterrupted local sequential run.
-	want := core.Tune(testEval(tp), testBO(tp, 3), steps, 0, 0)
+	want, err := core.NewSession(testBO(tp, 3), core.AsBackend(testEval(tp)), core.SessionOptions{MaxSteps: steps}).
+		Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	bk, _ := startServer(t, ServerOptions{FailEveryN: 5}, BackendOptions{})
 	var mu sync.Mutex
