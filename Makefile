@@ -12,7 +12,7 @@ SHELL := /bin/bash
 GATE_BENCH   = ^Benchmark(BOSuggest(Sequential|Parallel)Scorer|BOSuggestLargeHistory(/n\d+)?|GPObserveIncremental|FleetSchedule|MonitorObserve|ArchiveQuery|WarmStartSeed)$$
 GATE_PERCENT = 0.30
 
-.PHONY: build test lint stormlint bench bench-baseline bench-gate bench-gp dash-smoke fleet-smoke serve-multi-smoke watch-smoke archive-smoke
+.PHONY: build test lint stormlint bench bench-baseline bench-gate bench-gp bench-smoke dash-smoke fleet-smoke serve-multi-smoke watch-smoke archive-smoke
 
 build:
 	go build ./... && go build ./examples/...
@@ -40,10 +40,11 @@ bench:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
 # The GP/BO hot-path benchmarks alone: fit, incremental observe,
-# decision steps at small and large history. Fast enough to run while
-# iterating on internal/gp, internal/linalg or internal/bo.
+# decision steps at small and large history, and the four-lane solve
+# behind blocked scoring. Fast enough to run while iterating on
+# internal/gp, internal/linalg or internal/bo.
 bench-gp:
-	go test -run '^$$' -bench '^Benchmark(GPFit|GPObserveIncremental|BOSuggest.*)$$' -benchtime 3x -count 3 .
+	go test -run '^$$' -bench '^Benchmark(GPFit|GPObserveIncremental|BOSuggest.*|ForwardSolve4)$$' -benchtime 3x -count 3 . ./internal/linalg
 
 # Refresh the committed bench-regression baseline. Run this on the same
 # class of machine CI uses (or accept that the first CI run after a
@@ -60,6 +61,13 @@ bench-gate:
 	  | go run ./cmd/benchjson -o BENCH_gate.json
 	go run ./cmd/benchcmp -baseline BENCH_baseline.json -current BENCH_gate.json \
 	  -filter '$(GATE_BENCH)' -threshold $(GATE_PERCENT)
+
+# The end-to-end benchmark's correctness suite: every workload at tiny
+# scale, with the bit-identical rerun, fleet-log recovery and
+# wire-vs-in-process checks. bench/ is a separate module, so the root
+# `go test ./...` never reaches it.
+bench-smoke:
+	go -C bench test ./...
 
 # The CI dashboard smoke test, runnable locally.
 dash-smoke:

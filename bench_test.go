@@ -295,13 +295,15 @@ func BenchmarkGPObserveIncremental(b *testing.B) {
 }
 
 // BenchmarkBOSuggestLargeHistory measures the decision step as the
-// observation history grows past the exact-GP regime: n=100 runs dense
-// cached Cholesky, n=1000 and n=10000 sit past ApproxAfter and run the
-// random-Fourier-feature surrogate, whose per-ask cost is constant in
-// n. The three sub-benchmarks together pin the sublinear growth of the
-// hot path. Gated against BENCH_baseline.json by cmd/benchcmp.
+// observation history grows past the exact-GP regime: n=100 and n=250
+// (the mid-history regime, where the O(n²) variance solve dominates
+// scoring) run dense cached Cholesky, n=1000 and n=10000 sit past
+// ApproxAfter and run the random-Fourier-feature surrogate, whose
+// per-ask cost is constant in n. The sub-benchmarks together pin the
+// sublinear growth of the hot path. Gated against BENCH_baseline.json
+// by cmd/benchcmp.
 func BenchmarkBOSuggestLargeHistory(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000} {
+	for _, n := range []int{100, 250, 1000, 10000} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			opt := bo.NewOptimizer(suggestBenchSpace(), bo.Options{
 				Seed: 1, Candidates: 150, HyperSamples: 2, LocalSearchIters: -1,

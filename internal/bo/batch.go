@@ -72,7 +72,7 @@ func (opt *Optimizer) SuggestBatch(q int) [][]float64 {
 	}
 	out := make([][]float64, 0, q)
 	for i := 0; i < q; i++ {
-		out = append(out, opt.suggestOne())
+		out = append(out, opt.suggestOne((*Optimizer).maximize))
 	}
 	return out
 }
@@ -93,34 +93,74 @@ func haltonOffset(nObs int) int {
 }
 
 // scorer evaluates the hyper-marginalized acquisition over the
-// surrogate ensemble. The models are only read, so one scorer can
-// serve many goroutines via per-worker closures.
+// surrogate ensemble. The models are only read, so one scorer serves
+// many goroutines, each with its own scoreBuf.
 type scorer struct {
 	models []gp.Surrogate
 	acq    Acquisition
 	bestY  float64
 }
 
-// worker returns a scoring closure with its own scratch buffers: the
-// per-model gp.Scratch makes every posterior query allocation-free,
-// which matters when the grid is thousands of candidates per ask.
-func (s *scorer) worker() func(u []float64) float64 {
-	mus := make([]float64, len(s.models))
-	sigmas := make([]float64, len(s.models))
-	scratch := make([]gp.Scratch, len(s.models))
-	return func(u []float64) float64 {
-		for i, m := range s.models {
-			mu, s2 := m.PredictInto(&scratch[i], u)
-			mus[i] = mu
-			sigmas[i] = math.Sqrt(s2)
-		}
-		return scoreMarginal(s.acq, mus, sigmas, s.bestY)
+// scoreBuf is one goroutine's scoring scratch: a gp.BlockScratch per
+// model makes every block query allocation-free, and mu/s2 hold the
+// block's posteriors model-major ([model*gp.Block+lane]).
+type scoreBuf struct {
+	scratch     []gp.BlockScratch
+	mu, s2      []float64
+	mus, sigmas []float64 // one lane's posteriors across the models
+}
+
+func (s *scorer) newBuf() *scoreBuf {
+	m := len(s.models)
+	return &scoreBuf{
+		scratch: make([]gp.BlockScratch, m),
+		mu:      make([]float64, m*gp.Block),
+		s2:      make([]float64, m*gp.Block),
+		mus:     make([]float64, m),
+		sigmas:  make([]float64, m),
 	}
+}
+
+// scoreBlock scores 1..gp.Block points, out[l] for us[l]. Every model
+// answers the whole block with one shared triangular solve; each lane
+// is bitwise the score of that point scored alone (gp's lane
+// contract), so the block width never changes a decision.
+func (s *scorer) scoreBlock(b *scoreBuf, us [][]float64, out []float64) {
+	for i, m := range s.models {
+		lo := i * gp.Block
+		m.PredictBlockInto(&b.scratch[i], us, b.mu[lo:lo+len(us)], b.s2[lo:lo+len(us)])
+	}
+	for l := range us {
+		for i := range s.models {
+			b.mus[i] = b.mu[i*gp.Block+l]
+			b.sigmas[i] = math.Sqrt(b.s2[i*gp.Block+l])
+		}
+		out[l] = scoreMarginal(s.acq, b.mus, b.sigmas, s.bestY)
+	}
+}
+
+// scan scores cands[lo:hi] block by block and returns the first index
+// of the highest score, or -1 when no score exceeds -Inf.
+func (s *scorer) scan(cands [][]float64, lo, hi int) (int, float64) {
+	b := s.newBuf()
+	var out [gp.Block]float64
+	bi, bs := -1, math.Inf(-1)
+	for i := lo; i < hi; i += gp.Block {
+		blk := cands[i:min(i+gp.Block, hi)]
+		s.scoreBlock(b, blk, out[:len(blk)])
+		for l, v := range out[:len(blk)] {
+			if v > bs {
+				bi, bs = i+l, v
+			}
+		}
+	}
+	return bi, bs
 }
 
 // argmax scans the candidate grid with up to w workers and returns the
 // index and score of the best candidate. Ties break toward the lowest
-// index, so the result matches the sequential scan for any w.
+// index, so the result matches the sequential scan for any w; when no
+// score exceeds -Inf the first candidate wins.
 func (s *scorer) argmax(cands [][]float64, w int) (int, float64) {
 	n := len(cands)
 	if n == 0 {
@@ -130,14 +170,8 @@ func (s *scorer) argmax(cands [][]float64, w int) (int, float64) {
 		w = n
 	}
 	if w <= 1 || n < 64 {
-		score := s.worker()
-		bi, bs := 0, math.Inf(-1)
-		for i, c := range cands {
-			if v := score(c); v > bs {
-				bi, bs = i, v
-			}
-		}
-		return bi, bs
+		bi, bs := s.scan(cands, 0, n)
+		return max(bi, 0), bs
 	}
 
 	type chunkBest struct {
@@ -152,14 +186,8 @@ func (s *scorer) argmax(cands [][]float64, w int) (int, float64) {
 		wg.Add(1)
 		go func(k, lo, hi int) {
 			defer wg.Done()
-			score := s.worker()
-			best := chunkBest{idx: -1, score: math.Inf(-1)}
-			for i := lo; i < hi; i++ {
-				if v := score(cands[i]); v > best.score {
-					best = chunkBest{idx: i, score: v}
-				}
-			}
-			bests[k] = best
+			idx, score := s.scan(cands, lo, hi)
+			bests[k] = chunkBest{idx: idx, score: score}
 		}(k, lo, hi)
 	}
 	wg.Wait()

@@ -27,7 +27,7 @@ func cacheObjective(u []float64) float64 {
 // GP state from scratch on every observation and fantasy.
 func denseSuggest(opt *Optimizer) []float64 {
 	opt.cache.models = nil
-	return opt.suggestOne()
+	return opt.suggestOne((*Optimizer).maximize)
 }
 
 // TestCachedMatchesDenseRebuild is the pinned parity test for the

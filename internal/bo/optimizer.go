@@ -203,10 +203,10 @@ func (opt *Optimizer) Suggest() []float64 {
 	start := time.Now()
 	//lint:wallclock telemetry: decision-time accounting, never a proposal input
 	defer func() { opt.LastStepDuration = time.Since(start) }()
-	return opt.suggestOne()
+	return opt.suggestOne((*Optimizer).maximize)
 }
 
-func (opt *Optimizer) suggestOne() []float64 {
+func (opt *Optimizer) suggestOne(search acqSearch) []float64 {
 	// Conservative mode: with no data at all, the first proposal is the
 	// trust region's center — the incumbent re-measured under current
 	// conditions before the search moves anywhere.
@@ -227,7 +227,7 @@ func (opt *Optimizer) suggestOne() []float64 {
 		opt.pending = append(opt.pending, u)
 		return u
 	}
-	u := opt.suggestGP()
+	u := opt.suggestGP(search)
 	opt.pending = append(opt.pending, u)
 	return u
 }
@@ -313,7 +313,7 @@ func (opt *Optimizer) confine(u []float64) []float64 {
 	return opt.Opts.Trust.Clamp(u)
 }
 
-func (opt *Optimizer) suggestGP() []float64 {
+func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 	d := opt.Space.D()
 
 	// Epoch maintenance: slice sampling (the only RNG consumer on the
@@ -403,27 +403,50 @@ func (opt *Optimizer) suggestGP() []float64 {
 	if len(cands) == 0 {
 		return opt.confine(sample.Uniform(opt.rng, 1, d)[0])
 	}
-	sc := scorer{models: c.models, acq: opt.Opts.Acq, bestY: bestY}
-	bi, bestScore := sc.argmax(cands, opt.Opts.Workers)
-	bestU := cands[bi]
-	score := sc.worker()
+	return search(opt, &scorer{models: c.models, acq: opt.Opts.Acq, bestY: bestY}, cands)
+}
 
-	// Local coordinate search around the best candidate.
-	cur := append([]float64(nil), bestU...)
+// acqSearch maximizes the acquisition sc scores over the candidate grid
+// cands (non-empty). maximize is the one production search; tests pass
+// a one-candidate-at-a-time oracle in its place.
+type acqSearch func(opt *Optimizer, sc *scorer, cands [][]float64) []float64
+
+// maximize returns the best grid candidate refined by coordinate local
+// search. A sweep tries 2d moves from the current point — each
+// coordinate up, then down, by the step — taking every move that
+// improves the score. Moves are scored gp.Block at a time,
+// speculatively from the current point: the first improving move of a
+// block is taken, the rest of the block (built from a point that is now
+// stale) is dropped, and the sweep resumes at the move after it. That
+// makes exactly the decisions of scoring the moves one by one.
+func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
+	bi, bestScore := sc.argmax(cands, opt.Opts.Workers)
+	cur := append([]float64(nil), cands[bi]...)
+	moves := 2 * len(cur)
+	b := sc.newBuf()
+	var blk [gp.Block][]float64
+	var out [gp.Block]float64
 	step := 0.08
 	for it := 0; it < opt.Opts.LocalSearchIters; it++ {
 		improved := false
-		for j := 0; j < d; j++ {
-			for _, dir := range []float64{1, -1} {
+		for m := 0; m < moves; {
+			nb := min(gp.Block, moves-m)
+			for l := range blk[:nb] {
+				j, dir := (m+l)/2, float64(1-2*((m+l)%2))
 				trial := append([]float64(nil), cur...)
 				trial[j] = clamp01(trial[j] + dir*step)
-				trial = opt.confine(trial)
-				if s := score(trial); s > bestScore {
-					bestScore = s
-					cur = trial
-					improved = true
+				blk[l] = opt.confine(trial)
+			}
+			sc.scoreBlock(b, blk[:nb], out[:nb])
+			next := m + nb
+			for l, v := range out[:nb] {
+				if v > bestScore {
+					bestScore, cur, improved = v, blk[l], true
+					next = m + l + 1
+					break
 				}
 			}
+			m = next
 		}
 		if !improved {
 			step /= 2

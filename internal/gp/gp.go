@@ -23,10 +23,20 @@
 //     rebuilt in O(n³). This is the only invalidation rule — anything
 //     short of a refit reuses the cached factor.
 //
+// # Posterior queries
+//
 // Posterior queries never mutate the cache: Predict/PredictInto read
 // the cached factor and alpha, and PredictInto is allocation-free given
 // a caller-owned Scratch (safe for concurrent readers, one Scratch per
 // goroutine).
+//
+// PredictBlockInto is the form the acquisition scorer uses: it answers
+// up to Block queries against the one cached factor, with a single
+// four-lane triangular solve (linalg.Cholesky.ForwardSolve4Into) in
+// place of four one-lane ones. Its lane contract is bit-identity: lane
+// l of a block returns exactly the bits PredictInto returns for xs[l],
+// whatever the other lanes hold and however many there are, so
+// blocking changes the cost of scoring and never a proposal.
 //
 // # Exact / approximate switchover
 //
@@ -54,6 +64,10 @@ import (
 type Surrogate interface {
 	Predict(xs []float64) (mu, sigma2 float64)
 	PredictInto(s *Scratch, xs []float64) (mu, sigma2 float64)
+	// PredictBlockInto writes the posterior at each of 1..Block points
+	// xs[l] into mu[l] and sigma2[l], bitwise what PredictInto returns
+	// for that point alone.
+	PredictBlockInto(s *BlockScratch, xs [][]float64, mu, sigma2 []float64)
 	Observe(x []float64, y float64) error
 	Retract(x []float64, y float64) error
 	N() int
@@ -114,7 +128,9 @@ var ErrNoData = errors.New("gp: no observations")
 // with no Prior that is simply the sample mean of y.
 //
 // The observation slices are copied, so a later Observe on this GP
-// never aliases the caller's backing arrays.
+// never aliases the caller's backing arrays. A failed Fit drops the
+// cached factor (it was refactored in place), so the next Observe
+// refits in full.
 func (g *GP) Fit(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return ErrNoData
@@ -142,11 +158,15 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		}
 		k.Data[i*n+i] = row[i] + g.Noise
 	}
-	ch, err := linalg.NewCholesky(k)
-	if err != nil {
+	// Refactor in place: slice sampling refits the same n hundreds of
+	// times per epoch, and the factor is the largest allocation of each.
+	if g.chol == nil {
+		g.chol = &linalg.Cholesky{}
+	}
+	if err := g.chol.Refactor(k); err != nil {
+		g.chol = nil
 		return err
 	}
-	g.chol = ch
 	g.refreshAlpha()
 	return nil
 }
@@ -269,6 +289,34 @@ func (s *Scratch) ensure(n int) {
 	s.v = s.v[:n]
 }
 
+// Block is the number of queries PredictBlockInto answers per
+// triangular solve: the width of linalg's interleaved forward solve.
+const Block = 4
+
+// BlockScratch holds per-caller buffers for PredictBlockInto, one
+// Scratch per lane. Like Scratch, it must not be shared between
+// goroutines.
+type BlockScratch struct {
+	lanes [Block]Scratch
+}
+
+// forwardSolve solves L v = kstar for the first m lanes: one
+// interleaved solve for a full block, lane by lane for a short one.
+// Either way each lane's v is bitwise PredictInto's.
+func (s *BlockScratch) forwardSolve(c *linalg.Cholesky, m int) {
+	if m == Block {
+		var dst, b [Block][]float64
+		for l := range s.lanes {
+			dst[l], b[l] = s.lanes[l].v, s.lanes[l].kstar
+		}
+		c.ForwardSolve4Into(dst, b)
+		return
+	}
+	for l := range s.lanes[:m] {
+		c.ForwardSolveInto(s.lanes[l].v, s.lanes[l].kstar)
+	}
+}
+
 // Predict returns the posterior mean and variance of the latent
 // function at xs. The variance excludes observation noise.
 func (g *GP) Predict(xs []float64) (mu, sigma2 float64) {
@@ -293,6 +341,33 @@ func (g *GP) PredictInto(s *Scratch, xs []float64) (mu, sigma2 float64) {
 		sigma2 = 0
 	}
 	return mu, sigma2
+}
+
+// PredictBlockInto is PredictInto for 1..Block points sharing one
+// triangular solve; see "Posterior queries" in the package comment.
+func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, mu, sigma2 []float64) {
+	if g.chol == nil {
+		for l, x := range xs {
+			mu[l], sigma2[l] = g.prior(x)+g.Mean, g.Kern.Eval(x, x)
+		}
+		return
+	}
+	n := len(g.x)
+	for l, x := range xs {
+		ls := &s.lanes[l]
+		ls.ensure(n)
+		g.Kern.EvalRow(x, g.x, ls.kstar)
+		mu[l] = g.prior(x) + g.Mean + linalg.Dot(ls.kstar, g.alpha)
+	}
+	s.forwardSolve(g.chol, len(xs))
+	for l, x := range xs {
+		v := s.lanes[l].v
+		s2 := g.Kern.Eval(x, x) - linalg.Dot(v, v)
+		if s2 < 0 {
+			s2 = 0
+		}
+		sigma2[l] = s2
+	}
 }
 
 // LogMarginalLikelihood returns log p(y | x, θ) for the currently

@@ -230,6 +230,26 @@ func (r *RFF) PredictInto(s *Scratch, xs []float64) (mu, sigma2 float64) {
 	return mu, sigma2
 }
 
+// PredictBlockInto is PredictInto for 1..Block points: the m-feature
+// variance solves run as one interleaved solve against the m×m factor.
+func (r *RFF) PredictBlockInto(s *BlockScratch, xs [][]float64, mu, sigma2 []float64) {
+	for l, x := range xs {
+		ls := &s.lanes[l]
+		ls.ensure(r.m)
+		r.features(x, ls.kstar)
+		mu[l] = r.prior(x) + r.mean + linalg.Dot(ls.kstar, r.wmean)
+	}
+	s.forwardSolve(r.chol, len(xs))
+	for l := range xs {
+		v := s.lanes[l].v
+		s2 := r.Noise * linalg.Dot(v, v)
+		if s2 < 0 {
+			s2 = 0
+		}
+		sigma2[l] = s2
+	}
+}
+
 var (
 	_ Surrogate = (*GP)(nil)
 	_ Surrogate = (*RFF)(nil)

@@ -34,8 +34,23 @@ type Cholesky struct {
 // doublings — the standard trick for GP kernel matrices that are
 // positive semi-definite up to rounding.
 func NewCholesky(a *Matrix) (*Cholesky, error) {
+	c := &Cholesky{}
+	if err := c.Refactor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Refactor is NewCholesky into an existing factor: it factorizes a
+// (with the same jitter escalation) into c, reusing c.L's storage when
+// it is already a.Rows×a.Rows. Callers that refit the same n
+// repeatedly — hyperparameter slice sampling refactors one GP hundreds
+// of times — then allocate nothing per factorization. The result is
+// bit-identical to NewCholesky(a), upper triangle zero included. On
+// failure c holds no factor (c.L is nil).
+func (c *Cholesky) Refactor(a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
+		return fmt.Errorf("linalg: cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
 	meanDiag := 0.0
@@ -48,13 +63,16 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	if meanDiag <= 0 {
 		meanDiag = 1
 	}
+	if c.L == nil || c.L.Rows != n || c.L.Cols != n {
+		c.L = NewMatrix(n, n)
+	}
 
 	const maxTries = 12
 	jitter := 0.0
 	for try := 0; try <= maxTries; try++ {
-		l, ok := tryCholesky(a, jitter)
-		if ok {
-			return &Cholesky{L: l, Jitter: jitter}, nil
+		if tryCholesky(a, jitter, c.L) {
+			c.Jitter = jitter
+			return nil
 		}
 		if jitter == 0 {
 			jitter = 1e-10 * meanDiag
@@ -62,7 +80,8 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 			jitter *= 10
 		}
 	}
-	return nil, ErrNotPositiveDefinite
+	c.L = nil
+	return ErrNotPositiveDefinite
 }
 
 // NewCholeskyWithJitter factorizes a with exactly the given diagonal
@@ -73,8 +92,8 @@ func NewCholeskyWithJitter(a *Matrix, jitter float64) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
-	l, ok := tryCholesky(a, jitter)
-	if !ok {
+	l := NewMatrix(a.Rows, a.Rows)
+	if !tryCholesky(a, jitter, l) {
 		return nil, ErrNotPositiveDefinite
 	}
 	return &Cholesky{L: l, Jitter: jitter}, nil
@@ -197,31 +216,55 @@ func (c *Cholesky) Downdate(v []float64) error {
 	return nil
 }
 
-func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
+// tryCholesky factorizes a + jitter·I into l (n×n, any prior
+// contents), reporting false when a pivot is not positive. Column j's
+// sub-diagonal rows are computed four per pass: the rows share row j
+// of L, and each keeps its own left-to-right subtraction chain, so the
+// result is bitwise that of computing one row at a time while four
+// independent chains hide the subtraction latency.
+func tryCholesky(a *Matrix, jitter float64, l *Matrix) bool {
 	n := a.Rows
-	l := NewMatrix(n, n)
+	ad, ld := a.Data, l.Data
 	for j := 0; j < n; j++ {
-		d := a.At(j, j) + jitter
-		for k := 0; k < j; k++ {
-			ljk := l.At(j, k)
-			d -= ljk * ljk
+		lj := ld[j*n : j*n+j]
+		d := ad[j*n+j] + jitter
+		for _, v := range lj {
+			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, false
+			return false
 		}
 		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			li := l.Data[i*n : i*n+j]
-			lj := l.Data[j*n : j*n+j]
-			for k := 0; k < j; k++ {
-				s -= li[k] * lj[k]
+		ld[j*n+j] = ljj
+		clear(ld[j*n+j+1 : (j+1)*n])
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			l0 := ld[i*n:][:len(lj)]
+			l1 := ld[(i+1)*n:][:len(lj)]
+			l2 := ld[(i+2)*n:][:len(lj)]
+			l3 := ld[(i+3)*n:][:len(lj)]
+			s0, s1, s2, s3 := ad[i*n+j], ad[(i+1)*n+j], ad[(i+2)*n+j], ad[(i+3)*n+j]
+			for k, v := range lj {
+				s0 -= l0[k] * v
+				s1 -= l1[k] * v
+				s2 -= l2[k] * v
+				s3 -= l3[k] * v
 			}
-			l.Set(i, j, s/ljj)
+			ld[i*n+j] = s0 / ljj
+			ld[(i+1)*n+j] = s1 / ljj
+			ld[(i+2)*n+j] = s2 / ljj
+			ld[(i+3)*n+j] = s3 / ljj
+		}
+		for ; i < n; i++ {
+			s := ad[i*n+j]
+			li := ld[i*n:][:len(lj)]
+			for k, v := range lj {
+				s -= li[k] * v
+			}
+			ld[i*n+j] = s / ljj
 		}
 	}
-	return l, true
+	return true
 }
 
 // SolveVec solves A x = b given the factorization, returning x.
@@ -252,6 +295,42 @@ func (c *Cholesky) ForwardSolveInto(dst, b []float64) []float64 {
 		dst[i] = s / c.L.Data[i*n+i]
 	}
 	return dst
+}
+
+// ForwardSolve4Into solves L y = b for four right-hand sides at once,
+// y_c into dst[c] (no dst[c] may alias any b[c'] or another dst). The
+// four recurrences share each row of L and run interleaved, which
+// hides the latency of the dependent subtraction chain a single solve
+// is bound by. Each column keeps ForwardSolveInto's operation order, so
+// dst[c] is bitwise what ForwardSolveInto(dst[c], b[c]) produces — the
+// lane contract the blocked acquisition scorer relies on.
+func (c *Cholesky) ForwardSolve4Into(dst, b [4][]float64) {
+	n := c.L.Rows
+	for q := range dst {
+		if len(b[q]) != n || len(dst[q]) != n {
+			panic(fmt.Sprintf("linalg: forward solve lane %d len %d/%d vs %d", q, len(dst[q]), len(b[q]), n))
+		}
+	}
+	for q := range dst {
+		copy(dst[q], b[q])
+	}
+	d0, d1, d2, d3 := dst[0], dst[1], dst[2], dst[3]
+	for i := 0; i < n; i++ {
+		row := c.L.Data[i*n : i*n+i+1]
+		y0, y1, y2, y3 := d0[:len(row)], d1[:len(row)], d2[:len(row)], d3[:len(row)]
+		s0, s1, s2, s3 := y0[i], y1[i], y2[i], y3[i]
+		for k, lik := range row[:i] {
+			s0 -= lik * y0[k]
+			s1 -= lik * y1[k]
+			s2 -= lik * y2[k]
+			s3 -= lik * y3[k]
+		}
+		lii := row[i]
+		y0[i] = s0 / lii
+		y1[i] = s1 / lii
+		y2[i] = s2 / lii
+		y3[i] = s3 / lii
+	}
 }
 
 // BackSolve solves Lᵀ x = y.
