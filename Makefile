@@ -12,7 +12,7 @@ SHELL := /bin/bash
 GATE_BENCH   = ^Benchmark(BOSuggest(Sequential|Parallel)Scorer|BOSuggestLargeHistory(/n\d+)?|GPObserveIncremental|FleetSchedule|MonitorObserve|ArchiveQuery|WarmStartSeed)$$
 GATE_PERCENT = 0.30
 
-.PHONY: build test lint stormlint bench bench-baseline bench-gate bench-gp bench-smoke dash-smoke fleet-smoke serve-multi-smoke watch-smoke archive-smoke
+.PHONY: build test lint stormlint bench bench-baseline bench-gate bench-gp bench-smoke fuzz-smoke dash-smoke fleet-smoke serve-multi-smoke watch-smoke archive-smoke
 
 build:
 	go build ./... && go build ./examples/...
@@ -68,6 +68,14 @@ bench-gate:
 # `go test ./...` never reaches it.
 bench-smoke:
 	go -C bench test ./...
+
+# The native fuzz targets, 10 s each: journal recovery over arbitrary
+# file bytes, and tuner/watch snapshot loading. go test -fuzz takes one
+# target per run.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 10s ./internal/journal
+	go test -run '^$$' -fuzz '^FuzzLoadTunerState$$' -fuzztime 10s .
+	go test -run '^$$' -fuzz '^FuzzLoadWatchState$$' -fuzztime 10s .
 
 # The CI dashboard smoke test, runnable locally.
 dash-smoke:

@@ -7,6 +7,7 @@ import (
 
 	"stormtune/internal/archive"
 	"stormtune/internal/core"
+	"stormtune/internal/journal"
 )
 
 // Session-archive types re-exported from the archive and core packages.
@@ -19,10 +20,14 @@ type (
 	// with QueryArchive.
 	Archive = archive.Store
 	// DiskArchive is the persistent implementation: an append-only
-	// JSON-lines segment log plus an index, crash-safe (a torn tail is
-	// truncated on open) and fsynced on seal. Its GC method compacts
-	// the log and drops unsealed records.
+	// JSON-lines segment log, crash-safe (a torn tail is truncated on
+	// open) and fsynced on seal. Its GC method compacts the log
+	// atomically and drops unsealed records.
 	DiskArchive = archive.Disk
+	// CorruptRecordError is what OpenArchive and OpenFleetLog return
+	// (wrapped; match it with errors.As) for a bad record that cannot
+	// be a torn crash tail. The file is left as it was.
+	CorruptRecordError = journal.CorruptError
 	// MemArchive is the in-memory implementation, for tests and
 	// ephemeral cross-session sharing within one process.
 	MemArchive = archive.Mem
@@ -54,7 +59,7 @@ type (
 
 // OpenArchive opens (creating if needed) the persistent archive rooted
 // at dir. Partial trailing writes from a crash are truncated away;
-// corruption anywhere earlier is reported as an error.
+// corruption anywhere earlier is a *CorruptRecordError.
 func OpenArchive(dir string) (*DiskArchive, error) { return archive.Open(dir) }
 
 // NewMemArchive builds an empty in-memory archive.

@@ -168,7 +168,8 @@ func CreateFleetLog(path string) (*FleetLog, error) {
 // OpenFleetLog recovers an existing fleet log for resumption: torn
 // tails from the crash are truncated, the last durable snapshot per
 // member is loaded (MemberState), and the resumed fleet appends to the
-// same file.
+// same file. A bad record anywhere else is a *CorruptRecordError and
+// leaves the file untouched.
 func OpenFleetLog(path string) (*FleetLog, error) {
 	l, err := fleetlog.Open(path)
 	if err != nil {

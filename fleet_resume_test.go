@@ -1,6 +1,7 @@
 package stormtune
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -28,6 +29,111 @@ func (b statelessFaultBackend) Run(ctx context.Context, tr Trial) (storm.Result,
 	return b.inner.Run(ctx, tr)
 }
 
+// resumeFleet is the two-member fleet the kill/resume tests run:
+// stateless injected faults, and MaxInFlight 1 so each member's record
+// sequence is independent of fleet scheduling — the determinism resume
+// relies on.
+type resumeFleet struct {
+	t     *testing.T
+	top   *Topology
+	names []string
+	seeds []int64
+	steps []int
+}
+
+func newResumeFleet(t *testing.T) *resumeFleet {
+	return &resumeFleet{
+		t:     t,
+		top:   BuildSynthetic("small", Condition{}, 1),
+		names: []string{"alpha", "beta"},
+		seeds: []int64{3, 7},
+		steps: []int{7, 5},
+	}
+}
+
+func (r *resumeFleet) backend() Backend {
+	return statelessFaultBackend{inner: AsBackend(quietEval(r.top, SmallCluster()))}
+}
+
+func (r *resumeFleet) build(i int, extra Observer) FleetMember {
+	opts := fastTunerOpts(r.seeds[i], r.steps[i])
+	opts.Cluster = ptrCluster(SmallCluster())
+	opts.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond}
+	opts.Observer = extra
+	tn, err := NewTuner(r.top, r.backend(), opts)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return FleetMember{Name: r.names[i], Tuner: tn, MaxInFlight: 1}
+}
+
+// reference runs the fleet uninterrupted, logging to logPath when it
+// is not empty.
+func (r *resumeFleet) reference(logPath string) map[string]TuneResult {
+	opts := FleetOptions{Slots: 2}
+	if logPath != "" {
+		flog, err := CreateFleetLog(logPath)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		defer flog.Close()
+		opts.Log = flog
+	}
+	ref, err := NewFleet(opts, r.build(0, nil), r.build(1, nil))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	want, err := ref.Run(context.Background())
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if opts.Log != nil {
+		if err := opts.Log.Err(); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	for i, name := range r.names {
+		if len(want[name].Records) != r.steps[i] {
+			r.t.Fatalf("reference %q ran %d records, want %d", name, len(want[name].Records), r.steps[i])
+		}
+	}
+	return want
+}
+
+// finish runs the resumed members to completion on flog.
+func (r *resumeFleet) finish(flog *FleetLog, members []FleetMember) map[string]TuneResult {
+	fleet, err := NewFleet(FleetOptions{Slots: 2, Log: flog}, members...)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	got, err := fleet.Run(context.Background())
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := flog.Err(); err != nil {
+		r.t.Fatalf("resumed fleet log error: %v", err)
+	}
+	return got
+}
+
+// check requires every member's records and incumbent to equal the
+// reference bit for bit.
+func (r *resumeFleet) check(want, got map[string]TuneResult) {
+	t := r.t
+	t.Helper()
+	for _, name := range r.names {
+		recordsEqual(t, want[name].Records, got[name].Records)
+		if want[name].BestStep != got[name].BestStep {
+			t.Fatalf("%q best step %d, want %d", name, got[name].BestStep, want[name].BestStep)
+		}
+		wb, _ := want[name].Best()
+		gb, _ := got[name].Best()
+		if wb.Config.Fingerprint() != gb.Config.Fingerprint() {
+			t.Fatalf("%q incumbent diverged after resume", name)
+		}
+	}
+}
+
 // TestPublicFleetKillResumeBitIdentical is the crash-safety acceptance
 // pin: a fleet persisting to a FleetLog, killed mid-run (log abandoned
 // un-Closed, a torn half-record appended as a crash mid-write would),
@@ -35,46 +141,11 @@ func (b statelessFaultBackend) Run(ctx context.Context, tr Trial) (storm.Result,
 // record sequence and incumbent bit-identical to an uninterrupted
 // reference run — injected retries included.
 func TestPublicFleetKillResumeBitIdentical(t *testing.T) {
-	top := BuildSynthetic("small", Condition{}, 1)
-	names := []string{"alpha", "beta"}
-	seeds := []int64{3, 7}
-	steps := []int{7, 5}
-
-	backend := func() Backend {
-		return statelessFaultBackend{inner: AsBackend(quietEval(top, SmallCluster()))}
-	}
-	memberOpts := func(i int) TunerOptions {
-		opts := fastTunerOpts(seeds[i], steps[i])
-		opts.Cluster = ptrCluster(SmallCluster())
-		opts.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond}
-		return opts
-	}
-	build := func(i int, extra Observer) FleetMember {
-		opts := memberOpts(i)
-		opts.Observer = extra
-		tn, err := NewTuner(top, backend(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// MaxInFlight 1 makes each member's record sequence independent
-		// of fleet scheduling — the determinism resume relies on.
-		return FleetMember{Name: names[i], Tuner: tn, MaxInFlight: 1}
-	}
+	rf := newResumeFleet(t)
+	top, names, build, backend := rf.top, rf.names, rf.build, rf.backend
 
 	// Reference: uninterrupted, no log.
-	ref, err := NewFleet(FleetOptions{Slots: 2}, build(0, nil), build(1, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range names {
-		if len(want[name].Records) != steps[i] {
-			t.Fatalf("reference %q ran %d records, want %d", name, len(want[name].Records), steps[i])
-		}
-	}
+	want := rf.reference("")
 
 	// Run 1: logged, killed after alpha's third completion.
 	path := filepath.Join(t.TempDir(), "fleet.log")
@@ -146,27 +217,62 @@ func TestPublicFleetKillResumeBitIdentical(t *testing.T) {
 		}
 		members[i] = FleetMember{Name: name, Tuner: tn, MaxInFlight: 1}
 	}
-	fleet2, err := NewFleet(FleetOptions{Slots: 2, Log: flog2}, members...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fleet2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flog2.Err(); err != nil {
-		t.Fatalf("resumed fleet log error: %v", err)
-	}
+	rf.check(want, rf.finish(flog2, members))
+}
 
-	for _, name := range names {
-		recordsEqual(t, want[name].Records, got[name].Records)
-		if want[name].BestStep != got[name].BestStep {
-			t.Fatalf("%q best step %d, want %d", name, got[name].BestStep, want[name].BestStep)
+// TestPublicFleetResumeFromEveryCut cuts a finished two-member fleet
+// log at every record boundary after the first snapshot, and in the
+// middle of every record after it (a torn tail), as a crash can leave
+// it: resuming from each cut must finish bit-identical to the
+// uninterrupted run. A member without a snapshot in the cut is tuned
+// fresh, as FleetLog.MemberState documents.
+func TestPublicFleetResumeFromEveryCut(t *testing.T) {
+	rf := newResumeFleet(t)
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.log")
+	want := rf.reference(full)
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.Index(data, []byte(`{"kind":"snapshot"`))
+	if first < 0 {
+		t.Fatal("the logged run wrote no snapshot")
+	}
+	var cuts []int
+	for off := first; off < len(data); {
+		end := off + bytes.IndexByte(data[off:], '\n') + 1
+		cuts = append(cuts, (off+end)/2, end)
+		off = end
+	}
+	path := filepath.Join(dir, "fleet.log")
+	for _, cut := range cuts {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
 		}
-		wb, _ := want[name].Best()
-		gb, _ := got[name].Best()
-		if wb.Config.Fingerprint() != gb.Config.Fingerprint() {
-			t.Fatalf("%q incumbent diverged after resume", name)
+		flog, err := OpenFleetLog(path)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		members := make([]FleetMember, len(rf.names))
+		for i, name := range rf.names {
+			st, err := flog.MemberState(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st == nil {
+				members[i] = rf.build(i, nil)
+				continue
+			}
+			tn, err := ResumeTuner(st, rf.top, rf.backend(), TunerOptions{})
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			members[i] = FleetMember{Name: name, Tuner: tn, MaxInFlight: 1}
+		}
+		rf.check(want, rf.finish(flog, members))
+		if err := flog.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

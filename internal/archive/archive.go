@@ -7,8 +7,9 @@
 //
 // Two implementations share the Store interface: Mem (tests, fleets
 // that only share within one process) and Disk (append-only JSON-lines
-// segments plus an index file, crash-safe: a torn final record is
-// truncated on open, and sealing a session fsyncs the segment).
+// segments on internal/journal, crash-safe: a torn final record is
+// truncated on open, sealing a session fsyncs the segment, and GC
+// compacts atomically).
 //
 // Everything here is decision-path code for warm-started sessions, so
 // the package is bound by stormlint's norawrand/nowallclock/maporder

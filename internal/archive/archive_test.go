@@ -3,12 +3,14 @@ package archive
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"stormtune/internal/cluster"
+	"stormtune/internal/journal"
 	"stormtune/internal/storm"
 	"stormtune/internal/topo"
 )
@@ -204,23 +206,9 @@ func TestDiskReopenRoundTrip(t *testing.T) {
 	if rec, _ := d2.Get("run-1"); !rec.Sealed || string(rec.State) != `{"v":1}` {
 		t.Fatalf("seal state lost: %+v", rec)
 	}
-	// The index catalog exists and is versioned.
-	data, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var idx struct {
-		V        int `json:"v"`
-		Sessions []struct {
-			Key    string `json:"key"`
-			Sealed bool   `json:"sealed"`
-		} `json:"sessions"`
-	}
-	if err := json.Unmarshal(data, &idx); err != nil {
-		t.Fatal(err)
-	}
-	if idx.V != 1 || len(idx.Sessions) != 2 || !idx.Sessions[0].Sealed {
-		t.Fatalf("bad index: %+v", idx)
+	// Segments are the only state: no index catalog is written.
+	if _, err := os.Stat(filepath.Join(dir, "index.json")); !os.IsNotExist(err) {
+		t.Fatalf("index.json must not be written (stat err %v)", err)
 	}
 }
 
@@ -299,18 +287,24 @@ func TestDiskRejectsNewerVersion(t *testing.T) {
 	if err := os.WriteFile(seg, []byte(`{"v":99,"op":"begin","meta":{"key":"x"}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("newer record version must be rejected")
+	_, err := Open(dir)
+	var ce *journal.CorruptError
+	if !errors.As(err, &ce) || ce.Offset != 0 {
+		t.Fatalf("newer record version must be rejected as corrupt at offset 0, got %v", err)
 	}
 	if err := os.Remove(seg); err != nil {
 		t.Fatal(err)
 	}
+	// The index.json older versions wrote is ignored, whatever it says:
+	// every segment record carries its own version.
 	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`{"v":99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("newer index version must be rejected")
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatalf("a stale index.json must be ignored: %v", err)
 	}
+	d.Close()
 }
 
 func TestDiskReattachAndLastStep(t *testing.T) {

@@ -10,24 +10,23 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
+
+	"stormtune/internal/journal"
 )
 
 // formatVersion is the on-disk format version, stamped on every
-// segment record and on the index. Readers reject newer versions
-// rather than misparse them.
+// segment record. Readers reject newer versions rather than misparse
+// them.
 const formatVersion = 1
-
-// indexName is the catalog file rewritten (atomically) on every seal,
-// gc and import: a compact, versioned summary of the archive that
-// tools can read without replaying segments.
-const indexName = "index.json"
 
 // record is one line of a segment file: a versioned envelope around
 // one of the append-only operations.
 type record struct {
-	V  int    `json:"v"`
-	Op string `json:"op"` // "begin" | "trial" | "seal" | "delete"
+	V int `json:"v"`
+	// Op is "begin" | "trial" | "seal" | "delete", or "reset", which
+	// opens a GC-compacted segment and discards everything replayed
+	// before it.
+	Op string `json:"op"`
 	// Key identifies the session for trial/seal/delete ops.
 	Key   string          `json:"key,omitempty"`
 	Meta  *SessionMeta    `json:"meta,omitempty"`  // begin
@@ -35,57 +34,46 @@ type record struct {
 	State json.RawMessage `json:"state,omitempty"` // seal
 }
 
-// indexEntry summarizes one session in the index file.
-type indexEntry struct {
-	Key         string `json:"key"`
-	Fingerprint uint64 `json:"fingerprint"`
-	Topology    string `json:"topology"`
-	Sealed      bool   `json:"sealed"`
-	Trials      int    `json:"trials"`
-}
-
-type indexFile struct {
-	V        int          `json:"v"`
-	Sessions []indexEntry `json:"sessions"`
-}
-
 // Disk is the persistent Store: a directory of append-only JSON-lines
-// segment files plus an index. Appends buffer in the OS (a crash loses
-// at most the unsealed tail, which Open truncates away); Seal fsyncs
-// the segment and rewrites the index atomically, so completed evidence
-// is durable.
+// segment files, each an internal/journal log. Every Begin, Append and
+// Delete call flushes its records to the OS (a machine crash loses at
+// most the unsealed tail, which Open truncates away); Seal fsyncs the
+// segment, so completed evidence is durable. Files other than segments
+// — the index.json older versions kept, a temp file a crash left — are
+// ignored.
 type Disk struct {
 	dir string
 
-	mu     sync.Mutex
-	recs   map[string]*SessionRecord
-	seg    *os.File // current segment, opened lazily on first write
-	segNum int      // number the next segment will use
+	mem    Mem          // the replayed state; mem.mu also guards the fields below
+	seg    *journal.Log // current segment, created lazily on first write
+	segNum int          // number the next segment will use
 	closed bool
 }
 
 // Open opens (creating if needed) a disk archive rooted at dir. All
 // existing segments are replayed in name order; a torn trailing record
 // — the signature of a crash mid-append — is truncated so the segment
-// is clean for future readers. Corruption anywhere else is an error.
+// is clean for future readers. Corruption anywhere else is a
+// *journal.CorruptError.
 func Open(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
-	d := &Disk{dir: dir, recs: make(map[string]*SessionRecord), segNum: 1}
-	if err := d.readIndexVersion(); err != nil {
-		return nil, err
-	}
+	d := &Disk{dir: dir, mem: Mem{recs: make(map[string]*SessionRecord)}, segNum: 1}
 	segs, err := d.segmentFiles()
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range segs {
-		if err := d.replaySegment(name); err != nil {
-			return nil, err
+	for _, path := range segs {
+		l, err := journal.Open(path, d.apply)
+		if err == nil {
+			err = l.Close()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("archive: %w", err)
 		}
 		var n int
-		fmt.Sscanf(filepath.Base(name), "seg-%d.jsonl", &n)
+		fmt.Sscanf(filepath.Base(path), "seg-%d.jsonl", &n)
 		if n >= d.segNum {
 			d.segNum = n + 1
 		}
@@ -112,128 +100,69 @@ func (d *Disk) segmentFiles() ([]string, error) {
 	return segs, nil
 }
 
-// readIndexVersion rejects archives written by a newer format version.
-// The index is advisory beyond that: segments are the truth.
-func (d *Disk) readIndexVersion() error {
-	data, err := os.ReadFile(filepath.Join(d.dir, indexName))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	var idx indexFile
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return fmt.Errorf("archive: corrupt index: %w", err)
-	}
-	if idx.V > formatVersion {
-		return fmt.Errorf("archive: index version %d is newer than supported %d", idx.V, formatVersion)
-	}
-	return nil
-}
-
-// replaySegment applies one segment's records to the in-memory state.
-// A record that fails to parse with nothing but a torn tail after it
-// truncates the file at the last good offset; garbage followed by more
-// records is corruption and errors out.
-func (d *Disk) replaySegment(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	good := 0 // offset past the last fully-applied record
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		var line []byte
-		var next int
-		if nl < 0 {
-			line, next = data[off:], len(data)
-		} else {
-			line, next = data[off:off+nl], off+nl+1
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			off = next
-			good = next
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || nl < 0 {
-			// Torn tail: no newline, or undecodable. Anything non-blank
-			// after it means mid-file corruption, not a crash.
-			rest := bytes.TrimSpace(data[next:])
-			if err == nil && nl >= 0 {
-				// Decodable but unterminated — still a torn write.
-				rest = nil
-			}
-			if len(rest) > 0 {
-				return fmt.Errorf("archive: segment %s corrupt at offset %d", path, off)
-			}
-			return os.Truncate(path, int64(good))
-		}
-		if rec.V > formatVersion {
-			return fmt.Errorf("archive: segment %s has record version %d (supported %d)", path, rec.V, formatVersion)
-		}
-		if err := d.apply(rec); err != nil {
-			return fmt.Errorf("archive: segment %s: %w", path, err)
-		}
-		off = next
-		good = next
-	}
-	return nil
-}
-
 // apply folds one replayed record into the in-memory state. Replay is
 // forgiving where live calls are strict: evidence for sessions whose
 // begin record was lost is dropped, not fatal.
 func (d *Disk) apply(rec record) error {
+	if rec.V > formatVersion {
+		return fmt.Errorf("record version %d (supported %d)", rec.V, formatVersion)
+	}
 	switch rec.Op {
 	case "begin":
 		if rec.Meta == nil {
 			return fmt.Errorf("begin record without meta")
 		}
-		if _, ok := d.recs[rec.Meta.Key]; !ok {
-			d.recs[rec.Meta.Key] = &SessionRecord{Meta: *rec.Meta}
+		if _, ok := d.mem.recs[rec.Meta.Key]; !ok {
+			d.mem.recs[rec.Meta.Key] = &SessionRecord{Meta: *rec.Meta}
 		}
 	case "trial":
-		if r, ok := d.recs[rec.Key]; ok && rec.Trial != nil {
+		if r, ok := d.mem.recs[rec.Key]; ok && rec.Trial != nil {
 			r.Trials = append(r.Trials, *rec.Trial)
 		}
 	case "seal":
-		if r, ok := d.recs[rec.Key]; ok {
+		if r, ok := d.mem.recs[rec.Key]; ok {
 			r.Sealed = true
 			if rec.State != nil {
 				r.State = append(json.RawMessage(nil), rec.State...)
 			}
 		}
 	case "delete":
-		delete(d.recs, rec.Key)
+		delete(d.mem.recs, rec.Key)
+	case "reset":
+		d.mem.recs = make(map[string]*SessionRecord)
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
 	}
 	return nil
 }
 
-// writeLocked appends one record line to the current segment, opening
-// a fresh segment on first write. Callers hold mu.
-func (d *Disk) writeLocked(rec record) error {
+// segPath names segment n.
+func (d *Disk) segPath(n int) string {
+	return filepath.Join(d.dir, fmt.Sprintf("seg-%06d.jsonl", n))
+}
+
+// writeLocked appends records to the current segment, creating a fresh
+// segment on first write, and flushes them to the OS. Callers hold
+// mem.mu.
+func (d *Disk) writeLocked(recs ...record) error {
 	if d.closed {
 		return fmt.Errorf("archive: store is closed")
 	}
-	rec.V = formatVersion
 	if d.seg == nil {
-		path := filepath.Join(d.dir, fmt.Sprintf("seg-%06d.jsonl", d.segNum))
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		l, err := journal.Create(d.segPath(d.segNum))
 		if err != nil {
 			return fmt.Errorf("archive: %w", err)
 		}
-		d.seg = f
+		d.seg = l
 		d.segNum++
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
+	for _, rec := range recs {
+		rec.V = formatVersion
+		if err := d.seg.Append(rec); err != nil {
+			return fmt.Errorf("archive: %w", err)
+		}
 	}
-	if _, err := d.seg.Write(append(line, '\n')); err != nil {
+	if err := d.seg.Flush(); err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
 	return nil
@@ -241,218 +170,119 @@ func (d *Disk) writeLocked(rec record) error {
 
 // Begin implements Store.
 func (d *Disk) Begin(meta SessionMeta) error {
-	if err := validateMeta(meta); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if rec, ok := d.recs[meta.Key]; ok {
-		if rec.Meta.Fingerprint != meta.Fingerprint {
-			return fmt.Errorf("archive: key %q already holds fingerprint %016x, not %016x",
-				meta.Key, rec.Meta.Fingerprint, meta.Fingerprint)
-		}
-		return nil // re-attach
-	}
-	if err := d.writeLocked(record{Op: "begin", Meta: &meta}); err != nil {
-		return err
-	}
-	d.recs[meta.Key] = &SessionRecord{Meta: meta}
-	return d.writeIndexLocked()
+	return d.mem.begin(meta, func() error {
+		return d.writeLocked(record{Op: "begin", Meta: &meta})
+	})
 }
 
 // Append implements Store.
 func (d *Disk) Append(key string, trials ...TrialRecord) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rec, ok := d.recs[key]
-	if !ok {
-		return fmt.Errorf("archive: append to unknown session %q", key)
-	}
-	for i := range trials {
-		tr := trials[i]
-		if err := d.writeLocked(record{Op: "trial", Key: key, Trial: &tr}); err != nil {
+	return d.mem.append(key, trials, func() error {
+		if len(trials) == 0 {
+			return nil
+		}
+		recs := make([]record, len(trials))
+		for i := range trials {
+			recs[i] = record{Op: "trial", Key: key, Trial: &trials[i]}
+		}
+		return d.writeLocked(recs...)
+	})
+}
+
+// Seal implements Store. The seal record is fsynced, making the whole
+// session durable.
+func (d *Disk) Seal(key string, state json.RawMessage) error {
+	return d.mem.seal(key, state, func() error {
+		if err := d.writeLocked(record{Op: "seal", Key: key, State: state}); err != nil {
 			return err
 		}
-		rec.Trials = append(rec.Trials, tr)
-	}
-	return nil
-}
-
-// Seal implements Store. The seal record is fsynced and the index
-// rewritten, making the whole session durable.
-func (d *Disk) Seal(key string, state json.RawMessage) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rec, ok := d.recs[key]
-	if !ok {
-		return fmt.Errorf("archive: seal of unknown session %q", key)
-	}
-	if err := d.writeLocked(record{Op: "seal", Key: key, State: state}); err != nil {
-		return err
-	}
-	if err := d.seg.Sync(); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	rec.Sealed = true
-	if state != nil {
-		rec.State = append(json.RawMessage(nil), state...)
-	}
-	return d.writeIndexLocked()
-}
-
-// writeIndexLocked rewrites the index catalog atomically (temp file +
-// rename). Callers hold mu.
-func (d *Disk) writeIndexLocked() error {
-	idx := indexFile{V: formatVersion}
-	keys := make([]string, 0, len(d.recs))
-	for k := range d.recs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		r := d.recs[k]
-		idx.Sessions = append(idx.Sessions, indexEntry{
-			Key: k, Fingerprint: r.Meta.Fingerprint, Topology: r.Meta.Topology,
-			Sealed: r.Sealed, Trials: len(r.Trials),
-		})
-	}
-	data, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	tmp := filepath.Join(d.dir, indexName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, indexName)); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	return nil
-}
-
-// Get implements Store.
-func (d *Disk) Get(key string) (SessionRecord, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rec, ok := d.recs[key]
-	if !ok {
-		return SessionRecord{}, false
-	}
-	return copyRecord(rec), true
-}
-
-// Keys implements Store.
-func (d *Disk) Keys() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.keysLocked()
-}
-
-// LastStep implements Store.
-func (d *Disk) LastStep(key string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rec, ok := d.recs[key]
-	if !ok {
-		return 0
-	}
-	last := 0
-	for _, tr := range rec.Trials {
-		if tr.Step > last {
-			last = tr.Step
+		if err := d.seg.Sync(); err != nil {
+			return fmt.Errorf("archive: %w", err)
 		}
-	}
-	return last
+		return nil
+	})
 }
 
 // Delete implements Store.
 func (d *Disk) Delete(key string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.recs[key]; !ok {
-		return nil
-	}
-	if err := d.writeLocked(record{Op: "delete", Key: key}); err != nil {
-		return err
-	}
-	delete(d.recs, key)
-	return d.writeIndexLocked()
+	return d.mem.delete(key, func() error {
+		return d.writeLocked(record{Op: "delete", Key: key})
+	})
 }
+
+// Get implements Store.
+func (d *Disk) Get(key string) (SessionRecord, bool) { return d.mem.Get(key) }
+
+// Keys implements Store.
+func (d *Disk) Keys() []string { return d.mem.Keys() }
+
+// LastStep implements Store.
+func (d *Disk) LastStep(key string) int { return d.mem.LastStep(key) }
 
 // GC drops unsealed (abandoned or in-progress elsewhere — don't gc a
 // live archive) records and compacts every segment into one, so
 // deletes and torn tails stop costing replay time. It returns the
 // number of records dropped.
+//
+// Compaction is crash-atomic: the surviving state is written with
+// journal.WriteFile as the next segment, opened by a "reset" record,
+// before the old segments are removed. Until that rename the archive
+// replays to its pre-GC state; from it on, whichever old segments are
+// still present replay first and the reset discards them.
 func (d *Disk) GC() (dropped int, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := make([]string, 0, len(d.recs))
-	for k := range d.recs {
-		keys = append(keys, k)
+	d.mem.mu.Lock()
+	defer d.mem.mu.Unlock()
+	if d.closed {
+		return 0, fmt.Errorf("archive: store is closed")
 	}
-	sort.Strings(keys)
+	old, err := d.segmentFiles()
+	if err != nil {
+		return 0, err
+	}
+	if d.seg != nil {
+		err := d.seg.Close()
+		d.seg = nil
+		if err != nil {
+			return 0, fmt.Errorf("archive: %w", err)
+		}
+	}
+	keys := d.mem.keysLocked()
+	recs := []record{{Op: "reset"}}
 	for _, k := range keys {
-		if !d.recs[k].Sealed {
-			delete(d.recs, k)
+		if rec := d.mem.recs[k]; rec.Sealed {
+			recs = append(recs, record{Op: "begin", Meta: &rec.Meta})
+			for i := range rec.Trials {
+				recs = append(recs, record{Op: "trial", Key: k, Trial: &rec.Trials[i]})
+			}
+			recs = append(recs, record{Op: "seal", Key: k, State: rec.State})
+		}
+	}
+	err = journal.WriteFile(d.segPath(d.segNum), func(w io.Writer) error {
+		enc := json.NewEncoder(w) // Encode = json.Marshal + '\n': a journal record line
+		for _, rec := range recs {
+			rec.V = formatVersion
+			if err := enc.Encode(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("archive: %w", err)
+	}
+	d.segNum++
+	for _, k := range keys {
+		if !d.mem.recs[k].Sealed {
+			delete(d.mem.recs, k)
 			dropped++
 		}
 	}
-	// Compact: write the surviving state into a fresh segment, fsync,
-	// then drop the old segments.
-	old, err := d.segmentFiles()
-	if err != nil {
-		return dropped, err
-	}
-	if d.seg != nil {
-		d.seg.Close()
-		d.seg = nil
-	}
-	for _, k := range d.keysLocked() {
-		rec := d.recs[k]
-		meta := rec.Meta
-		if err := d.writeLocked(record{Op: "begin", Meta: &meta}); err != nil {
-			return dropped, err
-		}
-		for i := range rec.Trials {
-			tr := rec.Trials[i]
-			if err := d.writeLocked(record{Op: "trial", Key: k, Trial: &tr}); err != nil {
-				return dropped, err
-			}
-		}
-		if rec.Sealed {
-			if err := d.writeLocked(record{Op: "seal", Key: k, State: rec.State}); err != nil {
-				return dropped, err
-			}
-		}
-	}
-	if d.seg != nil {
-		if err := d.seg.Sync(); err != nil {
-			return dropped, fmt.Errorf("archive: %w", err)
-		}
-	}
-	newSeg := ""
-	if d.seg != nil {
-		newSeg = d.seg.Name()
-	}
 	for _, path := range old {
-		if path == newSeg {
-			continue
-		}
 		if err := os.Remove(path); err != nil {
 			return dropped, fmt.Errorf("archive: %w", err)
 		}
 	}
-	return dropped, d.writeIndexLocked()
-}
-
-// keysLocked lists keys sorted; callers hold mu.
-func (d *Disk) keysLocked() []string {
-	keys := make([]string, 0, len(d.recs))
-	for k := range d.recs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return dropped, nil
 }
 
 // Export writes every record as one JSON line to w, in key order.
@@ -468,8 +298,8 @@ func (d *Disk) Import(r io.Reader) (int, error) {
 
 // Close implements Store.
 func (d *Disk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mem.mu.Lock()
+	defer d.mem.mu.Unlock()
 	d.closed = true
 	if d.seg != nil {
 		err := d.seg.Close()

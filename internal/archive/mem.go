@@ -9,7 +9,7 @@ import (
 
 // Mem is the in-memory Store: the test double, and the natural choice
 // for a single-process fleet that shares evidence across members
-// without persisting it.
+// without persisting it. Disk keeps its replayed state in one.
 type Mem struct {
 	mu   sync.Mutex
 	recs map[string]*SessionRecord
@@ -20,8 +20,22 @@ func NewMem() *Mem {
 	return &Mem{recs: make(map[string]*SessionRecord)}
 }
 
+// runPersist runs a mutator's persist hook, if any. The unexported
+// mutators take one; it runs under mu once the call is known to change
+// the archive and before the change takes effect, and its error aborts
+// the call. Disk passes its record write, so memory never runs ahead of
+// the segment log.
+func runPersist(persist func() error) error {
+	if persist == nil {
+		return nil
+	}
+	return persist()
+}
+
 // Begin implements Store.
-func (m *Mem) Begin(meta SessionMeta) error {
+func (m *Mem) Begin(meta SessionMeta) error { return m.begin(meta, nil) }
+
+func (m *Mem) begin(meta SessionMeta, persist func() error) error {
 	if err := validateMeta(meta); err != nil {
 		return err
 	}
@@ -32,31 +46,44 @@ func (m *Mem) Begin(meta SessionMeta) error {
 			return fmt.Errorf("archive: key %q already holds fingerprint %016x, not %016x",
 				meta.Key, rec.Meta.Fingerprint, meta.Fingerprint)
 		}
-		return nil
+		return nil // re-attach
+	}
+	if err := runPersist(persist); err != nil {
+		return err
 	}
 	m.recs[meta.Key] = &SessionRecord{Meta: meta}
 	return nil
 }
 
 // Append implements Store.
-func (m *Mem) Append(key string, trials ...TrialRecord) error {
+func (m *Mem) Append(key string, trials ...TrialRecord) error { return m.append(key, trials, nil) }
+
+func (m *Mem) append(key string, trials []TrialRecord, persist func() error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rec, ok := m.recs[key]
 	if !ok {
 		return fmt.Errorf("archive: append to unknown session %q", key)
 	}
+	if err := runPersist(persist); err != nil {
+		return err
+	}
 	rec.Trials = append(rec.Trials, trials...)
 	return nil
 }
 
 // Seal implements Store.
-func (m *Mem) Seal(key string, state json.RawMessage) error {
+func (m *Mem) Seal(key string, state json.RawMessage) error { return m.seal(key, state, nil) }
+
+func (m *Mem) seal(key string, state json.RawMessage, persist func() error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rec, ok := m.recs[key]
 	if !ok {
 		return fmt.Errorf("archive: seal of unknown session %q", key)
+	}
+	if err := runPersist(persist); err != nil {
+		return err
 	}
 	rec.Sealed = true
 	if state != nil {
@@ -80,6 +107,11 @@ func (m *Mem) Get(key string) (SessionRecord, bool) {
 func (m *Mem) Keys() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.keysLocked()
+}
+
+// keysLocked lists keys sorted; callers hold mu.
+func (m *Mem) keysLocked() []string {
 	keys := make([]string, 0, len(m.recs))
 	for k := range m.recs {
 		keys = append(keys, k)
@@ -106,9 +138,17 @@ func (m *Mem) LastStep(key string) int {
 }
 
 // Delete implements Store.
-func (m *Mem) Delete(key string) error {
+func (m *Mem) Delete(key string) error { return m.delete(key, nil) }
+
+func (m *Mem) delete(key string, persist func() error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if _, ok := m.recs[key]; !ok {
+		return nil
+	}
+	if err := runPersist(persist); err != nil {
+		return err
+	}
 	delete(m.recs, key)
 	return nil
 }

@@ -46,19 +46,6 @@ func (s *State) Save(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// SaveFile writes the snapshot to path, creating or truncating it.
-func (s *State) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 // LoadState reads a snapshot from r.
 func LoadState(r io.Reader) (*State, error) {
 	var s State

@@ -11,12 +11,14 @@
 //     every event up to Seq. The last durable snapshot per member is
 //     what resume restores from.
 //
-// Durability follows the archive package's idiom: appends are buffered,
-// a snapshot flushes and fsyncs (a snapshot that cannot be trusted is
-// worthless), and Open truncates a torn tail — a partial last line from
-// a crash mid-write — back to the last intact record. Losing buffered
-// events after the final fsync is harmless: resume falls back to the
-// last durable snapshot and the session re-proposes the same trials
+// The file is an internal/journal log. Appends are buffered and a
+// snapshot flushes and fsyncs (a snapshot that cannot be trusted is
+// worthless). Open truncates a torn tail — a partial last line from a
+// crash mid-write — back to the last intact record, and refuses a log
+// with a bad record anywhere else (*journal.CorruptError) rather than
+// drop the durable snapshots after it. Losing buffered events after
+// the final fsync is harmless: resume falls back to the last durable
+// snapshot and the session re-proposes the same trials
 // deterministically.
 //
 // The payloads are opaque to this package (json.RawMessage): the public
@@ -25,14 +27,13 @@
 package fleetlog
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
+
+	"stormtune/internal/journal"
 )
 
 // Record kinds.
@@ -76,8 +77,7 @@ type MemberState struct {
 type Log struct {
 	mu     sync.Mutex
 	path   string
-	f      *os.File
-	w      *bufio.Writer
+	j      *journal.Log
 	states map[string]*MemberState
 	closed bool
 }
@@ -85,69 +85,32 @@ type Log struct {
 // Create starts a fresh log at path, truncating any previous one — the
 // non-resume fleet run's entry point.
 func Create(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	j, err := journal.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("fleetlog: create %s: %w", path, err)
+		return nil, fmt.Errorf("fleetlog: %w", err)
 	}
-	return &Log{path: path, f: f, w: bufio.NewWriter(f), states: make(map[string]*MemberState)}, nil
+	return &Log{path: path, j: j, states: make(map[string]*MemberState)}, nil
 }
 
-// Open recovers an existing log for resumption: it scans every record,
-// keeps the last snapshot per member, truncates a torn tail back to the
-// last intact line, and reopens the file for appending — the resumed
-// run continues the same log.
+// Open recovers an existing log for resumption: it replays every
+// record, keeps the last snapshot per member, truncates a torn tail
+// back to the last intact line, and reopens the file for appending —
+// the resumed run continues the same log.
 func Open(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	l := &Log{path: path, states: make(map[string]*MemberState)}
+	j, err := journal.Open(path, l.fold)
 	if err != nil {
-		return nil, fmt.Errorf("fleetlog: open %s: %w", path, err)
+		return nil, fmt.Errorf("fleetlog: %w", err)
 	}
-	l := &Log{path: path, f: f, w: bufio.NewWriter(f), states: make(map[string]*MemberState)}
-	good, err := l.recover()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleetlog: truncating torn tail of %s: %w", path, err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleetlog: seeking %s: %w", path, err)
-	}
+	l.j = j
 	return l, nil
 }
 
-// recover scans the file, folding intact records into the member map,
-// and returns the offset just past the last intact line.
-func (l *Log) recover() (int64, error) {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("fleetlog: seeking %s: %w", l.path, err)
-	}
-	r := bufio.NewReader(l.f)
-	var good int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			// A final line without its newline is a torn tail even when it
-			// parses — the writer always terminates records.
-			return good, nil
-		}
-		if err != nil {
-			return 0, fmt.Errorf("fleetlog: reading %s: %w", l.path, err)
-		}
-		var rec Record
-		if json.Unmarshal(line, &rec) != nil || rec.Member == "" {
-			// Torn or foreign line: everything from here on is untrusted.
-			return good, nil
-		}
-		l.fold(rec)
-		good += int64(len(line))
-	}
-}
-
 // fold applies one intact record to the member map.
-func (l *Log) fold(rec Record) {
+func (l *Log) fold(rec Record) error {
+	if rec.Member == "" {
+		return fmt.Errorf("record names no member")
+	}
 	ms, ok := l.states[rec.Member]
 	if !ok {
 		ms = &MemberState{}
@@ -160,27 +123,21 @@ func (l *Log) fold(rec Record) {
 		ms.State = rec.State
 		ms.Seq = rec.Seq
 	}
+	return nil
 }
 
-// append writes one record as a single compacted JSONL line.
+// append buffers one record and folds it. Callers hold l.mu.
 func (l *Log) append(rec Record) error {
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("fleetlog: encoding record: %w", err)
+	if l.closed {
+		return fmt.Errorf("fleetlog: %s is closed", l.path)
 	}
-	// Compact defensively: an embedded RawMessage payload with raw
-	// newlines would break the one-record-per-line invariant recovery
-	// depends on.
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return fmt.Errorf("fleetlog: compacting record: %w", err)
+	if rec.Member == "" {
+		return fmt.Errorf("fleetlog: %s record names no member", rec.Kind)
 	}
-	buf.WriteByte('\n')
-	if _, err := l.w.Write(buf.Bytes()); err != nil {
+	if err := l.j.Append(rec); err != nil {
 		return fmt.Errorf("fleetlog: appending to %s: %w", l.path, err)
 	}
-	l.fold(rec)
-	return nil
+	return l.fold(rec)
 }
 
 // AppendEvent appends one member event (buffered; durable at the next
@@ -188,9 +145,6 @@ func (l *Log) append(rec Record) error {
 func (l *Log) AppendEvent(member string, seq int64, event json.RawMessage) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("fleetlog: %s is closed", l.path)
-	}
 	return l.append(Record{Kind: KindEvent, Member: member, Seq: seq, Event: event})
 }
 
@@ -200,21 +154,10 @@ func (l *Log) AppendEvent(member string, seq int64, event json.RawMessage) error
 func (l *Log) Snapshot(member string, seq int64, state json.RawMessage) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("fleetlog: %s is closed", l.path)
-	}
 	if err := l.append(Record{Kind: KindSnapshot, Member: member, Seq: seq, State: state}); err != nil {
 		return err
 	}
-	return l.sync()
-}
-
-// sync flushes the buffer and fsyncs the file. Callers hold l.mu.
-func (l *Log) sync() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("fleetlog: flushing %s: %w", l.path, err)
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.j.Sync(); err != nil {
 		return fmt.Errorf("fleetlog: syncing %s: %w", l.path, err)
 	}
 	return nil
@@ -256,10 +199,8 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	serr := l.sync()
-	cerr := l.f.Close()
-	if serr != nil {
-		return serr
+	if err := errors.Join(l.j.Sync(), l.j.Close()); err != nil {
+		return fmt.Errorf("fleetlog: closing %s: %w", l.path, err)
 	}
-	return cerr
+	return nil
 }

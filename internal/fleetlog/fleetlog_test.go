@@ -1,10 +1,14 @@
 package fleetlog
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"stormtune/internal/journal"
 )
 
 func mustAppend(t *testing.T, err error) {
@@ -140,8 +144,9 @@ func TestOpenDropsNewlineLessFinalLine(t *testing.T) {
 }
 
 // TestOpenStopsAtForeignLine: garbage in the middle of the file (a
-// concurrent writer, manual editing) marks everything after it
-// untrusted.
+// concurrent writer, manual editing) is corruption, not a torn tail:
+// Open refuses the log and leaves it byte for byte as it was, rather
+// than truncate away the durable snapshots after the bad line.
 func TestOpenStopsAtForeignLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.log")
 	l, err := Create(path)
@@ -150,6 +155,10 @@ func TestOpenStopsAtForeignLine(t *testing.T) {
 	}
 	mustAppend(t, l.Snapshot("alpha", 1, json.RawMessage(`{"s":1}`)))
 	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -162,14 +171,44 @@ func TestOpenStopsAtForeignLine(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	r, err := Open(path)
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	a, _ := r.MemberState("alpha")
-	if a.Seq != 1 {
-		t.Fatalf("alpha seq = %d, want 1: records past a foreign line are untrusted", a.Seq)
+
+	_, err = Open(path)
+	var ce *journal.CorruptError
+	if !errors.As(err, &ce) || ce.Offset != int64(len(intact)) {
+		t.Fatalf("Open = %v, want a CorruptError at offset %d", err, len(intact))
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("a refused log must be left byte for byte unchanged")
+	}
+}
+
+// TestOpenRejectsMemberlessRecord: a line that decodes but names no
+// member is not a fleet-log record, and the log never writes one.
+func TestOpenRejectsMemberlessRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.log")
+	l, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendEvent("", 1, json.RawMessage(`{}`)); err == nil {
+		t.Fatal("an event without a member must be refused")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(`{"kind":"event","seq":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ce *journal.CorruptError
+	if _, err := Open(path); !errors.As(err, &ce) {
+		t.Fatalf("Open = %v, want a CorruptError", err)
 	}
 }

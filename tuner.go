@@ -11,6 +11,7 @@ import (
 	"stormtune/internal/bo"
 	"stormtune/internal/cluster"
 	"stormtune/internal/core"
+	"stormtune/internal/journal"
 	"stormtune/internal/storm"
 )
 
@@ -492,17 +493,10 @@ func (s *TunerState) Save(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// SaveFile writes the snapshot to path, creating or truncating it.
+// SaveFile atomically replaces path with the snapshot (the bytes Save
+// writes): a crash mid-save leaves the previous snapshot in place.
 func (s *TunerState) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
+	return journal.WriteFile(path, s.Save)
 }
 
 // LoadTunerState reads a snapshot from r.

@@ -13,6 +13,7 @@ import (
 	"stormtune/internal/bo"
 	"stormtune/internal/cluster"
 	"stormtune/internal/core"
+	"stormtune/internal/journal"
 	"stormtune/internal/storm"
 	"stormtune/internal/watch"
 )
@@ -413,17 +414,10 @@ func (s *WatchState) Save(wr io.Writer) error {
 	return enc.Encode(s)
 }
 
-// SaveFile writes the snapshot to path, creating or truncating it.
+// SaveFile atomically replaces path with the snapshot (the bytes Save
+// writes): a crash mid-save leaves the previous snapshot in place.
 func (s *WatchState) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
+	return journal.WriteFile(path, s.Save)
 }
 
 // LoadWatchState reads a snapshot from r.
