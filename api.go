@@ -159,8 +159,8 @@ func NewBO(t *Topology, spec ClusterSpec, template Config, opts BOOptions) Strat
 }
 
 // MaxConcurrentTrials reports how many trial deployments needing
-// tasksPerTrial task instances a cluster can host at once — the upper
-// bound for Tuner.RunBatch's q on real hardware.
+// tasksPerTrial task instances a cluster can host at once — the bound
+// Tuner.RunBatch and Tuner.RunAsync clamp their q to.
 func MaxConcurrentTrials(spec ClusterSpec, tasksPerTrial int) int {
 	return spec.MaxConcurrentTrials(tasksPerTrial)
 }

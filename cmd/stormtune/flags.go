@@ -1,17 +1,44 @@
-// Shared flag wiring for the subcommands that drive tuning sessions.
-// tune, fleet and watch all take the same evaluation-robustness and
-// archive knobs; registering them through one helper keeps the names,
-// defaults and help strings from drifting apart.
+// Shared wiring for the subcommands that drive tuning sessions. tune,
+// fleet and watch all take the same evaluation-robustness and archive
+// knobs and serve the same live dashboard; registering them through one
+// helper keeps the names, defaults and help strings from drifting apart.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
+	"os"
 	"strings"
 	"time"
 
 	"stormtune"
 )
+
+// serveDashboard binds addr synchronously — a bad address or taken port
+// fails the command before any session starts — and serves handler on
+// it in the background. Call the returned stop once the run is over:
+// every event is in the recorder by then, so SSE subscribers drain and
+// hang up on their own, and the graceful shutdown only bounds the wait.
+func serveDashboard(addr string, handler http.Handler) (stop func()) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(fmt.Errorf("dashboard: %w", err))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		errc <- stormtune.ServeDashboardListener(ctx, ln, handler, 3*time.Second)
+	}()
+	return func() {
+		cancel()
+		if err := <-errc; err != nil {
+			fmt.Fprintln(os.Stderr, "dashboard shutdown:", err)
+		}
+	}
+}
 
 // evalFlags bundles the per-trial evaluation knobs — retry policy,
 // attempt deadline, session archive — shared by the tune, fleet and

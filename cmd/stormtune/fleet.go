@@ -62,7 +62,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -494,8 +493,7 @@ func runFleet(args []string) {
 	if title == "" {
 		title = "stormtune fleet"
 	}
-	var dashStop context.CancelFunc
-	var dashErr chan error
+	stopDash := func() {}
 	if *dashAddr != "" {
 		dopts := stormtune.FleetDashboardOptions{
 			Title: title,
@@ -508,20 +506,7 @@ func runFleet(args []string) {
 		if pool != nil {
 			dopts.PoolStats = pool.Stats
 		}
-		handler := stormtune.NewFleetDashboard(fleet, dopts)
-		// Bind synchronously so a bad address or taken port fails the
-		// command before any session starts.
-		ln, err := net.Listen("tcp", *dashAddr)
-		if err != nil {
-			fatal(fmt.Errorf("dashboard: %w", err))
-		}
-		var dashCtx context.Context
-		dashCtx, dashStop = context.WithCancel(context.Background())
-		defer dashStop()
-		dashErr = make(chan error, 1)
-		go func() {
-			dashErr <- stormtune.ServeDashboardListener(dashCtx, ln, handler, 3*time.Second)
-		}()
+		stopDash = serveDashboard(*dashAddr, stormtune.NewFleetDashboard(fleet, dopts))
 		fmt.Printf("fleet dashboard on http://%s/ — GET /api/fleet, per-session /sessions/<name>/\n",
 			displayAddr(*dashAddr))
 	}
@@ -532,14 +517,7 @@ func runFleet(args []string) {
 	if !*quiet {
 		fmt.Println()
 	}
-	if dashStop != nil {
-		// Every session's pass_completed is in its recorder, so
-		// per-session SSE subscribers drain and hang up on their own.
-		dashStop()
-		if derr := <-dashErr; derr != nil {
-			fmt.Fprintln(os.Stderr, "dashboard shutdown:", derr)
-		}
-	}
+	stopDash()
 	if err != nil {
 		fmt.Printf("fleet stopped early after %s (%v); reporting best so far\n",
 			time.Since(start).Round(time.Millisecond), err)

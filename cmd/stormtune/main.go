@@ -103,7 +103,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -520,8 +519,7 @@ func runTune(args []string) {
 		name = opts.Strategy.Name()
 	}
 
-	var dashStop context.CancelFunc
-	var dashErr chan error
+	stopDash := func() {}
 	if *dashAddr != "" {
 		dopts := stormtune.DashboardOptions{
 			Title: "stormtune · " + t.Name,
@@ -533,20 +531,7 @@ func runTune(args []string) {
 		if pool != nil {
 			dopts.PoolStats = pool.Stats
 		}
-		handler := stormtune.NewDashboard(opts.Recorder, dopts)
-		// Bind synchronously so a bad address or taken port fails the
-		// command before the run starts.
-		ln, err := net.Listen("tcp", *dashAddr)
-		if err != nil {
-			fatal(fmt.Errorf("dashboard: %w", err))
-		}
-		var dashCtx context.Context
-		dashCtx, dashStop = context.WithCancel(context.Background())
-		defer dashStop()
-		dashErr = make(chan error, 1)
-		go func() {
-			dashErr <- stormtune.ServeDashboardListener(dashCtx, ln, handler, 3*time.Second)
-		}()
+		stopDash = serveDashboard(*dashAddr, stormtune.NewDashboard(opts.Recorder, dopts))
 		fmt.Printf("dashboard on http://%s/ — GET /api/state, SSE /api/events\n", displayAddr(*dashAddr))
 	}
 
@@ -563,15 +548,7 @@ func runTune(args []string) {
 	if !*quiet {
 		fmt.Println()
 	}
-	if dashStop != nil {
-		// The run is over: every event (pass_completed included) is in
-		// the recorder, so SSE subscribers drain and hang up on their
-		// own; the graceful shutdown just bounds the wait.
-		dashStop()
-		if derr := <-dashErr; derr != nil {
-			fmt.Fprintln(os.Stderr, "dashboard shutdown:", derr)
-		}
-	}
+	stopDash()
 	if err != nil {
 		fmt.Printf("session stopped early after %s (%v); reporting best so far\n",
 			time.Since(start).Round(time.Millisecond), err)

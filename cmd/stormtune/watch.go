@@ -5,10 +5,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
-	"time"
 
 	"stormtune"
 )
@@ -163,27 +161,15 @@ func runWatch(args []string) {
 		fmt.Printf("archiving as %s\n", w.ArchiveKey())
 	}
 
-	var dashStop context.CancelFunc
-	var dashErr chan error
+	stopDash := func() {}
 	if *dashAddr != "" {
-		handler := stormtune.NewDashboard(opts.Recorder, stormtune.DashboardOptions{
+		stopDash = serveDashboard(*dashAddr, stormtune.NewDashboard(opts.Recorder, stormtune.DashboardOptions{
 			Title: "stormtune watch · " + t.Name,
 			Info: map[string]any{
 				"topology": t.Name, "mode": "continuous tuning",
 				"drift": *drift, "baseLoad": *baseLoad, "steps": *steps,
 			},
-		})
-		ln, err := net.Listen("tcp", *dashAddr)
-		if err != nil {
-			fatal(fmt.Errorf("dashboard: %w", err))
-		}
-		var dashCtx context.Context
-		dashCtx, dashStop = context.WithCancel(context.Background())
-		defer dashStop()
-		dashErr = make(chan error, 1)
-		go func() {
-			dashErr <- stormtune.ServeDashboardListener(dashCtx, ln, handler, 3*time.Second)
-		}()
+		}))
 		fmt.Printf("dashboard on http://%s/ — GET /api/state, SSE /api/events\n", displayAddr(*dashAddr))
 	}
 
@@ -194,12 +180,7 @@ func runWatch(args []string) {
 	if !*quiet {
 		fmt.Println()
 	}
-	if dashStop != nil {
-		dashStop()
-		if derr := <-dashErr; derr != nil {
-			fmt.Fprintln(os.Stderr, "dashboard shutdown:", derr)
-		}
-	}
+	stopDash()
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
 		fatal(runErr)
 	}

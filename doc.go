@@ -56,8 +56,10 @@
 //   - Tuner.RunAsync(ctx, q) — free-slot refill: up to q trials in
 //     flight and a replacement proposed the moment any one completes,
 //     which beats the barrier wall-clock when trial durations vary
-//     (real deployments have stragglers). q is clamped to
-//     ClusterSpec.MaxConcurrentTrials rather than oversubscribing.
+//     (real deployments have stragglers); Run is RunAsync at q = 1.
+//
+// RunBatch and RunAsync clamp q to ClusterSpec.MaxConcurrentTrials
+// (Tuner.MaxParallel) rather than oversubscribing the cluster.
 //
 // Sessions emit typed events (TrialStarted, TrialCompleted,
 // TrialFailed, TrialRetried, NewBest, PassCompleted,

@@ -284,10 +284,12 @@ func (f *Fleet) Run(ctx context.Context) (map[string]TuneResult, error) {
 	f.started = true
 	f.mu.Unlock()
 
-	// Each member runs on the same dispatch plumbing as Session.RunAsync
-	// (carry-over hand-out, propose-on-demand, retrying evaluate,
-	// report); the fleet adds only slot accounting around Run and the
-	// drain notification.
+	// Each member is one scheduler.Shared source on its session's
+	// dispatchSource — the loop and plumbing Session.Run and RunAsync
+	// use with a single source (carry-over hand-out, propose-on-demand,
+	// retrying evaluate, report); the fleet adds only the weights, the
+	// per-member caps, slot accounting around Run and the drain
+	// notification.
 	dispatches := make([]*dispatchSource, len(f.members))
 	sources := make([]scheduler.SharedSource[Trial, dispatchOutcome], len(f.members))
 	for i := range f.members {

@@ -397,50 +397,21 @@ func (s *Session) finish(err error) (TuneResult, error) {
 	return res, err
 }
 
-// Run drives the session sequentially: one trial at a time until the
-// budget is spent, the strategy exhausts, the stopping rule fires, or
-// ctx is cancelled (the partial result is returned with ctx's error;
-// an in-flight trial stays pending for a snapshot to carry).
+// Run drives the session sequentially — the paper's procedure: one
+// trial at a time until the budget is spent, the strategy exhausts,
+// the stopping rule fires, or ctx is cancelled (the partial result is
+// returned with ctx's error; an in-flight trial stays pending for a
+// snapshot to carry). It is RunAsync at one slot.
 func (s *Session) Run(ctx context.Context) (TuneResult, error) {
-	if s.bk == nil {
-		return s.Result(), ErrNoBackend
-	}
-	carry := s.Pending() // trials issued before a snapshot/resume
-	for {
-		if err := ctx.Err(); err != nil {
-			return s.finish(err)
-		}
-		var tr Trial
-		if len(carry) > 0 {
-			tr, carry = carry[0], carry[1:]
-			// Re-dispatching a carried-over trial is a hand-out too; the
-			// event moves it out of "pending" on observers primed from
-			// the snapshot.
-			s.emit(TrialStarted{Trial: tr})
-		} else {
-			trials, err := s.Propose(ctx, 1)
-			if err != nil {
-				return s.finish(err)
-			}
-			if len(trials) == 0 {
-				return s.finish(nil)
-			}
-			tr = trials[0]
-		}
-		res, ok := s.evaluate(ctx, tr)
-		if !ok {
-			return s.finish(ctx.Err())
-		}
-		if err := s.Report(tr, res); err != nil {
-			return s.finish(err)
-		}
-	}
+	return s.RunAsync(ctx, 1)
 }
 
 // RunBatch drives the session in barrier batches: per round up to q
 // trials are proposed together (constant-liar suggestions for BO
 // strategies) and evaluated concurrently, and the round only ends when
-// every trial of the batch has completed. q ≤ 1 degrades to Run.
+// every trial of the batch has completed. Carried-over pending trials
+// are re-dispatched first, in rounds of at most q that are never topped
+// up with fresh proposals. q ≤ 1 degrades to Run.
 func (s *Session) RunBatch(ctx context.Context, q int) (TuneResult, error) {
 	if q <= 1 {
 		return s.Run(ctx)
@@ -448,72 +419,44 @@ func (s *Session) RunBatch(ctx context.Context, q int) (TuneResult, error) {
 	if s.bk == nil {
 		return s.Result(), ErrNoBackend
 	}
-	carry := s.Pending()
-	for {
-		if err := ctx.Err(); err != nil {
-			return s.finish(err)
+	d := s.newDispatch()
+	for ctx.Err() == nil && d.firstErr() == nil {
+		trials := d.take(ctx, q)
+		if len(trials) == 0 {
+			break
 		}
-		var trials []Trial
-		if len(carry) > 0 {
-			// Re-dispatch carried-over pending trials in rounds of at
-			// most q, honoring the concurrency this call was sized to.
-			n := q
-			if n > len(carry) {
-				n = len(carry)
-			}
-			trials, carry = carry[:n], carry[n:]
-			evs := make([]Event, len(trials))
-			for i, tr := range trials {
-				evs[i] = TrialStarted{Trial: tr}
-			}
-			s.emit(evs...)
-		} else {
-			var err error
-			trials, err = s.Propose(ctx, q)
-			if err != nil {
-				return s.finish(err)
-			}
-			if len(trials) == 0 {
-				return s.finish(nil)
-			}
-		}
-		results := make([]storm.Result, len(trials))
-		completed := make([]bool, len(trials))
+		outs := make([]dispatchOutcome, len(trials))
 		var wg sync.WaitGroup
 		for i, tr := range trials {
 			wg.Add(1)
 			go func(i int, tr Trial) {
 				defer wg.Done()
-				results[i], completed[i] = s.evaluate(ctx, tr)
+				outs[i] = d.run(ctx, tr)
 			}(i, tr)
 		}
 		wg.Wait()
-		// Report completions in trial order for deterministic records;
-		// cancelled evaluations stay pending.
-		cancelled := false
+		// Report in trial order for deterministic records; cancelled
+		// evaluations stay pending.
 		for i, tr := range trials {
-			if !completed[i] {
-				cancelled = true
-				continue
-			}
-			if err := s.Report(tr, results[i]); err != nil {
-				return s.finish(err)
-			}
-		}
-		if cancelled {
-			return s.finish(ctx.Err())
+			d.report(tr, outs[i])
 		}
 	}
+	err := ctx.Err()
+	if err == nil {
+		err = d.firstErr()
+	}
+	return s.finish(err)
 }
 
-// dispatchSource is the per-trial plumbing shared by the RunAsync
-// driver and the fleet scheduler: carried-over pending trials are
-// handed out first (re-emitting TrialStarted so observers primed from
-// a snapshot move them out of "pending"), fresh trials are proposed on
-// demand, evaluation goes through the session's retry loop, and
-// reporting captures the first error and stops issuing on
-// cancellation. The next/nextOne and report methods are called from a
-// single dispatch-loop goroutine; only run executes concurrently.
+// dispatchSource is the per-trial plumbing every driver shares — Run
+// and RunAsync through scheduler.Shared, RunBatch round by round, and
+// the fleet: carried-over pending trials are handed out first
+// (re-emitting TrialStarted so observers primed from a snapshot move
+// them out of "pending"), fresh trials are proposed on demand,
+// evaluation goes through the session's retry loop, and reporting
+// captures the first error and stops issuing on cancellation. The
+// take/nextOne and report methods are called from a single driver
+// goroutine; only run executes concurrently.
 type dispatchSource struct {
 	s     *Session
 	carry []Trial
@@ -531,36 +474,40 @@ type dispatchOutcome struct {
 	ok  bool
 }
 
-// nextOne hands out the session's next trial — next(1), unwrapped for
-// the fleet scheduler's one-grant-at-a-time shape; ok is false when
-// nothing further can be issued (budget spent, strategy exhausted,
-// stopping rule fired, or the context is done).
+// take hands out up to n trials. Carried-over pending trials go first,
+// and a round of them is never topped up with fresh proposals; once
+// the carry is spent, it proposes up to n fresh trials. ctx is the
+// driver's context, forwarded per call rather than stored so proposal
+// work always observes its cancellation.
+func (d *dispatchSource) take(ctx context.Context, n int) []Trial {
+	if len(d.carry) == 0 {
+		// Propose fails only with ctx's error, which the driver surfaces.
+		trials, _ := d.s.Propose(ctx, n)
+		return trials
+	}
+	if n > len(d.carry) {
+		n = len(d.carry)
+	}
+	out := d.carry[:n]
+	d.carry = d.carry[n:]
+	evs := make([]Event, n)
+	for i, tr := range out {
+		evs[i] = TrialStarted{Trial: tr}
+	}
+	d.s.emit(evs...)
+	return out
+}
+
+// nextOne hands out the session's next trial — take(1), in the
+// scheduler's one-grant-at-a-time shape; ok is false when nothing
+// further can be issued (budget spent, strategy exhausted, stopping
+// rule fired, or the context is done).
 func (d *dispatchSource) nextOne(ctx context.Context) (Trial, bool) {
-	out := d.next(ctx, 1)
+	out := d.take(ctx, 1)
 	if len(out) == 0 {
 		return Trial{}, false
 	}
 	return out[0], true
-}
-
-// next hands out up to free trials — scheduler.Loop's source shape.
-// ctx is the dispatch loop's context, forwarded per call rather than
-// stored so proposal work always observes the driver's cancellation.
-func (d *dispatchSource) next(ctx context.Context, free int) []Trial {
-	var out []Trial
-	for free > 0 && len(d.carry) > 0 {
-		d.s.emit(TrialStarted{Trial: d.carry[0]})
-		out = append(out, d.carry[0])
-		d.carry = d.carry[1:]
-		free--
-	}
-	if free > 0 {
-		trials, err := d.s.Propose(ctx, free)
-		if err == nil {
-			out = append(out, trials...)
-		}
-	}
-	return out
 }
 
 // run evaluates one trial under the session's retry policy.
@@ -570,9 +517,9 @@ func (d *dispatchSource) run(ctx context.Context, tr Trial) dispatchOutcome {
 }
 
 // report feeds a completed evaluation back; returning false stops the
-// dispatch loop from issuing further trials to this session. A
-// cancelled evaluation leaves its trial pending for a snapshot to
-// carry; the loop surfaces ctx.Err().
+// driver from issuing further trials to this session. A cancelled
+// evaluation leaves its trial pending for a snapshot to carry; the
+// driver surfaces ctx.Err().
 func (d *dispatchSource) report(tr Trial, o dispatchOutcome) bool {
 	if !o.ok {
 		return false
@@ -586,8 +533,8 @@ func (d *dispatchSource) report(tr Trial, o dispatchOutcome) bool {
 	return true
 }
 
-// firstErr returns the first report error, if any; call it after the
-// dispatch loop has returned.
+// firstErr returns the first report error, if any; call it from the
+// driver goroutine, or after the dispatch loop has returned.
 func (d *dispatchSource) firstErr() error { return d.err }
 
 // RunAsync drives the session with free-slot refill: up to q trials run
@@ -595,16 +542,15 @@ func (d *dispatchSource) firstErr() error { return d.err }
 // and a replacement proposed, so a slow trial never idles the other
 // slots — the advantage over RunBatch grows with the variance of trial
 // durations. Results are deterministic given the seed and the order in
-// which evaluations complete; at q = 1 the driver is exactly Run.
+// which evaluations complete; at q ≤ 1 the driver is Run.
 func (s *Session) RunAsync(ctx context.Context, q int) (TuneResult, error) {
 	if s.bk == nil {
 		return s.Result(), ErrNoBackend
 	}
-	if q < 1 {
-		q = 1
-	}
 	d := s.newDispatch()
-	err := scheduler.Loop(ctx, q, d.next, d.run, d.report)
+	err := scheduler.Shared(ctx, q, []scheduler.SharedSource[Trial, dispatchOutcome]{
+		{Next: d.nextOne, Run: d.run, Done: d.report},
+	})
 	if err == nil {
 		err = d.firstErr()
 	}

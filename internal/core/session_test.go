@@ -66,18 +66,105 @@ func TestSessionAskTellMatchesTune(t *testing.T) {
 	}
 }
 
+// refillOracle drives a backend-less session by hand the way a
+// free-slot driver at q slots does when trials complete in ID order:
+// Propose(q), then repeatedly report the lowest pending trial and
+// Propose(1). At q = 1 it is the sequential ask/tell loop.
+func refillOracle(t *testing.T, ev storm.Evaluator, strat Strategy, steps, q int) TuneResult {
+	t.Helper()
+	sess := NewSession(strat, nil, SessionOptions{MaxSteps: steps})
+	ctx := context.Background()
+	if _, err := sess.Propose(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		pending := sess.Pending()
+		if len(pending) == 0 {
+			return sess.Result()
+		}
+		tr := pending[0]
+		if err := sess.Report(tr, ev.Run(tr.Config, tr.RunIndex)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Propose(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSessionRunAsyncOneSlotMatchesTune: at q=1 the free-slot driver is
-// exactly the sequential driver.
+// the paper's sequential procedure — a hand-driven Propose(1)/Report
+// loop — record for record.
 func TestSessionRunAsyncOneSlotMatchesTune(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
-	want := runPass(t, f, newTestBO(4), 10, 1, 0)
+	want := refillOracle(t, f, newTestBO(4), 10, 1)
 	sess := NewSession(newTestBO(4), AsBackend(f), SessionOptions{MaxSteps: 10})
 	got, err := sess.RunAsync(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRecords(t, want.Records, got.Records)
+	if want.BestStep != got.BestStep {
+		t.Fatalf("best step %d vs %d", want.BestStep, got.BestStep)
+	}
+}
+
+// inOrderBackend completes trial k only after trial k-1 has been
+// reported, so a concurrent driver sees completions strictly in ID
+// order.
+type inOrderBackend struct {
+	ev storm.Evaluator
+	// reported[k] is closed once trial k has been reported.
+	reported []chan struct{}
+}
+
+func newInOrderBackend(ev storm.Evaluator, steps int) *inOrderBackend {
+	b := &inOrderBackend{ev: ev, reported: make([]chan struct{}, steps+1)}
+	for i := range b.reported {
+		b.reported[i] = make(chan struct{})
+	}
+	return b
+}
+
+func (b *inOrderBackend) Run(ctx context.Context, tr Trial) (storm.Result, error) {
+	if tr.ID > 1 {
+		select {
+		case <-b.reported[tr.ID-1]:
+		case <-ctx.Done():
+			return storm.Result{}, ctx.Err()
+		}
+	}
+	return b.ev.Run(tr.Config, tr.RunIndex), nil
+}
+
+// OnEvent marks reports; the session emits TrialCompleted before its
+// driver handles the next completion.
+func (b *inOrderBackend) OnEvent(e Event) {
+	if c, ok := e.(TrialCompleted); ok {
+		close(b.reported[c.Trial.ID])
+	}
+}
+
+// TestSessionRunAsyncMatchesRefillOracle pins what RunAsync proposes at
+// q > 1: with completions in ID order its records equal the hand-driven
+// free-slot ask/tell loop — Propose(3), then report the lowest pending
+// trial and Propose(1), repeatedly.
+func TestSessionRunAsyncMatchesRefillOracle(t *testing.T) {
+	tp := testTopo()
+	f := testEval(tp)
+	const steps, q = 12, 3
+	want := refillOracle(t, f, newTestBO(8), steps, q)
+	bk := newInOrderBackend(f, steps)
+	sess := NewSession(newTestBO(8), bk, SessionOptions{MaxSteps: steps, Observer: bk})
+	got, err := sess.RunAsync(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, want.Records, got.Records)
+	if want.BestStep != got.BestStep {
+		t.Fatalf("best step %d vs %d", want.BestStep, got.BestStep)
+	}
 }
 
 // TestSessionSnapshotResumeBitIdentical snapshots a sequential run
@@ -342,6 +429,55 @@ func TestResumedRunBatchChunksCarryToQ(t *testing.T) {
 	if p := tracked.peak.Load(); p > 2 {
 		t.Fatalf("carry dispatched %d trials concurrently, q=2", p)
 	}
+}
+
+// TestResumedRunBatchMatchesAskTellRounds: carried trials are
+// re-dispatched in rounds of at most q that are never topped up with
+// fresh proposals — 3 carried trials at q=2 run as rounds {1,2} and {3}
+// before the first Propose(2), so the proposals match the hand-driven
+// rounds record for record.
+func TestResumedRunBatchMatchesAskTellRounds(t *testing.T) {
+	f := testEval(testTopo())
+	const steps, q = 9, 2
+	ctx := context.Background()
+	report := func(sess *Session, trials []Trial) {
+		for _, tr := range trials {
+			if err := sess.Report(tr, f.Run(tr.Config, tr.RunIndex)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := NewSession(newTestBO(11), nil, SessionOptions{MaxSteps: steps})
+	carried, err := want.Propose(ctx, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report(want, carried[:2])
+	report(want, carried[2:])
+	for {
+		trials, err := want.Propose(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trials) == 0 {
+			break
+		}
+		report(want, trials)
+	}
+
+	half := NewSession(newTestBO(11), nil, SessionOptions{MaxSteps: steps})
+	if _, err := half.Propose(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ResumeSession(half.Snapshot(), newTestBO(11), AsBackend(f), SessionOptions{MaxSteps: steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.RunBatch(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, want.Result().Records, got.Records)
 }
 
 // TestSessionProposeFillIsAtomic: concurrent ProposeFill callers never

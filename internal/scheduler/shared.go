@@ -1,3 +1,17 @@
+// Package scheduler implements the free-slot-refill dispatch loop every
+// session driver runs on: up to a fixed number of jobs, drawn from one
+// or more weighted sources, run concurrently, and the moment any job
+// completes a replacement is requested — no barrier between rounds, so
+// slow jobs never hold idle slots hostage the way batch dispatch does
+// when durations vary. A single session is one source; a fleet is one
+// source per member, sharing the slots by weighted fair share.
+//
+// Completions are processed strictly one at a time on the caller's
+// goroutine, so given the same completion order the sequence of
+// Next/Done calls — and therefore everything the caller derives from
+// it — is deterministic. At one slot the job itself runs on that
+// goroutine too: nothing else can be in flight, so the order is the
+// same and each job saves a goroutine hand-off.
 package scheduler
 
 import "context"
@@ -11,8 +25,8 @@ import "context"
 // source skipped now keeps its pass while the others' grow, so it
 // becomes the minimum after at most ~maxWeight/itsWeight grants.
 //
-// FairShare is not safe for concurrent use; the dispatch loops that own
-// one call it from a single goroutine.
+// FairShare is not safe for concurrent use; the dispatch loop that owns
+// one calls it from a single goroutine.
 type FairShare struct {
 	pass   []float64
 	stride []float64
@@ -78,7 +92,8 @@ type SharedSource[J, R any] struct {
 	// ctx so proposal work observes cancellation without the source
 	// having to capture a context.
 	Next func(ctx context.Context) (job J, ok bool)
-	// Run evaluates one job; one goroutine per in-flight job.
+	// Run evaluates one job; one goroutine per in-flight job, except
+	// at one slot, where it runs on the loop goroutine.
 	Run func(context.Context, J) R
 	// Done is called serially, in completion order across all sources;
 	// returning false stops the loop from issuing further jobs to this
@@ -93,13 +108,14 @@ type SharedSource[J, R any] struct {
 	Drained func()
 }
 
-// Shared runs several job sources over one shared pool of slots: at
-// most `slots` jobs are in flight across all sources at any instant,
-// and each freed slot is granted to the eligible source chosen by a
-// weighted-fair-share FairShare allocator. Completions are processed
-// strictly one at a time on the caller's goroutine, so given the same
-// completion order the sequence of Next/Done/Drained calls is
-// deterministic.
+// Shared runs one or more job sources over one shared pool of slots:
+// at most `slots` jobs are in flight across all sources at any
+// instant, and each freed slot is granted to the eligible source
+// chosen by a weighted-fair-share FairShare allocator. Completions are
+// processed strictly one at a time on the caller's goroutine, so given
+// the same completion order the sequence of Next/Done/Drained calls is
+// deterministic. With slots == 1 each job runs inline on the caller's
+// goroutine.
 //
 // The loop returns when every source has drained — all are exhausted
 // (or stopped) and nothing is in flight. On cancellation it stops
@@ -120,7 +136,9 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 		job J
 		res R
 	}
-	ch := make(chan completion)
+	// Buffered to the slot count, so a finished job never waits for the
+	// loop and an inline job can hand in its own completion.
+	ch := make(chan completion, slots)
 	inflight := make([]int, n)
 	total := 0
 	alive := make([]bool, n)
@@ -169,6 +187,10 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 			}
 			inflight[i]++
 			total++
+			if slots == 1 {
+				ch <- completion{src: i, job: job, res: sources[i].Run(ctx, job)}
+				continue
+			}
 			go func(i int, job J) {
 				ch <- completion{src: i, job: job, res: sources[i].Run(ctx, job)}
 			}(i, job)

@@ -2,6 +2,8 @@ package scheduler
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -58,23 +60,232 @@ func counterSource(jobs int, peak *trackPeak, grants *[]int, idx int,
 
 // TestSharedNeverExceedsSlots is the fleet capacity invariant: however
 // many sessions compete, the total number of in-flight jobs never
-// exceeds the shared slot count, and every job still completes.
+// exceeds the shared slot count, and every job completes exactly once.
+// One slot runs each job inline on the loop goroutine.
 func TestSharedNeverExceedsSlots(t *testing.T) {
-	const slots = 3
-	var peak trackPeak
-	var completed atomic.Int32
-	sources := make([]SharedSource[int, int], 5)
-	for i := range sources {
-		sources[i] = counterSource(8, &peak, nil, i, &completed, 1, 0)
+	for _, slots := range []int{1, 3} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			var peak trackPeak
+			var completed atomic.Int32
+			sources := make([]SharedSource[int, int], 5)
+			seen := make([]map[int]int, len(sources))
+			for i := range sources {
+				sources[i] = counterSource(8, &peak, nil, i, &completed, 1, 0)
+				seen[i] = map[int]int{}
+				done := sources[i].Done
+				i := i
+				sources[i].Done = func(j, r int) bool {
+					seen[i][j]++
+					if r != j {
+						t.Errorf("source %d job %d result %d", i, j, r)
+					}
+					return done(j, r)
+				}
+			}
+			if err := Shared(context.Background(), slots, sources); err != nil {
+				t.Fatal(err)
+			}
+			if got := completed.Load(); got != 40 {
+				t.Fatalf("completed %d jobs, want 40", got)
+			}
+			for i := range seen {
+				for j, n := range seen[i] {
+					if n != 1 {
+						t.Fatalf("source %d job %d completed %d times", i, j, n)
+					}
+				}
+			}
+			if p := peak.peak.Load(); p > int32(slots) {
+				t.Fatalf("peak in-flight %d exceeds %d shared slots", p, slots)
+			}
+		})
 	}
-	if err := Shared(context.Background(), slots, sources); err != nil {
+}
+
+// TestSharedRefillsFreedSlot checks the free-slot-refill property on a
+// single source: with one slow job and several fast ones, the fast
+// slot turns over every other job while the slow one is still running.
+func TestSharedRefillsFreedSlot(t *testing.T) {
+	durations := []time.Duration{50 * time.Millisecond, 1, 1, 1, 1, 1}
+	issued := 0
+	var order []int
+	src := SharedSource[int, struct{}]{
+		Next: func(context.Context) (int, bool) {
+			if issued >= len(durations) {
+				return 0, false
+			}
+			issued++
+			return issued - 1, true
+		},
+		Run: func(_ context.Context, j int) struct{} {
+			time.Sleep(durations[j])
+			return struct{}{}
+		},
+		Done: func(j int, _ struct{}) bool {
+			order = append(order, j)
+			return true
+		},
+	}
+	start := time.Now()
+	if err := Shared(context.Background(), 2, []SharedSource[int, struct{}]{src}); err != nil {
 		t.Fatal(err)
 	}
-	if got := completed.Load(); got != 40 {
-		t.Fatalf("completed %d jobs, want 40", got)
+	if len(order) != len(durations) {
+		t.Fatalf("completed %d, want %d", len(order), len(durations))
+	}
+	// A barrier over batches of 2 would need 3 rounds each gated on the
+	// 50 ms job's round; free-slot refill finishes all fast jobs during
+	// the one slow job.
+	if wall := time.Since(start); wall > 150*time.Millisecond {
+		t.Fatalf("loop took %v, refill is not overlapping work", wall)
+	}
+	if order[len(order)-1] != 0 {
+		t.Fatalf("slow job should complete last, order %v", order)
+	}
+}
+
+// TestSharedPreCancelled: a context cancelled before the loop starts
+// issues nothing — Next is never called — yet every source's Drained
+// fires and the loop returns ctx.Err().
+func TestSharedPreCancelled(t *testing.T) {
+	for _, slots := range []int{1, 3} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			ran := false
+			drained := make([]int, 3)
+			sources := make([]SharedSource[int, int], len(drained))
+			for i := range sources {
+				i := i
+				sources[i] = SharedSource[int, int]{
+					Next:    func(context.Context) (int, bool) { ran = true; return 1, true },
+					Run:     func(_ context.Context, j int) int { ran = true; return j },
+					Done:    func(int, int) bool { ran = true; return true },
+					Drained: func() { drained[i]++ },
+				}
+			}
+			if err := Shared(ctx, slots, sources); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if ran {
+				t.Fatal("pre-cancelled loop must not issue work")
+			}
+			for i, n := range drained {
+				if n != 1 {
+					t.Fatalf("source %d Drained fired %d times, want exactly 1", i, n)
+				}
+			}
+		})
+	}
+}
+
+// endlessSource is a single source that issues 1, 2, 3, … without end
+// and counts what it issued; run and done are the caller's.
+func endlessSource(issued *int, run func(context.Context, int) int,
+	done func(int, int) bool) []SharedSource[int, int] {
+	return []SharedSource[int, int]{{
+		Next: func(context.Context) (int, bool) {
+			*issued++
+			return *issued, true
+		},
+		Run:  run,
+		Done: done,
+	}}
+}
+
+// TestLoopRunsEveryJobOnce feeds a fixed job list through the
+// single-source loop and checks each job completes exactly once, with
+// its own result, and with at most `slots` in flight.
+func TestLoopRunsEveryJobOnce(t *testing.T) {
+	const n, slots = 20, 3
+	issued := 0
+	var peak trackPeak
+	done := map[int]int{}
+	src := SharedSource[int, int]{
+		Next: func(context.Context) (int, bool) {
+			if issued >= n {
+				return 0, false
+			}
+			issued++
+			return issued, true
+		},
+		Run: func(_ context.Context, j int) int {
+			peak.enter()
+			time.Sleep(time.Millisecond)
+			peak.leave()
+			return j * 2
+		},
+		Done: func(j, r int) bool {
+			done[j] = r
+			return true
+		},
+	}
+	if err := Shared(context.Background(), slots, []SharedSource[int, int]{src}); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != n {
+		t.Fatalf("completed %d jobs, want %d", len(done), n)
+	}
+	for j, r := range done {
+		if r != j*2 {
+			t.Fatalf("job %d result %d", j, r)
+		}
 	}
 	if p := peak.peak.Load(); p > slots {
-		t.Fatalf("peak in-flight %d exceeds %d shared slots", p, slots)
+		t.Fatalf("peak in-flight %d exceeds %d slots", p, slots)
+	}
+}
+
+// TestLoopStopsWhenDoneSaysSo checks that on a single source Done=false
+// stops issuing but still drains the jobs already in flight.
+func TestLoopStopsWhenDoneSaysSo(t *testing.T) {
+	issued, completions := 0, 0
+	err := Shared(context.Background(), 4, endlessSource(&issued,
+		func(_ context.Context, j int) int { return j },
+		func(int, int) bool {
+			completions++
+			return false
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if completions != 4 {
+		t.Fatalf("expected the initial 4 in-flight jobs to drain, got %d completions", completions)
+	}
+	if issued != 4 {
+		t.Fatalf("no refill should happen after stop, issued %d", issued)
+	}
+}
+
+// TestLoopHonorsCancellation checks that cancelling the context stops
+// refills of a single source, drains in-flight work, and surfaces
+// ctx.Err().
+func TestLoopHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	issued, completions := 0, 0
+	err := Shared(ctx, 2, endlessSource(&issued,
+		func(_ context.Context, j int) int {
+			time.Sleep(2 * time.Millisecond)
+			return j
+		},
+		func(int, int) bool {
+			completions++
+			if completions == 3 {
+				cancel()
+			}
+			return true
+		}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// After cancel at the 3rd completion, only already-launched jobs may
+	// complete: at most 3 + 2 slots.
+	if completions > 5 {
+		t.Fatalf("%d completions after cancellation", completions)
+	}
+	if issued > completions+2 {
+		t.Fatalf("issued %d, completed %d: loop kept refilling after cancel", issued, completions)
 	}
 }
 
@@ -251,98 +462,111 @@ func TestSharedEqualWeightsAlternate(t *testing.T) {
 	}
 }
 
-// TestSharedCancellationCollectsInFlight mirrors Loop's contract: on
-// cancellation the loop stops issuing but reports every in-flight
-// result, and every source's Drained still fires exactly once.
+// TestSharedCancellationCollectsInFlight: on cancellation the loop
+// stops issuing but reports every in-flight result, and every source's
+// Drained still fires exactly once. At one slot the cancellation lands
+// while the job runs inline on the loop goroutine.
 func TestSharedCancellationCollectsInFlight(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var reported atomic.Int32
-	var drained [3]atomic.Int32
-	started := make(chan struct{}, 16)
-	sources := make([]SharedSource[int, int], 3)
-	for i := range sources {
-		i := i
-		issued := 0
-		sources[i] = SharedSource[int, int]{
-			Next: func(context.Context) (int, bool) {
-				if issued >= 100 {
-					return 0, false
+	for _, slots := range []int{1, 3} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			var reported atomic.Int32
+			var drained [3]atomic.Int32
+			started := make(chan struct{}, 16)
+			sources := make([]SharedSource[int, int], 3)
+			for i := range sources {
+				i := i
+				issued := 0
+				sources[i] = SharedSource[int, int]{
+					Next: func(context.Context) (int, bool) {
+						if issued >= 100 {
+							return 0, false
+						}
+						issued++
+						return issued, true
+					},
+					Run: func(ctx context.Context, j int) int {
+						started <- struct{}{}
+						<-ctx.Done()
+						return j
+					},
+					Done:    func(_, _ int) bool { reported.Add(1); return true },
+					Drained: func() { drained[i].Add(1) },
 				}
-				issued++
-				return issued, true
-			},
-			Run: func(ctx context.Context, j int) int {
-				started <- struct{}{}
-				<-ctx.Done()
-				return j
-			},
-			Done:    func(_, _ int) bool { reported.Add(1); return true },
-			Drained: func() { drained[i].Add(1) },
-		}
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- Shared(ctx, 3, sources) }()
-	for i := 0; i < 3; i++ {
-		<-started
-	}
-	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Fatalf("Shared returned %v, want context.Canceled", err)
-	}
-	if got := reported.Load(); got != 3 {
-		t.Fatalf("reported %d in-flight results after cancel, want 3", got)
-	}
-	for i := range drained {
-		if got := drained[i].Load(); got != 1 {
-			t.Fatalf("source %d Drained fired %d times, want exactly 1", i, got)
-		}
+			}
+			errc := make(chan error, 1)
+			go func() { errc <- Shared(ctx, slots, sources) }()
+			for i := 0; i < slots; i++ {
+				<-started
+			}
+			cancel()
+			if err := <-errc; err != context.Canceled {
+				t.Fatalf("Shared returned %v, want context.Canceled", err)
+			}
+			if got := reported.Load(); got != int32(slots) {
+				t.Fatalf("reported %d in-flight results after cancel, want %d", got, slots)
+			}
+			for i := range drained {
+				if got := drained[i].Load(); got != 1 {
+					t.Fatalf("source %d Drained fired %d times, want exactly 1", i, got)
+				}
+			}
+		})
 	}
 }
 
 // TestSharedDoneFalseStopsOneSource checks that Done returning false
 // stops only that source; the others run to completion.
 func TestSharedDoneFalseStopsOneSource(t *testing.T) {
-	var aCompleted, bCompleted atomic.Int32
-	var aDrained atomic.Bool
-	aIssued, bIssued := 0, 0
-	a := SharedSource[int, int]{
-		Next: func(context.Context) (int, bool) {
-			if aIssued >= 50 {
-				return 0, false
+	for _, slots := range []int{1, 2} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			var aCompleted, bCompleted atomic.Int32
+			var aDrained atomic.Bool
+			aIssued, bIssued := 0, 0
+			a := SharedSource[int, int]{
+				Next: func(context.Context) (int, bool) {
+					if aIssued >= 50 {
+						return 0, false
+					}
+					aIssued++
+					return aIssued, true
+				},
+				Run:  func(_ context.Context, j int) int { return j },
+				Done: func(j, _ int) bool { aCompleted.Add(1); return j < 3 }, // stop after the 3rd completion
+				Drained: func() {
+					aDrained.Store(true)
+				},
 			}
-			aIssued++
-			return aIssued, true
-		},
-		Run:  func(_ context.Context, j int) int { return j },
-		Done: func(j, _ int) bool { aCompleted.Add(1); return j < 3 }, // stop after the 3rd completion
-		Drained: func() {
-			aDrained.Store(true)
-		},
-	}
-	b := SharedSource[int, int]{
-		Next: func(context.Context) (int, bool) {
-			if bIssued >= 20 {
-				return 0, false
+			b := SharedSource[int, int]{
+				Next: func(context.Context) (int, bool) {
+					if bIssued >= 20 {
+						return 0, false
+					}
+					bIssued++
+					return bIssued, true
+				},
+				Run:  func(_ context.Context, j int) int { return j },
+				Done: func(_, _ int) bool { bCompleted.Add(1); return true },
 			}
-			bIssued++
-			return bIssued, true
-		},
-		Run:  func(_ context.Context, j int) int { return j },
-		Done: func(_, _ int) bool { bCompleted.Add(1); return true },
-	}
-	if err := Shared(context.Background(), 2, []SharedSource[int, int]{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	if got := bCompleted.Load(); got != 20 {
-		t.Fatalf("surviving source completed %d jobs, want all 20", got)
-	}
-	if !aDrained.Load() {
-		t.Fatal("stopped source never drained")
-	}
-	// The stopped source completed its third job (and possibly jobs
-	// already in flight when it stopped), but nowhere near all 50.
-	if got := aCompleted.Load(); got < 3 || got > 5 {
-		t.Fatalf("stopped source completed %d jobs, want 3..5", got)
+			if err := Shared(context.Background(), slots, []SharedSource[int, int]{a, b}); err != nil {
+				t.Fatal(err)
+			}
+			if got := bCompleted.Load(); got != 20 {
+				t.Fatalf("surviving source completed %d jobs, want all 20", got)
+			}
+			if !aDrained.Load() {
+				t.Fatal("stopped source never drained")
+			}
+			// The stopped source completed its third job and whatever of
+			// its jobs were already in flight — at most slots-1 more — and
+			// was issued nothing after that.
+			if got := aCompleted.Load(); got < 3 || got > int32(2+slots) {
+				t.Fatalf("stopped source completed %d jobs, want 3..%d", got, 2+slots)
+			}
+			if int32(aIssued) != aCompleted.Load() {
+				t.Fatalf("stopped source issued %d jobs but completed %d", aIssued, aCompleted.Load())
+			}
+		})
 	}
 }
 

@@ -112,7 +112,7 @@ type TunerOptions struct {
 	Template *Config
 	// Cluster defaults to the paper's 80-machine cluster. It bounds the
 	// max-tasks search dimension and the concurrent-trial capacity
-	// RunAsync clamps its parallelism to.
+	// RunBatch and RunAsync clamp their parallelism to.
 	Cluster *ClusterSpec
 	// Seed drives the optimizer (default 1).
 	Seed int64
@@ -213,7 +213,7 @@ type Tuner struct {
 	fp     string
 	custom bool
 	// bound is the cluster's concurrent-trial capacity for the template
-	// configuration; RunAsync clamps its q to it.
+	// configuration; RunBatch and RunAsync clamp their q to it.
 	bound int
 	// arec archives completed trials when TunerOptions.Archive is set;
 	// archiveKey is its record key and transfer the applied warm start
@@ -350,8 +350,8 @@ func (tn *Tuner) HyperState() *HyperState {
 }
 
 // MaxParallel reports how many concurrent trials of the template
-// configuration the session's cluster can host — the bound RunAsync
-// clamps its q to.
+// configuration the session's cluster can host — the bound RunBatch
+// and RunAsync clamp their q to.
 func (tn *Tuner) MaxParallel() int { return tn.bound }
 
 // Fingerprint returns the tuned topology's structural fingerprint in
@@ -401,9 +401,10 @@ func (tn *Tuner) Run(ctx context.Context) (TuneResult, error) {
 
 // RunBatch drives the session in barrier batches of q concurrently
 // evaluated trials (constant-liar suggestions); each round waits for
-// the whole batch. q ≤ 1 reproduces Run.
+// the whole batch. q is clamped to MaxParallel, as in RunAsync; q ≤ 1
+// reproduces Run.
 func (tn *Tuner) RunBatch(ctx context.Context, q int) (TuneResult, error) {
-	res, err := tn.sess.RunBatch(ctx, q)
+	res, err := tn.sess.RunBatch(ctx, tn.clampParallel(q))
 	return res, tn.sealAfterRun(err)
 }
 
@@ -413,14 +414,20 @@ func (tn *Tuner) RunBatch(ctx context.Context, q int) (TuneResult, error) {
 // other slots. q is clamped to the cluster's concurrent-trial capacity
 // (a ParallelismClamped event reports the reduction) instead of
 // oversubscribing the cluster. Results are deterministic given the
-// seed and completion order; q = 1 matches Run exactly.
+// seed and completion order; q = 1 is Run.
 func (tn *Tuner) RunAsync(ctx context.Context, q int) (TuneResult, error) {
-	if q > tn.bound {
-		tn.sess.Emit(ParallelismClamped{Requested: q, Allowed: tn.bound})
-		q = tn.bound
-	}
-	res, err := tn.sess.RunAsync(ctx, q)
+	res, err := tn.sess.RunAsync(ctx, tn.clampParallel(q))
 	return res, tn.sealAfterRun(err)
+}
+
+// clampParallel bounds a driver's q by the cluster's concurrent-trial
+// capacity, emitting ParallelismClamped when it reduces q.
+func (tn *Tuner) clampParallel(q int) int {
+	if q <= tn.bound {
+		return q
+	}
+	tn.sess.Emit(ParallelismClamped{Requested: q, Allowed: tn.bound})
+	return tn.bound
 }
 
 // TunerState is the serializable snapshot of a Tuner: everything needed

@@ -85,23 +85,40 @@ func TestTunerAskTell(t *testing.T) {
 }
 
 // TestTunerRunAsyncMatchesRunAtQ1: the free-slot driver at one slot is
-// the sequential driver, record for record (acceptance criterion).
+// the paper's sequential procedure — a hand-driven Propose/Report loop
+// — record for record (acceptance criterion); Run is RunAsync at one
+// slot.
 func TestTunerRunAsyncMatchesRunAtQ1(t *testing.T) {
 	top := BuildSynthetic("small", Condition{}, 1)
 	run := func(async bool) TuneResult {
 		ev := quietEval(top, SmallCluster())
 		opts := fastTunerOpts(5, 12)
 		opts.Cluster = ptrCluster(SmallCluster())
+		if !async {
+			// The oracle: the paper's procedure by hand, one Propose and
+			// one Report at a time.
+			tn, err := NewTuner(top, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				trials, err := tn.Propose(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(trials) == 0 {
+					return tn.Result()
+				}
+				if err := tn.Report(trials[0], ev.Run(trials[0].Config, trials[0].RunIndex)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		tn, err := NewTuner(top, AsBackend(ev), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res TuneResult
-		if async {
-			res, err = tn.RunAsync(context.Background(), 1)
-		} else {
-			res, err = tn.Run(context.Background())
-		}
+		res, err := tn.RunAsync(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,6 +298,49 @@ func TestTunerRunAsyncClampsParallelism(t *testing.T) {
 	if len(clamped) != 1 || clamped[0].Requested != 64 || clamped[0].Allowed != want {
 		t.Fatalf("clamp events = %+v, want one 64→%d", clamped, want)
 	}
+}
+
+// TestTunerRunBatchClampsParallelism: the barrier driver clamps q to
+// the cluster's capacity too — one ParallelismClamped event, and the
+// same records as asking for exactly the capacity.
+func TestTunerRunBatchClampsParallelism(t *testing.T) {
+	top := BuildSynthetic("small", Condition{}, 1)
+	tiny := ClusterSpec{Machines: 2, CoresPerMachine: 4, CoreMillisPerSec: 1000,
+		NICBytesPerSec: 128e6, TaskSlotsPerMachine: 12, ThrashTasksPerCore: 2}
+	run := func(q int) (TuneResult, []ParallelismClamped, int) {
+		var clamped []ParallelismClamped
+		opts := fastTunerOpts(2, 8)
+		opts.Cluster = &tiny
+		opts.Observer = ObserverFunc(func(e Event) {
+			if c, ok := e.(ParallelismClamped); ok {
+				clamped = append(clamped, c)
+			}
+		})
+		tn, err := NewTuner(top, AsBackend(quietEval(top, tiny)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q == 0 {
+			q = tn.MaxParallel()
+		}
+		res, err := tn.RunBatch(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, clamped, tn.MaxParallel()
+	}
+	want, none, bound := run(0)
+	if bound < 2 || bound >= 64 {
+		t.Fatalf("test premise broken: capacity %d, want a barrier batch below 64", bound)
+	}
+	if len(none) != 0 {
+		t.Fatalf("RunBatch(%d) at capacity emitted %+v", bound, none)
+	}
+	got, clamped, _ := run(64)
+	if len(clamped) != 1 || clamped[0].Requested != 64 || clamped[0].Allowed != bound {
+		t.Fatalf("clamp events = %+v, want one 64→%d", clamped, bound)
+	}
+	recordsEqual(t, want.Records, got.Records)
 }
 
 // TestTunerCustomStrategyResume: an injected strategy snapshots and
