@@ -12,7 +12,7 @@ SHELL := /bin/bash
 GATE_BENCH   = ^Benchmark(BOSuggest(Sequential|Parallel)Scorer|BOSuggestLargeHistory(/n\d+)?|GPObserveIncremental|FleetSchedule|MonitorObserve|ArchiveQuery|WarmStartSeed)$$
 GATE_PERCENT = 0.30
 
-.PHONY: build test lint stormlint bench bench-baseline bench-gate bench-gp bench-smoke fuzz-smoke dash-smoke fleet-smoke serve-multi-smoke watch-smoke archive-smoke
+.PHONY: build test lint stormlint bench bench-baseline bench-gate bench-gp bench-pairs bench-smoke fuzz-smoke dash-smoke fleet-smoke serve-multi-smoke watch-smoke archive-smoke
 
 build:
 	go build ./... && go build ./examples/...
@@ -61,6 +61,15 @@ bench-gate:
 	  | go run ./cmd/benchjson -o BENCH_gate.json
 	go run ./cmd/benchcmp -baseline BENCH_baseline.json -current BENCH_gate.json \
 	  -filter '$(GATE_BENCH)' -threshold $(GATE_PERCENT)
+
+# Paired A/B runs of the end-to-end benchmark: the merge base (in a
+# temporary git worktree) against the working tree, alternating which
+# side runs first; bench's -compare gives medians, spreads and verdicts,
+# and scripts/benchpairs per-pair values and win counts. Pass options
+# through ARGS, e.g.
+#   make bench-pairs ARGS='--workload fleet-durable --pairs 10'
+bench-pairs:
+	./scripts/bench-pairs.sh $(ARGS)
 
 # The end-to-end benchmark's correctness suite: every workload at tiny
 # scale, with the bit-identical rerun, fleet-log recovery and

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -316,6 +317,49 @@ func BenchmarkBOSuggestLargeHistory(b *testing.B) {
 				opt.Observe(u, suggestBenchObjective(u))
 			}
 		})
+	}
+}
+
+// BenchmarkBOSuggestWarmPrior measures the steady-state decision step
+// of a warm-started session: a 61-point history, the paper's H=6 hyper
+// samples, and a transfer prior mean over 48 archived points shaped
+// like core's (a similarity-weighted Nadaraya-Watson sum, one exp per
+// archived point per evaluation). Compare with the prior-free steps
+// above to see what the prior adds to an ask.
+func BenchmarkBOSuggestWarmPrior(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	const donors = 48
+	us := make([][]float64, donors)
+	zs := make([]float64, donors)
+	for i := range us {
+		us[i] = make([]float64, 6)
+		for j := range us[i] {
+			us[i][j] = rng.Float64()
+		}
+		zs[i] = rng.NormFloat64()
+	}
+	prior := func(u []float64) float64 {
+		var num, den float64
+		for i, ui := range us {
+			d2 := 0.0
+			for j := range u {
+				dd := u[j] - ui[j]
+				d2 += dd * dd
+			}
+			k := 0.8 * math.Exp(-d2/(2*0.25*0.25))
+			num += k * zs[i]
+			den += k
+		}
+		return num / (den + 1)
+	}
+	opt := bo.NewOptimizer(suggestBenchSpace(), bo.Options{
+		Seed: 1, Candidates: 150, HyperSamples: 6, PriorMean: prior,
+	})
+	seedSuggestBench(b, opt, 60)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := opt.Suggest()
+		opt.Observe(u, suggestBenchObjective(u))
 	}
 }
 

@@ -97,15 +97,18 @@ func haltonOffset(nObs int) int {
 // many goroutines, each with its own scoreBuf.
 type scorer struct {
 	models []gp.Surrogate
+	prior  func([]float64) float64 // Options.PriorMean; nil is the zero prior
 	acq    Acquisition
 	bestY  float64
 }
 
 // scoreBuf is one goroutine's scoring scratch: a gp.BlockScratch per
-// model makes every block query allocation-free, and mu/s2 hold the
-// block's posteriors model-major ([model*gp.Block+lane]).
+// model makes every block query allocation-free, m0 holds the block's
+// prior means, and mu/s2 hold its posteriors model-major
+// ([model*gp.Block+lane]).
 type scoreBuf struct {
 	scratch     []gp.BlockScratch
+	m0          [gp.Block]float64
 	mu, s2      []float64
 	mus, sigmas []float64 // one lane's posteriors across the models
 }
@@ -121,14 +124,19 @@ func (s *scorer) newBuf() *scoreBuf {
 	}
 }
 
-// scoreBlock scores 1..gp.Block points, out[l] for us[l]. Every model
-// answers the whole block with one shared triangular solve; each lane
-// is bitwise the score of that point scored alone (gp's lane
+// scoreBlock scores 1..gp.Block points, out[l] for us[l]. The prior
+// mean is evaluated once per point and shared by every model; each
+// model answers the whole block with one shared triangular solve. Each
+// lane is bitwise the score of that point scored alone (gp's lane
 // contract), so the block width never changes a decision.
 func (s *scorer) scoreBlock(b *scoreBuf, us [][]float64, out []float64) {
+	m0 := b.m0[:len(us)]
+	for l, u := range us {
+		m0[l] = priorAt(s.prior, u)
+	}
 	for i, m := range s.models {
 		lo := i * gp.Block
-		m.PredictBlockInto(&b.scratch[i], us, b.mu[lo:lo+len(us)], b.s2[lo:lo+len(us)])
+		m.PredictBlockInto(&b.scratch[i], us, m0, b.mu[lo:lo+len(us)], b.s2[lo:lo+len(us)])
 	}
 	for l := range us {
 		for i := range s.models {

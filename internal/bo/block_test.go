@@ -2,18 +2,20 @@ package bo
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"stormtune/internal/gp"
 )
 
 // scalarSearch returns the oracle the blocked acquisition search is
-// pinned against: every point is scored alone through PredictInto, the
-// grid is scanned sequentially with first-index ties from a -Inf start,
-// and local search tries the coordinate moves one at a time from the
-// current point. On every ask it also checks the lane contract on the
-// real grid: scoreBlock's scores must be bitwise the one-point ones, so
-// a last-ulp lane error fails even when it moves no decision.
+// pinned against: every point is scored alone through PredictInto, each
+// model evaluating the prior mean for itself, the grid is scanned
+// sequentially with first-index ties from a -Inf start, and local search
+// tries the coordinate moves one at a time from the current point. On
+// every ask it also checks the lane contract on the real grid:
+// scoreBlock's scores must be bitwise the one-point ones, so a last-ulp
+// lane error fails even when it moves no decision.
 func scalarSearch(t *testing.T) acqSearch {
 	return func(opt *Optimizer, sc *scorer, cands [][]float64) []float64 {
 		mus := make([]float64, len(sc.models))
@@ -21,7 +23,7 @@ func scalarSearch(t *testing.T) acqSearch {
 		scratch := make([]gp.Scratch, len(sc.models))
 		score := func(u []float64) float64 {
 			for i, m := range sc.models {
-				mu, s2 := m.PredictInto(&scratch[i], u)
+				mu, s2 := m.PredictInto(&scratch[i], u, priorAt(opt.Opts.PriorMean, u))
 				mus[i] = mu
 				sigmas[i] = math.Sqrt(s2)
 			}
@@ -78,9 +80,10 @@ func scalarSearch(t *testing.T) acqSearch {
 // TestBlockedScoringMatchesScalarOracle drives whole sessions through
 // the blocked scorer and the one-candidate oracle side by side and
 // requires every ask to be bitwise equal: across refit epochs,
-// constant-liar batches, a trust region, the RFF surrogate past a small
-// ApproxAfter, and the parallel scan (candidate counts and chunk bounds
-// that are not multiples of the block width).
+// constant-liar batches, a trust region, a transfer prior mean on the
+// exact and RFF surrogates, the RFF surrogate past a small ApproxAfter,
+// and the parallel scan (candidate counts and chunk bounds that are not
+// multiples of the block width).
 func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -102,6 +105,18 @@ func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 			return Options{
 				Seed: 7, Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, Workers: 2,
 				ApproxAfter: 14, RFFFeatures: 33, InitialDesign: 3,
+			}
+		}},
+		{"prior-mean", func() Options {
+			return Options{
+				Seed: 4, Candidates: 93, HyperSamples: 3, LocalSearchIters: 5, Workers: 2,
+				PriorMean: testPriorMean,
+			}
+		}},
+		{"prior-mean-rff", func() Options {
+			return Options{
+				Seed: 9, Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, Workers: 2,
+				ApproxAfter: 14, RFFFeatures: 33, InitialDesign: 3, PriorMean: testPriorMean,
 			}
 		}},
 	}
@@ -132,7 +147,7 @@ func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 					oracle.Observe(uo[k], y)
 				}
 			}
-			if tc.name == "rff" && !blocked.cache.approx {
+			if strings.HasSuffix(tc.name, "rff") && !blocked.cache.approx {
 				t.Fatal("session never reached the RFF surrogate")
 			}
 		})
@@ -163,7 +178,7 @@ func TestArgmaxTieBreaking(t *testing.T) {
 	var s gp.Scratch
 	want, wantScore := 0, math.Inf(-1)
 	for i, c := range cands {
-		mu, s2 := g.PredictInto(&s, c)
+		mu, s2 := g.PredictInto(&s, c, 0)
 		if v := scoreMarginal(sc.acq, []float64{mu}, []float64{math.Sqrt(s2)}, sc.bestY); v > wantScore {
 			want, wantScore = i, v
 		}

@@ -283,16 +283,19 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 
 func TestMaxGPPointsTruncation(t *testing.T) {
 	s := MustSpace(Dim{Name: "x", Kind: Float, Min: 0, Max: 1})
-	opt := NewOptimizer(s, Options{Seed: 1, MaxGPPoints: 5})
+	opt := NewOptimizer(s, Options{Seed: 1, MaxGPPoints: 5, PriorMean: func(u []float64) float64 { return u[0] }})
 	for i := 0; i < 9; i++ {
 		opt.Observe([]float64{float64(i) / 10}, float64(i))
 	}
-	xs, ys := opt.trainingSet()
-	if len(xs) != 5 || len(ys) != 5 {
-		t.Fatalf("training set size = %d, want 5", len(xs))
+	xs, ys, m0 := opt.trainingSet()
+	if len(xs) != 5 || len(ys) != 5 || len(m0) != 5 {
+		t.Fatalf("training set size = %d/%d/%d, want 5", len(xs), len(ys), len(m0))
 	}
 	if ys[0] != 4 {
 		t.Fatalf("should keep most recent points, got first y = %v", ys[0])
+	}
+	if m0[0] != 0.4 {
+		t.Fatalf("prior means misaligned with the window: first m0 = %v, want 0.4", m0[0])
 	}
 }
 

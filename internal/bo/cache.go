@@ -31,11 +31,12 @@ func (opt *Optimizer) HyperState() *HyperState {
 }
 
 // fantasyPoint is one constant-liar fantasy conditioned into the
-// surrogate ensemble: a pending point and its standardized lie value,
-// fixed at append time so retraction can replay the exact inverse.
+// surrogate ensemble: a pending point and its residual target (the
+// standardized lie minus the prior mean there), fixed at append time so
+// retraction can replay the exact inverse.
 type fantasyPoint struct {
 	u []float64
-	y float64
+	r float64
 }
 
 // modelCache is the per-optimizer surrogate cache. Everything under
@@ -102,15 +103,11 @@ func (opt *Optimizer) needRefit() bool {
 func (opt *Optimizer) refitEpoch() error {
 	c := &opt.cache
 	d := opt.Space.D()
-	xs, ys := opt.trainingSet()
+	xs, ys, m0 := opt.trainingSet()
 	if len(ys) == 0 {
 		return gp.ErrNoData
 	}
 	my, sy := meanStd(ys)
-	ny := make([]float64, len(ys))
-	for i, v := range ys {
-		ny[i] = (v - my) / sy
-	}
 	n := len(opt.obs)
 	approx := opt.approxThreshold() > 0 && n > opt.approxThreshold() && opt.Opts.MaxGPPoints <= 0
 
@@ -119,7 +116,7 @@ func (opt *Optimizer) refitEpoch() error {
 		hypers = opt.validInitHypers(d)
 	}
 	if hypers == nil {
-		fx, fy := xs, ny
+		fx, fy := xs, residuals(ys, m0, my, sy)
 		if approx && len(fx) > hyperFitCap {
 			// Deterministic strided subset: slice sampling on the full
 			// history would be O(n³) per posterior evaluation.
@@ -133,7 +130,6 @@ func (opt *Optimizer) refitEpoch() error {
 			fx, fy = sx, sy2
 		}
 		g := gp.New(opt.Opts.Kernel(d), opt.Opts.NoiseVar)
-		g.Prior = opt.Opts.PriorMean
 		if err := g.Fit(fx, fy); err != nil {
 			return err
 		}
@@ -195,34 +191,29 @@ func (opt *Optimizer) approxThreshold() int {
 func (opt *Optimizer) rebuildModels(fant []fantasyPoint) error {
 	c := &opt.cache
 	d := opt.Space.D()
-	xs, ys := opt.trainingSet()
+	xs, ys, m0 := opt.trainingSet()
 	if len(ys) == 0 {
 		return gp.ErrNoData
 	}
-	axs := make([][]float64, 0, len(xs)+len(fant))
-	ays := make([]float64, 0, len(ys)+len(fant))
-	axs = append(axs, xs...)
-	for _, v := range ys {
-		ays = append(ays, (v-c.my)/c.sy)
-	}
+	axs := append(make([][]float64, 0, len(xs)+len(fant)), xs...)
+	ars := residuals(ys, m0, c.my, c.sy)
 	for _, f := range fant {
 		axs = append(axs, f.u)
-		ays = append(ays, f.y)
+		ars = append(ars, f.r)
 	}
 
 	models := make([]gp.Surrogate, len(c.hypers))
 	if c.approx {
 		parallelFor(opt.Opts.Workers, len(c.hypers), func(k int) {
-			models[k] = opt.buildRFF(d, c.hypers[k], axs, ays)
+			models[k] = opt.buildRFF(d, c.hypers[k], axs, ars)
 		})
 	} else {
 		parallelFor(opt.Opts.Workers, len(c.hypers), func(k int) {
 			g := gp.New(opt.Opts.Kernel(d), opt.Opts.NoiseVar)
-			g.Prior = opt.Opts.PriorMean
 			if err := g.SetHypersAndRefit(c.hypers[k]); err != nil {
 				return
 			}
-			if err := g.Fit(axs, ays); err != nil {
+			if err := g.Fit(axs, ars); err != nil {
 				return
 			}
 			models[k] = g
@@ -244,9 +235,10 @@ func (opt *Optimizer) rebuildModels(fant []fantasyPoint) error {
 }
 
 // buildRFF constructs one random-Fourier-feature ensemble member at the
-// given hyper sample and conditions it on the data. Falls back to an
-// exact GP when the kernel has no spectral sampler.
-func (opt *Optimizer) buildRFF(d int, h []float64, xs [][]float64, ys []float64) gp.Surrogate {
+// given hyper sample and conditions it on points xs with residual
+// targets rs. Falls back to an exact GP when the kernel has no spectral
+// sampler.
+func (opt *Optimizer) buildRFF(d int, h []float64, xs [][]float64, rs []float64) gp.Surrogate {
 	kern := opt.Opts.Kernel(d)
 	nk := len(kern.Hypers())
 	if len(h) != nk+1 {
@@ -263,15 +255,13 @@ func (opt *Optimizer) buildRFF(d int, h []float64, xs [][]float64, ys []float64)
 		// Kernel without a spectral sampler: stay exact. Slow at scale,
 		// but correct.
 		g := gp.New(kern, noise)
-		g.Prior = opt.Opts.PriorMean
-		if err := g.Fit(xs, ys); err != nil {
+		if err := g.Fit(xs, rs); err != nil {
 			return nil
 		}
 		return g
 	}
-	r.Prior = opt.Opts.PriorMean
 	for i := range xs {
-		if err := r.Observe(xs[i], ys[i]); err != nil {
+		if err := r.Observe(xs[i], rs[i]); err != nil {
 			return nil
 		}
 	}
@@ -303,17 +293,18 @@ func (opt *Optimizer) syncModels(fant []fantasyPoint) error {
 	for i := len(c.fant) - 1; i >= 0; i-- {
 		f := c.fant[i]
 		for _, m := range c.models {
-			if err := m.Retract(f.u, f.y); err != nil {
+			if err := m.Retract(f.u, f.r); err != nil {
 				return opt.rebuildModels(fant)
 			}
 		}
 		c.fant = c.fant[:i]
 	}
+	m0 := opt.obsPrior()
 	for i := c.nObs; i < len(opt.obs); i++ {
 		o := opt.obs[i]
-		ystd := (o.Y - c.my) / c.sy
+		r := (o.Y-c.my)/c.sy - m0[i]
 		for _, m := range c.models {
-			if err := m.Observe(o.U, ystd); err != nil {
+			if err := m.Observe(o.U, r); err != nil {
 				return opt.rebuildModels(fant)
 			}
 		}
@@ -321,7 +312,7 @@ func (opt *Optimizer) syncModels(fant []fantasyPoint) error {
 	}
 	for _, f := range fant {
 		for _, m := range c.models {
-			if err := m.Observe(f.u, f.y); err != nil {
+			if err := m.Observe(f.u, f.r); err != nil {
 				return opt.rebuildModels(fant)
 			}
 		}

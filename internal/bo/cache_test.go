@@ -22,11 +22,19 @@ func cacheObjective(u []float64) float64 {
 	return s
 }
 
+// testPriorMean is a smooth, non-constant prior mean in standardized
+// units, for the parity tests that run with a transfer prior.
+func testPriorMean(u []float64) float64 {
+	return 0.8*math.Sin(3*u[0]) - 0.5*u[1]*u[2] + 0.1
+}
+
 // denseSuggest is the rebuild-every-ask oracle: dropping the cached
 // ensemble sends the ask through rebuildModels, which conditions dense
-// GP state from scratch on every observation and fantasy.
+// GP state from scratch on every observation and fantasy, and dropping
+// the cached prior means re-evaluates PriorMean at every one of them.
 func denseSuggest(opt *Optimizer) []float64 {
 	opt.cache.models = nil
+	opt.obsM0 = nil
 	return opt.suggestOne((*Optimizer).maximize)
 }
 
@@ -34,14 +42,22 @@ func denseSuggest(opt *Optimizer) []float64 {
 // incremental GP hot path: below the approximation threshold, an
 // optimizer extending cached factors across asks proposes bit-identical
 // points to one rebuilding dense GP state from scratch every ask, both
-// through single suggests and constant-liar batches.
+// through single suggests and constant-liar batches, with and without
+// a transfer prior mean.
 func TestCachedMatchesDenseRebuild(t *testing.T) {
-	mk := func() *Optimizer {
-		return NewOptimizer(cacheTestSpace(), Options{
-			Seed: 11, Candidates: 120, HyperSamples: 2, LocalSearchIters: 2,
-		})
+	for _, prior := range []func([]float64) float64{nil, testPriorMean} {
+		mk := func() *Optimizer {
+			return NewOptimizer(cacheTestSpace(), Options{
+				Seed: 11, Candidates: 120, HyperSamples: 2, LocalSearchIters: 2,
+				PriorMean: prior,
+			})
+		}
+		checkCachedMatchesDense(t, mk(), mk())
 	}
-	inc, ref := mk(), mk()
+}
+
+func checkCachedMatchesDense(t *testing.T, inc, ref *Optimizer) {
+	t.Helper()
 	for step := 0; step < 14; step++ {
 		if step%4 == 3 {
 			// Batch ask: fantasies extend/retract the cached factors.

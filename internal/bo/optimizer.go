@@ -53,11 +53,18 @@ type Options struct {
 	// fills whatever budget they leave. Runtime-only like Trust: the
 	// session-level snapshot reconstructs them on resume.
 	WarmStarts [][]float64
-	// PriorMean, when set, is an archived-runs prior on the surrogate
+	// PriorMean, when set, is an archived-runs prior m₀ on the surrogate
 	// mean, in *standardized* objective units (the scale the GP fits
 	// after y-standardization, which is also the scale per-donor
-	// z-scored historical observations live on). It is installed as the
-	// GP's prior mean function. Runtime-only, reconstructed on resume.
+	// z-scored historical observations live on). The optimizer
+	// evaluates it once per point — each observation when it is first
+	// conditioned, each constant-liar fantasy as an ask builds it, each
+	// scored candidate or local-search move — and hands the values to
+	// the surrogates as data: they condition on residual targets
+	// y − m₀(u) and add m₀ back at every query. It must be a pure
+	// function of u, safe for concurrent calls, and set before the first
+	// Suggest: cached values are reused for the rest of the session.
+	// Runtime-only, reconstructed on resume.
 	PriorMean func(u []float64) float64
 	// SharedSeeds are cross-session seed points pushed in mid-run (a
 	// fleet sibling's NewBest); they join the acquisition candidate
@@ -150,6 +157,9 @@ type Optimizer struct {
 	obs     []Observation
 	pending [][]float64 // suggested but not yet observed (conditioned on as constant-liar fantasies)
 	rng     *rand.Rand
+
+	// obsM0 caches PriorMean at obs[:len(obsM0)]; see obsPrior.
+	obsM0 []float64
 
 	// initQueue holds the full Latin-hypercube initial design, drawn
 	// once on the first Suggest so its points are stratified against
@@ -332,15 +342,16 @@ func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 	// points enter the conditioning set with a fantasy objective, so a
 	// batch of suggestions spreads out instead of collapsing onto the
 	// same acquisition maximum (Ginsbourger et al.'s CL heuristic). The
-	// lie is standardized with the frozen epoch scale and fixed at
-	// append time, making retraction an exact inverse.
+	// lie is standardized with the frozen epoch scale, less the prior
+	// mean at the point, and fixed at append time, making retraction an
+	// exact inverse.
 	var fant []fantasyPoint
 	if len(opt.pending) > 0 {
-		_, ys := opt.trainingSet()
+		_, ys, _ := opt.trainingSet()
 		if len(ys) > 0 {
 			lie := (opt.Opts.Liar.value(ys) - c.my) / c.sy
 			for _, p := range opt.pending {
-				fant = append(fant, fantasyPoint{u: p, y: lie})
+				fant = append(fant, fantasyPoint{u: p, r: lie - priorAt(opt.Opts.PriorMean, p)})
 			}
 		}
 	}
@@ -403,7 +414,7 @@ func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 	if len(cands) == 0 {
 		return opt.confine(sample.Uniform(opt.rng, 1, d)[0])
 	}
-	return search(opt, &scorer{models: c.models, acq: opt.Opts.Acq, bestY: bestY}, cands)
+	return search(opt, &scorer{models: c.models, prior: opt.Opts.PriorMean, acq: opt.Opts.Acq, bestY: bestY}, cands)
 }
 
 // acqSearch maximizes the acquisition sc scores over the candidate grid
@@ -459,19 +470,48 @@ func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
 }
 
 // trainingSet returns the conditioning data, truncated to MaxGPPoints
-// most recent observations if configured.
-func (opt *Optimizer) trainingSet() ([][]float64, []float64) {
-	obs := opt.obs
-	if m := opt.Opts.MaxGPPoints; m > 0 && len(obs) > m {
-		obs = obs[len(obs)-m:]
+// most recent observations if configured, with PriorMean at each point.
+func (opt *Optimizer) trainingSet() (xs [][]float64, ys, m0 []float64) {
+	lo := 0
+	if m := opt.Opts.MaxGPPoints; m > 0 && len(opt.obs) > m {
+		lo = len(opt.obs) - m
 	}
-	xs := make([][]float64, len(obs))
-	ys := make([]float64, len(obs))
+	obs := opt.obs[lo:]
+	xs = make([][]float64, len(obs))
+	ys = make([]float64, len(obs))
 	for i, o := range obs {
 		xs[i] = o.U
 		ys[i] = o.Y
 	}
-	return xs, ys
+	return xs, ys, opt.obsPrior()[lo:]
+}
+
+// residuals standardizes ys with (my, sy) and subtracts the prior mean:
+// the targets (y − my)/sy − m₀ every surrogate is conditioned on.
+func residuals(ys, m0 []float64, my, sy float64) []float64 {
+	rs := make([]float64, len(ys))
+	for i, y := range ys {
+		rs[i] = (y-my)/sy - m0[i]
+	}
+	return rs
+}
+
+// priorAt evaluates the prior mean f at u; a nil f is the zero prior.
+func priorAt(f func([]float64) float64, u []float64) float64 {
+	if f == nil {
+		return 0
+	}
+	return f(u)
+}
+
+// obsPrior returns PriorMean at every observation. Each point is
+// evaluated once, the first time it is conditioned; later epochs,
+// rebuilds and windows reuse the cached value.
+func (opt *Optimizer) obsPrior() []float64 {
+	for i := len(opt.obsM0); i < len(opt.obs); i++ {
+		opt.obsM0 = append(opt.obsM0, priorAt(opt.Opts.PriorMean, opt.obs[i].U))
+	}
+	return opt.obsM0
 }
 
 func (opt *Optimizer) bestStandardized(my, sy float64) ([]float64, float64, bool) {

@@ -60,8 +60,11 @@ func (ws WarmStartOptions) priorScale() float64 {
 }
 
 // transferPriorCap bounds how many historical observations feed the
-// prior mean — enough to shape it, small enough that evaluating it per
-// candidate stays cheap.
+// prior mean — enough to shape it. Each evaluation is a sum with one
+// exp per observation, about as costly as one GP's posterior mean at
+// paper-scale history, which is why internal/bo evaluates the prior
+// once per point and shares the value across its hyper-sample
+// ensemble.
 const transferPriorCap = 64
 
 // TransferSeed is the fully materialized result of an archive query

@@ -7,8 +7,9 @@ import (
 )
 
 // checkBlockMatchesScalar scores every block size 1..Block at several
-// offsets into qs and requires each lane to be bitwise PredictInto.
-func checkBlockMatchesScalar(t *testing.T, name string, m Surrogate, qs [][]float64) {
+// offsets into qs, query i carrying prior mean m0[i], and requires each
+// lane to be bitwise PredictInto.
+func checkBlockMatchesScalar(t *testing.T, name string, m Surrogate, qs [][]float64, m0 []float64) {
 	t.Helper()
 	var bs BlockScratch
 	var s Scratch
@@ -16,9 +17,9 @@ func checkBlockMatchesScalar(t *testing.T, name string, m Surrogate, qs [][]floa
 	for w := 1; w <= Block; w++ {
 		for off := 0; off+w <= len(qs); off += w {
 			blk := qs[off : off+w]
-			m.PredictBlockInto(&bs, blk, mu[:w], s2[:w])
+			m.PredictBlockInto(&bs, blk, m0[off:off+w], mu[:w], s2[:w])
 			for l, q := range blk {
-				wm, ws := m.PredictInto(&s, q)
+				wm, ws := m.PredictInto(&s, q, m0[off+l])
 				if math.Float64bits(mu[l]) != math.Float64bits(wm) ||
 					math.Float64bits(s2[l]) != math.Float64bits(ws) {
 					t.Fatalf("%s: width %d lane %d: block (%v, %v) vs scalar (%v, %v)",
@@ -41,37 +42,38 @@ func randomQueries(rng *rand.Rand, n, d int) [][]float64 {
 }
 
 // TestPredictBlockMatchesPredictInto pins PredictBlockInto's lane
-// contract on every surrogate: an exact GP with a prior mean, an
-// unfitted GP, and an RFF model.
+// contract on every surrogate: an exact GP with per-query prior means,
+// an unfitted GP, and an RFF model.
 func TestPredictBlockMatchesPredictInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const d = 3
 	xs, ys := randomData(rng, 37, d)
 	qs := randomQueries(rng, 13, d)
 	qs = append(qs, xs[0]) // a training point: variance near zero
+	m0 := make([]float64, len(qs))
+	for i, q := range qs {
+		m0[i] = 0.5 * q[0]
+	}
 
 	g := New(NewMatern52(d, 0.4), 1e-3)
-	g.Prior = func(x []float64) float64 { return 0.5 * x[0] }
 	if err := g.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	checkBlockMatchesScalar(t, "gp+prior", g, qs)
+	checkBlockMatchesScalar(t, "gp+prior", g, qs, m0)
 
 	unfitted := New(NewSquaredExp(d, 0.4), 1e-3)
-	unfitted.Prior = g.Prior
-	checkBlockMatchesScalar(t, "unfitted", unfitted, qs)
+	checkBlockMatchesScalar(t, "unfitted", unfitted, qs, m0)
 
 	r, err := NewRFF(NewMatern52(d, 0.4), 1e-3, 64, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Prior = g.Prior
 	for i := range xs {
 		if err := r.Observe(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	checkBlockMatchesScalar(t, "rff", r, qs)
+	checkBlockMatchesScalar(t, "rff", r, qs, m0)
 }
 
 // TestRefitReusesFactorBitIdentically refits one GP at a fixed n under

@@ -6,8 +6,12 @@
 // # Cache lifecycle
 //
 // A fitted GP caches its Cholesky factor and alpha vector across calls,
-// and the residual vector y − m₀(x) that both derive from. The cache
-// supports three transitions:
+// and the targets both derive from. The targets are residuals
+// y − m₀(x) around whatever prior mean m₀ the caller uses: gp never
+// evaluates a prior mean function. internal/bo evaluates m₀ once per
+// point and hands the values in as data — subtracted from the targets
+// it conditions on, and passed back per query point to the posterior
+// methods. The cache supports three transitions:
 //
 //   - Observe appends one observation by extending the cached factor in
 //     place (linalg.Cholesky.Extend, O(n²)). The result is bit-identical
@@ -20,15 +24,18 @@
 //     proposal never pays a refactorization.
 //   - Fit and SetHypersAndRefit invalidate everything: new
 //     hyperparameters change every kernel matrix entry, so the factor is
-//     rebuilt in O(n³). This is the only invalidation rule — anything
-//     short of a refit reuses the cached factor.
+//     rebuilt in O(n³) — from the cached targets, which a refit never
+//     recomputes. This is the only invalidation rule — anything short of
+//     a refit reuses the cached factor.
 //
 // # Posterior queries
 //
 // Posterior queries never mutate the cache: Predict/PredictInto read
 // the cached factor and alpha, and PredictInto is allocation-free given
 // a caller-owned Scratch (safe for concurrent readers, one Scratch per
-// goroutine).
+// goroutine). PredictInto and PredictBlockInto take the caller's m₀ at
+// each query point and return the mean μ = (m₀ + Mean) + k·α, in that
+// association; Predict is PredictInto with m₀ = 0.
 //
 // PredictBlockInto is the form the acquisition scorer uses: it answers
 // up to Block queries against the one cached factor, with a single
@@ -63,50 +70,37 @@ import (
 // observation order.
 type Surrogate interface {
 	Predict(xs []float64) (mu, sigma2 float64)
-	PredictInto(s *Scratch, xs []float64) (mu, sigma2 float64)
+	// PredictInto returns the posterior at xs, whose prior mean is m0.
+	PredictInto(s *Scratch, xs []float64, m0 float64) (mu, sigma2 float64)
 	// PredictBlockInto writes the posterior at each of 1..Block points
-	// xs[l] into mu[l] and sigma2[l], bitwise what PredictInto returns
-	// for that point alone.
-	PredictBlockInto(s *BlockScratch, xs [][]float64, mu, sigma2 []float64)
-	Observe(x []float64, y float64) error
-	Retract(x []float64, y float64) error
+	// xs[l], whose prior mean is m0[l], into mu[l] and sigma2[l],
+	// bitwise what PredictInto returns for that point alone.
+	PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64)
+	// Observe conditions on one point and its residual target.
+	Observe(x []float64, r float64) error
+	Retract(x []float64, r float64) error
 	N() int
 }
 
 // GP is a Gaussian-process regressor with a constant mean function and
-// i.i.d. Gaussian observation noise. Fit must be called before Predict.
+// i.i.d. Gaussian observation noise, conditioned on residual targets
+// around the caller's prior mean (see "Cache lifecycle"). Fit must be
+// called before Predict.
 type GP struct {
 	Kern  Kernel
 	Noise float64 // observation noise variance σ_n²
-	Mean  float64 // constant mean m(x) = Mean
-
-	// Prior, when set, is an explicit prior mean function m₀(x): the GP
-	// models residuals y − m₀(x) around the fitted constant, and
-	// predictions add m₀(xs) back. This is the transfer-learning hook —
-	// a model fit on archived runs biases where the surrogate expects
-	// good objectives before any local data says otherwise. Nil means
-	// m₀ ≡ 0 (the classic constant-mean GP).
-	Prior func(x []float64) float64
+	Mean  float64 // constant mean of the targets
 
 	x     [][]float64
-	y     []float64
-	resid []float64 // y − m₀(x), uncentered (Mean is subtracted on solve)
+	y     []float64 // residual targets, uncentered (Mean is subtracted on solve)
 	chol  *linalg.Cholesky
-	alpha []float64 // K⁻¹ (y - m)
+	alpha []float64 // K⁻¹ (y - Mean)
 
 	// Scratch buffers reused across Fit calls (slice sampling refits the
 	// same n repeatedly) and refreshAlpha.
 	kmat     *linalg.Matrix
 	centered []float64
 	fwd      []float64
-}
-
-// prior evaluates the prior mean, zero when unset.
-func (g *GP) prior(x []float64) float64 {
-	if g.Prior == nil {
-		return 0
-	}
-	return g.Prior(x)
 }
 
 // New creates a GP with the given kernel and noise variance. A zero
@@ -121,11 +115,10 @@ func New(k Kernel, noise float64) *GP {
 // ErrNoData is returned by Fit when given no observations.
 var ErrNoData = errors.New("gp: no observations")
 
-// Fit conditions the GP on observations (x, y), rebuilding the cached
-// factor from scratch (the refit invalidation path). The constant mean
-// is set to the sample mean of the prior-mean residuals y − m₀(x)
-// (empirical-Bayes choice, as Spearmint does before standardizing);
-// with no Prior that is simply the sample mean of y.
+// Fit conditions the GP on points x with residual targets y,
+// rebuilding the cached factor from scratch (the refit invalidation
+// path). The constant mean is set to the sample mean of the targets
+// (empirical-Bayes choice, as Spearmint does before standardizing).
 //
 // The observation slices are copied, so a later Observe on this GP
 // never aliases the caller's backing arrays. A failed Fit drops the
@@ -135,17 +128,15 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return ErrNoData
 	}
-	n := len(x)
 	g.x = append(g.x[:0], x...)
 	g.y = append(g.y[:0], y...)
-	if cap(g.resid) < n {
-		g.resid = make([]float64, n)
-	}
-	g.resid = g.resid[:n]
-	for i, v := range g.y {
-		g.resid[i] = v - g.prior(g.x[i])
-	}
+	return g.refit()
+}
 
+// refit rebuilds the kernel matrix, factor and alpha on the cached
+// points and targets.
+func (g *GP) refit() error {
+	n := len(g.x)
 	if g.kmat == nil || g.kmat.Rows != n {
 		g.kmat = linalg.NewMatrix(n, n)
 	}
@@ -182,9 +173,8 @@ func (g *GP) Observe(x []float64, y float64) error {
 	n := len(g.x)
 	g.x = append(g.x, x)
 	g.y = append(g.y, y)
-	g.resid = append(g.resid, y-g.prior(x))
 	if g.chol == nil || n == 0 {
-		return g.Fit(g.x, g.y)
+		return g.refit()
 	}
 	if cap(g.fwd) < n {
 		g.fwd = make([]float64, n)
@@ -193,7 +183,7 @@ func (g *GP) Observe(x []float64, y float64) error {
 	g.Kern.EvalRow(x, g.x[:n], row)
 	diag := g.Kern.Eval(x, x) + g.Noise
 	if err := g.chol.Extend(row, diag); err != nil {
-		return g.Fit(g.x, g.y)
+		return g.refit()
 	}
 	g.refreshAlpha()
 	return nil
@@ -219,7 +209,6 @@ func (g *GP) Retract(x []float64, y float64) error {
 	}
 	g.x = g.x[:n-1]
 	g.y = g.y[:n-1]
-	g.resid = g.resid[:n-1]
 	if n == 1 {
 		g.chol = nil
 		g.alpha = nil
@@ -234,13 +223,13 @@ func (g *GP) Retract(x []float64, y float64) error {
 }
 
 // refreshAlpha recomputes the constant mean and alpha vector from the
-// cached residuals and factor. The accumulation order matches Fit's, so
+// cached targets and factor. The accumulation order matches Fit's, so
 // an incrementally maintained GP and a freshly fitted one agree
 // bit-for-bit.
 func (g *GP) refreshAlpha() {
-	n := len(g.resid)
+	n := len(g.y)
 	mean := 0.0
-	for _, r := range g.resid {
+	for _, r := range g.y {
 		mean += r
 	}
 	g.Mean = mean / float64(n)
@@ -249,7 +238,7 @@ func (g *GP) refreshAlpha() {
 		g.fwd = make([]float64, n)
 	}
 	c := g.centered[:n]
-	for i, r := range g.resid {
+	for i, r := range g.y {
 		c[i] = r - g.Mean
 	}
 	if cap(g.alpha) < n {
@@ -318,23 +307,24 @@ func (s *BlockScratch) forwardSolve(c *linalg.Cholesky, m int) {
 }
 
 // Predict returns the posterior mean and variance of the latent
-// function at xs. The variance excludes observation noise.
+// function at xs under a zero prior mean. The variance excludes
+// observation noise.
 func (g *GP) Predict(xs []float64) (mu, sigma2 float64) {
 	var s Scratch
-	return g.PredictInto(&s, xs)
+	return g.PredictInto(&s, xs, 0)
 }
 
-// PredictInto is Predict with caller-owned scratch buffers: zero
-// allocations after the first call on a given Scratch, the form the
-// acquisition scorer uses per candidate.
-func (g *GP) PredictInto(s *Scratch, xs []float64) (mu, sigma2 float64) {
+// PredictInto is Predict at a point whose prior mean is m0, with
+// caller-owned scratch buffers: zero allocations after the first call
+// on a given Scratch.
+func (g *GP) PredictInto(s *Scratch, xs []float64, m0 float64) (mu, sigma2 float64) {
 	if g.chol == nil {
-		return g.prior(xs) + g.Mean, g.Kern.Eval(xs, xs)
+		return m0 + g.Mean, g.Kern.Eval(xs, xs)
 	}
 	n := len(g.x)
 	s.ensure(n)
 	g.Kern.EvalRow(xs, g.x, s.kstar)
-	mu = g.prior(xs) + g.Mean + linalg.Dot(s.kstar, g.alpha)
+	mu = m0 + g.Mean + linalg.Dot(s.kstar, g.alpha)
 	g.chol.ForwardSolveInto(s.v, s.kstar)
 	sigma2 = g.Kern.Eval(xs, xs) - linalg.Dot(s.v, s.v)
 	if sigma2 < 0 {
@@ -345,10 +335,10 @@ func (g *GP) PredictInto(s *Scratch, xs []float64) (mu, sigma2 float64) {
 
 // PredictBlockInto is PredictInto for 1..Block points sharing one
 // triangular solve; see "Posterior queries" in the package comment.
-func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, mu, sigma2 []float64) {
+func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64) {
 	if g.chol == nil {
 		for l, x := range xs {
-			mu[l], sigma2[l] = g.prior(x)+g.Mean, g.Kern.Eval(x, x)
+			mu[l], sigma2[l] = m0[l]+g.Mean, g.Kern.Eval(x, x)
 		}
 		return
 	}
@@ -357,7 +347,7 @@ func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, mu, sigma2 []floa
 		ls := &s.lanes[l]
 		ls.ensure(n)
 		g.Kern.EvalRow(x, g.x, ls.kstar)
-		mu[l] = g.prior(x) + g.Mean + linalg.Dot(ls.kstar, g.alpha)
+		mu[l] = m0[l] + g.Mean + linalg.Dot(ls.kstar, g.alpha)
 	}
 	s.forwardSolve(g.chol, len(xs))
 	for l, x := range xs {
@@ -377,8 +367,8 @@ func (g *GP) LogMarginalLikelihood() float64 {
 		return math.Inf(-1)
 	}
 	n := float64(len(g.y))
-	resid := make([]float64, len(g.resid))
-	for i, r := range g.resid {
+	resid := make([]float64, len(g.y))
+	for i, r := range g.y {
 		resid[i] = r - g.Mean
 	}
 	return -0.5*linalg.Dot(resid, g.alpha) - 0.5*g.chol.LogDet() - 0.5*n*math.Log(2*math.Pi)
@@ -396,7 +386,8 @@ func (g *GP) hypers() []float64 {
 	return append(kh, math.Log(g.Noise))
 }
 
-// setHypers installs a full log-space parameter vector and refits.
+// setHypers installs a full log-space parameter vector and refits on
+// the cached points and targets.
 func (g *GP) setHypers(h []float64) error {
 	nk := len(g.Kern.Hypers())
 	g.Kern.SetHypers(h[:nk])
@@ -404,7 +395,7 @@ func (g *GP) setHypers(h []float64) error {
 	if g.x == nil {
 		return nil
 	}
-	return g.Fit(g.x, g.y)
+	return g.refit()
 }
 
 // SetHypersAndRefit installs a full log-space hyperparameter vector
@@ -422,7 +413,7 @@ func (g *GP) SetHypersAndRefit(h []float64) error {
 // Clone returns a GP sharing no mutable state with g. Conditioning data
 // slices are shared (they are never mutated).
 func (g *GP) Clone() *GP {
-	out := &GP{Kern: g.Kern.Clone(), Noise: g.Noise, Mean: g.Mean, Prior: g.Prior}
+	out := &GP{Kern: g.Kern.Clone(), Noise: g.Noise, Mean: g.Mean}
 	if g.x != nil {
 		// Refit to rebuild factorization against the cloned kernel.
 		if err := out.Fit(g.x, g.y); err != nil {

@@ -245,48 +245,3 @@ func TestQuickGPVarianceBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPriorMeanHook pins the transfer-learning prior: when the data is
-// exactly the prior, the GP learns a ~zero constant and predictions far
-// from the data fall back to the prior, not to a global constant.
-func TestPriorMeanHook(t *testing.T) {
-	prior := func(x []float64) float64 { return 3 + 2*x[0] }
-	x := [][]float64{{0.1, 0.1}, {0.4, 0.6}, {0.8, 0.3}}
-	y := make([]float64, len(x))
-	for i, xi := range x {
-		y[i] = prior(xi)
-	}
-	g := New(NewMatern52(2, 0.3), 1e-6)
-	g.Prior = prior
-	if err := g.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g.Mean) > 1e-9 {
-		t.Fatalf("residual mean should be ~0, got %v", g.Mean)
-	}
-	// Far from every observation the posterior reverts to the prior.
-	far := []float64{0.95, 0.95}
-	mu, _ := g.Predict(far)
-	if math.Abs(mu-prior(far)) > 0.2 {
-		t.Fatalf("far prediction %v should track prior %v", mu, prior(far))
-	}
-	// At a data point it interpolates.
-	mu, _ = g.Predict(x[0])
-	if math.Abs(mu-y[0]) > 1e-3 {
-		t.Fatalf("interpolation off: %v vs %v", mu, y[0])
-	}
-	if lml := g.LogMarginalLikelihood(); math.IsInf(lml, -1) || math.IsNaN(lml) {
-		t.Fatalf("bad log marginal likelihood %v", lml)
-	}
-	// Clone keeps the prior.
-	c := g.Clone()
-	cmu, _ := c.Predict(far)
-	if math.Abs(cmu-mu2(g, far)) > 1e-9 {
-		t.Fatalf("clone prediction differs: %v", cmu)
-	}
-}
-
-func mu2(g *GP, x []float64) float64 {
-	mu, _ := g.Predict(x)
-	return mu
-}

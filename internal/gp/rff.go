@@ -26,7 +26,6 @@ import (
 // approximation threshold).
 type RFF struct {
 	Noise float64 // observation noise variance σ_n²
-	Prior func(x []float64) float64
 
 	m     int
 	dim   int
@@ -120,14 +119,6 @@ func NewRFF(kern Kernel, noise float64, m int, seed int64) (*RFF, error) {
 	return r, nil
 }
 
-// prior evaluates the prior mean, zero when unset.
-func (r *RFF) prior(x []float64) float64 {
-	if r.Prior == nil {
-		return 0
-	}
-	return r.Prior(x)
-}
-
 // features fills dst with φ(x).
 func (r *RFF) features(x []float64, dst []float64) {
 	for j := 0; j < r.m; j++ {
@@ -146,14 +137,13 @@ func (r *RFF) N() int { return r.n }
 // M returns the number of random features.
 func (r *RFF) M() int { return r.m }
 
-// Observe folds one observation into the model: a rank-1 update of the
-// feature Gram factor plus O(m) accumulator updates, independent of how
-// many observations came before. It cannot fail (a rank-1 update
-// preserves positive definiteness) but keeps the error in its signature
-// to satisfy Surrogate.
-func (r *RFF) Observe(x []float64, y float64) error {
+// Observe folds one point and its residual target into the model: a
+// rank-1 update of the feature Gram factor plus O(m) accumulator
+// updates, independent of how many observations came before. It cannot
+// fail (a rank-1 update preserves positive definiteness) but keeps the
+// error in its signature to satisfy Surrogate.
+func (r *RFF) Observe(x []float64, resid float64) error {
 	r.features(x, r.phi)
-	resid := y - r.prior(x)
 	r.chol.Update(r.phi)
 	for j, p := range r.phi {
 		r.bRaw[j] += p * resid
@@ -171,7 +161,7 @@ func (r *RFF) Observe(x []float64, y float64) error {
 // make the Gram matrix indefinite except through rounding, in which
 // case the factor is left unchanged and the error tells the caller to
 // rebuild.
-func (r *RFF) Retract(x []float64, y float64) error {
+func (r *RFF) Retract(x []float64, resid float64) error {
 	if r.n == 0 {
 		return fmt.Errorf("gp: retract on empty rff model")
 	}
@@ -179,7 +169,6 @@ func (r *RFF) Retract(x []float64, y float64) error {
 	if err := r.chol.Downdate(r.phi); err != nil {
 		return err
 	}
-	resid := y - r.prior(x)
 	for j, p := range r.phi {
 		r.bRaw[j] -= p * resid
 		r.sPhi[j] -= p
@@ -209,19 +198,20 @@ func (r *RFF) refresh() {
 }
 
 // Predict returns the approximate posterior mean and latent variance at
-// xs.
+// xs under a zero prior mean.
 func (r *RFF) Predict(xs []float64) (mu, sigma2 float64) {
 	var s Scratch
-	return r.PredictInto(&s, xs)
+	return r.PredictInto(&s, xs, 0)
 }
 
-// PredictInto is Predict with caller-owned scratch: φ(xs) into the
-// scratch, mean from the weight posterior, variance from one triangular
-// solve — O(m²) per query, constant in n.
-func (r *RFF) PredictInto(s *Scratch, xs []float64) (mu, sigma2 float64) {
+// PredictInto is Predict at a point whose prior mean is m0, with
+// caller-owned scratch: φ(xs) into the scratch, mean from the weight
+// posterior, variance from one triangular solve — O(m²) per query,
+// constant in n.
+func (r *RFF) PredictInto(s *Scratch, xs []float64, m0 float64) (mu, sigma2 float64) {
 	s.ensure(r.m)
 	r.features(xs, s.kstar)
-	mu = r.prior(xs) + r.mean + linalg.Dot(s.kstar, r.wmean)
+	mu = m0 + r.mean + linalg.Dot(s.kstar, r.wmean)
 	r.chol.ForwardSolveInto(s.v, s.kstar)
 	sigma2 = r.Noise * linalg.Dot(s.v, s.v)
 	if sigma2 < 0 {
@@ -232,12 +222,12 @@ func (r *RFF) PredictInto(s *Scratch, xs []float64) (mu, sigma2 float64) {
 
 // PredictBlockInto is PredictInto for 1..Block points: the m-feature
 // variance solves run as one interleaved solve against the m×m factor.
-func (r *RFF) PredictBlockInto(s *BlockScratch, xs [][]float64, mu, sigma2 []float64) {
+func (r *RFF) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64) {
 	for l, x := range xs {
 		ls := &s.lanes[l]
 		ls.ensure(r.m)
 		r.features(x, ls.kstar)
-		mu[l] = r.prior(x) + r.mean + linalg.Dot(ls.kstar, r.wmean)
+		mu[l] = m0[l] + r.mean + linalg.Dot(ls.kstar, r.wmean)
 	}
 	s.forwardSolve(r.chol, len(xs))
 	for l := range xs {
