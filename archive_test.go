@@ -167,10 +167,10 @@ func TestWatcherArchivesTrials(t *testing.T) {
 	ev := quietEval(top, SmallCluster())
 	template := DefaultSyntheticConfig(top, 1)
 	opts := WatchOptions{
-		Steps: 6, Seed: 1, Template: &template,
-		TrialCost: 60, HoldInterval: 60, Horizon: 2000,
-		Candidates: 120, HyperSamples: 2, LocalSearchIters: 4,
-		Archive: arch,
+		WatchPlan: WatchPlan{Steps: 6, TrialCost: 60, HoldInterval: 60, Horizon: 2000},
+		Seed:      1, Template: &template,
+		OptimizerOptions: OptimizerOptions{Candidates: 120, HyperSamples: 2, LocalSearchIters: 4},
+		Archive:          arch,
 	}
 	w, err := NewWatcher(top, AsBackend(ev), opts)
 	if err != nil {

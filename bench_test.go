@@ -198,8 +198,7 @@ func seedSuggestBench(b *testing.B, opt *bo.Optimizer, n int) {
 func benchmarkSuggestWorkers(b *testing.B, workers int) {
 	b.Helper()
 	opt := bo.NewOptimizer(suggestBenchSpace(), bo.Options{
-		Seed: 1, Candidates: 150, HyperSamples: 2, Workers: workers,
-		LocalSearchIters: -1,
+		Seed: 1, Knobs: bo.Knobs{Candidates: 150, HyperSamples: 2, LocalSearchIters: -1}, Workers: workers,
 	})
 	seedSuggestBench(b, opt, 100)
 	b.ResetTimer()
@@ -307,7 +306,7 @@ func BenchmarkBOSuggestLargeHistory(b *testing.B) {
 	for _, n := range []int{100, 250, 1000, 10000} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			opt := bo.NewOptimizer(suggestBenchSpace(), bo.Options{
-				Seed: 1, Candidates: 150, HyperSamples: 2, LocalSearchIters: -1,
+				Seed: 1, Knobs: bo.Knobs{Candidates: 150, HyperSamples: 2, LocalSearchIters: -1},
 				ApproxAfter: 512, RFFFeatures: 128,
 			})
 			seedSuggestBench(b, opt, n)
@@ -353,7 +352,7 @@ func BenchmarkBOSuggestWarmPrior(b *testing.B) {
 		return num / (den + 1)
 	}
 	opt := bo.NewOptimizer(suggestBenchSpace(), bo.Options{
-		Seed: 1, Candidates: 150, HyperSamples: 6, PriorMean: prior,
+		Seed: 1, Knobs: bo.Knobs{Candidates: 150, HyperSamples: 6}, PriorMean: prior,
 	})
 	seedSuggestBench(b, opt, 60)
 	b.ResetTimer()
@@ -374,7 +373,7 @@ func BenchmarkTuneBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		strat := stormtune.NewBO(t, spec, template, stormtune.BOOptions{
 			Seed: int64(i + 1),
-			Opt:  bo.Options{Candidates: 150, HyperSamples: 2, LocalSearchIters: 4},
+			Opt:  bo.Options{Knobs: bo.Knobs{Candidates: 150, HyperSamples: 2, LocalSearchIters: 4}},
 		})
 		tn, err := stormtune.NewTuner(t, stormtune.AsBackend(ev), stormtune.TunerOptions{
 			Steps: 12, Strategy: strat, Cluster: &spec, Template: &template,
@@ -404,7 +403,7 @@ func BenchmarkTunerRunAsync(b *testing.B) {
 		ev := stormtune.NewFluidSim(t, spec, stormtune.SinkTuples, 1)
 		tn, err := stormtune.NewTuner(t, stormtune.AsBackend(ev), stormtune.TunerOptions{
 			Steps: 12, Seed: int64(i + 1), Template: &template, Cluster: &spec,
-			Candidates: 150, HyperSamples: 2, LocalSearchIters: 4,
+			OptimizerOptions: stormtune.OptimizerOptions{Candidates: 150, HyperSamples: 2, LocalSearchIters: 4},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -551,7 +550,7 @@ func BenchmarkWarmStartSeed(b *testing.B) {
 	}
 
 	bs := core.NewBO(top, spec, template, core.BOOptions{
-		Seed: 99, Opt: bo.Options{Candidates: 150, HyperSamples: 2, LocalSearchIters: 4},
+		Seed: 99, Opt: bo.Options{Knobs: bo.Knobs{Candidates: 150, HyperSamples: 2, LocalSearchIters: 4}},
 	})
 	meta := core.SessionMetaFor("self", top, spec, "bo", core.Hints, 99)
 	ws := core.WarmStartOptions{Enabled: true, Prior: true}
@@ -572,7 +571,7 @@ func BenchmarkBOSuggest(b *testing.B) {
 		bo.Dim{Name: "y", Kind: bo.Float, Min: 0, Max: 1},
 		bo.Dim{Name: "n", Kind: bo.Int, Min: 1, Max: 64},
 	)
-	opt := bo.NewOptimizer(space, bo.Options{Seed: 1, Candidates: 300, HyperSamples: 2})
+	opt := bo.NewOptimizer(space, bo.Options{Seed: 1, Knobs: bo.Knobs{Candidates: 300, HyperSamples: 2}})
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 30; i++ {
 		u := []float64{rng.Float64(), rng.Float64(), rng.Float64()}

@@ -17,6 +17,12 @@ import (
 	"stormtune"
 )
 
+// optimizer is the Bayesian optimizer configuration of every session
+// the CLI runs: the library defaults, with each GP conditioned on a
+// sliding window of the 60 most recent observations so long and
+// continuous runs keep a bounded ask cost.
+var optimizer = stormtune.OptimizerOptions{MaxGPPoints: 60}
+
 // serveDashboard binds addr synchronously — a bad address or taken port
 // fails the command before any session starts — and serves handler on
 // it in the background. Call the returned stop once the run is over:

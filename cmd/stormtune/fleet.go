@@ -207,15 +207,15 @@ func prepareSessions(man *fleetManifest, trialTimeout time.Duration,
 		}
 		clusterSpec := stormtune.PaperCluster()
 		opts := stormtune.TunerOptions{
-			Steps:        s.Steps,
-			Set:          set,
-			Template:     &template,
-			Cluster:      &clusterSpec,
-			Seed:         s.Seed,
-			MaxGPPoints:  60,
-			TrialTimeout: trialTimeout,
-			Recorder:     stormtune.NewRecorder(),
-			Observer:     progress(name),
+			Steps:            s.Steps,
+			Set:              set,
+			Template:         &template,
+			Cluster:          &clusterSpec,
+			Seed:             s.Seed,
+			OptimizerOptions: optimizer,
+			TrialTimeout:     trialTimeout,
+			Recorder:         stormtune.NewRecorder(),
+			Observer:         progress(name),
 		}
 		switch strategy {
 		case "pla":

@@ -377,13 +377,13 @@ func runTune(args []string) {
 	}
 
 	opts := stormtune.TunerOptions{
-		Steps:        *steps,
-		Set:          set,
-		Template:     &template,
-		Cluster:      &clusterSpec,
-		Seed:         *tf.seed,
-		MaxGPPoints:  60,
-		TrialTimeout: ef.trialDeadline(),
+		Steps:            *steps,
+		Set:              set,
+		Template:         &template,
+		Cluster:          &clusterSpec,
+		Seed:             *tf.seed,
+		OptimizerOptions: optimizer,
+		TrialTimeout:     ef.trialDeadline(),
 	}
 	switch *strategy {
 	case "pla":

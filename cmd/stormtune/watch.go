@@ -67,18 +67,20 @@ func runWatch(args []string) {
 	backend := stormtune.AsBackend(stormtune.Drifting(ev, profile, *baseLoad))
 
 	opts := stormtune.WatchOptions{
-		Steps:        *steps,
-		RetuneSteps:  *retuneSteps,
-		Set:          set,
-		Template:     &template,
-		Seed:         *tf.seed,
-		TrialCost:    *trialCost,
-		HoldInterval: *holdInterval,
-		Horizon:      *horizon,
-		MaxEpisodes:  *episodes,
-		Monitor:      stormtune.MonitorOptions{Cooldown: *cooldown},
-		Throttle:     *throttle,
-		MaxGPPoints:  60,
+		WatchPlan: stormtune.WatchPlan{
+			Steps:        *steps,
+			RetuneSteps:  *retuneSteps,
+			TrialCost:    *trialCost,
+			HoldInterval: *holdInterval,
+			Horizon:      *horizon,
+			MaxEpisodes:  *episodes,
+		},
+		Set:              set,
+		Template:         &template,
+		Seed:             *tf.seed,
+		Monitor:          stormtune.MonitorOptions{Cooldown: *cooldown},
+		Throttle:         *throttle,
+		OptimizerOptions: optimizer,
 	}
 	if ef.wantsRetry() {
 		opts.Retry = ef.retryPolicy()

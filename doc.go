@@ -230,7 +230,7 @@
 //
 //	w, _ := stormtune.NewWatcher(t, stormtune.AsBackend(
 //		stormtune.Drifting(ev, stormtune.FlashCrowd{At: 3600, Magnitude: 2}, 300)),
-//		stormtune.WatchOptions{Steps: 40, Horizon: 86400})
+//		stormtune.WatchOptions{WatchPlan: stormtune.WatchPlan{Steps: 40, Horizon: 86400}})
 //	_ = w.Run(ctx) // tune, hold, retune on drift, repeat
 //
 // Drifting wraps any Evaluator with a deterministic time-varying

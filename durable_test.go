@@ -37,9 +37,9 @@ func savedWatchState(t testing.TB, horizon float64) []byte {
 	top := BuildSynthetic("small", Condition{}, 1)
 	template := DefaultSyntheticConfig(top, 1)
 	w, err := NewWatcher(top, AsBackend(quietEval(top, SmallCluster())), WatchOptions{
-		Steps: 4, Seed: 1, Template: &template,
-		TrialCost: 60, HoldInterval: 60, Horizon: horizon,
-		Candidates: 60, HyperSamples: 2, LocalSearchIters: 2,
+		WatchPlan: WatchPlan{Steps: 4, TrialCost: 60, HoldInterval: 60, Horizon: horizon},
+		Seed:      1, Template: &template,
+		OptimizerOptions: OptimizerOptions{Candidates: 60, HyperSamples: 2, LocalSearchIters: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +223,7 @@ func FuzzLoadTunerState(f *testing.F) {
 	f.Add([]byte(`{"version":1,"session":{}}`))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`garbage`))
+	f.Add(readFixture(f, tunerStateFixture))
 	f.Fuzz(func(t *testing.T, data []byte) { checkRoundTrip(t, data, LoadTunerState) })
 }
 
@@ -233,5 +234,6 @@ func FuzzLoadWatchState(f *testing.F) {
 	f.Add([]byte(`{"version":1,"watch":{}}`))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`garbage`))
+	f.Add(readFixture(f, watchStateFixture))
 	f.Fuzz(func(t *testing.T, data []byte) { checkRoundTrip(t, data, LoadWatchState) })
 }

@@ -71,7 +71,7 @@ func TestSuggestBatchCountsAndPending(t *testing.T) {
 		Dim{Name: "x", Kind: Float, Min: 0, Max: 1},
 		Dim{Name: "y", Kind: Float, Min: 0, Max: 1},
 	)
-	opt := NewOptimizer(s, Options{Seed: 2, InitialDesign: 3, Candidates: 100, HyperSamples: 2})
+	opt := NewOptimizer(s, Options{Seed: 2, InitialDesign: 3, Knobs: Knobs{Candidates: 100, HyperSamples: 2}})
 	batch := opt.SuggestBatch(4)
 	if len(batch) != 4 {
 		t.Fatalf("batch size = %d", len(batch))
@@ -101,7 +101,7 @@ func TestSuggestBatchSpreads(t *testing.T) {
 		Dim{Name: "x", Kind: Float, Min: 0, Max: 1},
 		Dim{Name: "y", Kind: Float, Min: 0, Max: 1},
 	)
-	opt := NewOptimizer(s, Options{Seed: 4, InitialDesign: 4, Candidates: 200, HyperSamples: 2})
+	opt := NewOptimizer(s, Options{Seed: 4, InitialDesign: 4, Knobs: Knobs{Candidates: 200, HyperSamples: 2}})
 	for i := 0; i < 6; i++ {
 		u := opt.Suggest()
 		opt.Observe(u, quadObj(u))
@@ -130,7 +130,7 @@ func TestSuggestBatchDeterministic(t *testing.T) {
 			Dim{Name: "y", Kind: Float, Min: 0, Max: 1},
 		)
 		opt := NewOptimizer(s, Options{
-			Seed: 7, InitialDesign: 4, Candidates: 300, HyperSamples: 3, Workers: workers,
+			Seed: 7, InitialDesign: 4, Knobs: Knobs{Candidates: 300, HyperSamples: 3}, Workers: workers,
 		})
 		var all [][]float64
 		for round := 0; round < 4; round++ {
@@ -167,7 +167,7 @@ func TestBatchRegretParity(t *testing.T) {
 			Dim{Name: "x", Kind: Float, Min: 0, Max: 1},
 			Dim{Name: "y", Kind: Float, Min: 0, Max: 1},
 		)
-		opt := NewOptimizer(s, Options{Seed: 3, Candidates: 300, HyperSamples: 3})
+		opt := NewOptimizer(s, Options{Seed: 3, Knobs: Knobs{Candidates: 300, HyperSamples: 3}})
 		for i := 0; i < budget; i++ {
 			u := opt.Suggest()
 			opt.Observe(u, quadObj(u))
@@ -180,7 +180,7 @@ func TestBatchRegretParity(t *testing.T) {
 			Dim{Name: "x", Kind: Float, Min: 0, Max: 1},
 			Dim{Name: "y", Kind: Float, Min: 0, Max: 1},
 		)
-		opt := NewOptimizer(s, Options{Seed: 3, Candidates: 300, HyperSamples: 3})
+		opt := NewOptimizer(s, Options{Seed: 3, Knobs: Knobs{Candidates: 300, HyperSamples: 3}})
 		for done := 0; done < budget; {
 			batch := opt.SuggestBatch(q)
 			for _, u := range batch {

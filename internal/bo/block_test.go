@@ -90,32 +90,32 @@ func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 		opts func() Options
 	}{
 		{"exact-parallel", func() Options {
-			return Options{Seed: 5, Candidates: 122, HyperSamples: 2, LocalSearchIters: 6, Workers: 3}
+			return Options{Seed: 5, Knobs: Knobs{Candidates: 122, HyperSamples: 2, LocalSearchIters: 6}, Workers: 3}
 		}},
 		{"exact-sequential-ucb", func() Options {
-			return Options{Seed: 8, Candidates: 57, HyperSamples: 3, LocalSearchIters: 4, Workers: 1, Acq: UCB{}}
+			return Options{Seed: 8, Knobs: Knobs{Candidates: 57, HyperSamples: 3, LocalSearchIters: 4}, Workers: 1, Acq: UCB{}}
 		}},
 		{"trust-region", func() Options {
 			return Options{
-				Seed: 6, Candidates: 90, HyperSamples: 2, LocalSearchIters: 5, Workers: 2,
+				Seed: 6, Knobs: Knobs{Candidates: 90, HyperSamples: 2, LocalSearchIters: 5}, Workers: 2,
 				Trust: &TrustRegion{Center: []float64{0.4, 0.5, 0.6}, Radius: 0.15, GrowAfter: 2, Grow: 2, Shrink: 0.5},
 			}
 		}},
 		{"rff", func() Options {
 			return Options{
-				Seed: 7, Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, Workers: 2,
+				Seed: 7, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4}, Workers: 2,
 				ApproxAfter: 14, RFFFeatures: 33, InitialDesign: 3,
 			}
 		}},
 		{"prior-mean", func() Options {
 			return Options{
-				Seed: 4, Candidates: 93, HyperSamples: 3, LocalSearchIters: 5, Workers: 2,
+				Seed: 4, Knobs: Knobs{Candidates: 93, HyperSamples: 3, LocalSearchIters: 5}, Workers: 2,
 				PriorMean: testPriorMean,
 			}
 		}},
 		{"prior-mean-rff", func() Options {
 			return Options{
-				Seed: 9, Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, Workers: 2,
+				Seed: 9, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4}, Workers: 2,
 				ApproxAfter: 14, RFFFeatures: 33, InitialDesign: 3, PriorMean: testPriorMean,
 			}
 		}},

@@ -1,7 +1,6 @@
 package bo
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,7 +151,7 @@ func TestOptimizerFindsQuadraticMax(t *testing.T) {
 		Dim{Name: "x", Kind: Float, Min: 0, Max: 1},
 		Dim{Name: "y", Kind: Float, Min: 0, Max: 1},
 	)
-	opt := NewOptimizer(s, Options{Seed: 3, Candidates: 400, HyperSamples: 3})
+	opt := NewOptimizer(s, Options{Seed: 3, Knobs: Knobs{Candidates: 400, HyperSamples: 3}})
 	for i := 0; i < 25; i++ {
 		u := opt.Suggest()
 		opt.Observe(u, quadObj(u))
@@ -172,7 +171,7 @@ func TestOptimizerBeatsRandomSearch(t *testing.T) {
 		Dim{Name: "y", Kind: Float, Min: 0, Max: 1},
 	)
 	budget := 20
-	opt := NewOptimizer(s, Options{Seed: 5, Candidates: 300, HyperSamples: 3})
+	opt := NewOptimizer(s, Options{Seed: 5, Knobs: Knobs{Candidates: 300, HyperSamples: 3}})
 	for i := 0; i < budget; i++ {
 		u := opt.Suggest()
 		opt.Observe(u, quadObj(u))
@@ -223,7 +222,7 @@ func TestObserveUnsolicitedPoint(t *testing.T) {
 
 func TestOptimizerHandlesConstantObjective(t *testing.T) {
 	s := MustSpace(Dim{Name: "x", Kind: Float, Min: 0, Max: 1})
-	opt := NewOptimizer(s, Options{Seed: 2, Candidates: 100, HyperSamples: 2})
+	opt := NewOptimizer(s, Options{Seed: 2, Knobs: Knobs{Candidates: 100, HyperSamples: 2}})
 	for i := 0; i < 12; i++ {
 		u := opt.Suggest()
 		opt.Observe(u, 5.0) // zero variance must not crash standardization
@@ -234,56 +233,9 @@ func TestOptimizerHandlesConstantObjective(t *testing.T) {
 	}
 }
 
-func TestStateRoundTrip(t *testing.T) {
-	s := MustSpace(
-		Dim{Name: "x", Kind: Float, Min: 0, Max: 1},
-		Dim{Name: "n", Kind: Int, Min: 1, Max: 8},
-	)
-	opt := NewOptimizer(s, Options{Seed: 11})
-	for i := 0; i < 5; i++ {
-		u := opt.Suggest()
-		opt.Observe(u, quadObj([]float64{u[0], 0.7}))
-	}
-	var buf bytes.Buffer
-	if err := opt.Snapshot().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Resume(st, Options{})
-	if res.N() != 5 {
-		t.Fatalf("resumed N = %d", res.N())
-	}
-	_, y1, _ := opt.Best()
-	_, y2, _ := res.Best()
-	if y1 != y2 {
-		t.Fatalf("best mismatch after resume: %v vs %v", y1, y2)
-	}
-	// Resumed optimizer keeps working.
-	u := res.Suggest()
-	res.Observe(u, -1)
-	if res.N() != 6 {
-		t.Fatalf("resumed optimizer did not continue")
-	}
-}
-
-func TestLoadStateRejectsCorrupt(t *testing.T) {
-	if _, err := LoadState(bytes.NewBufferString("{")); err == nil {
-		t.Fatal("accepted truncated JSON")
-	}
-	if _, err := LoadState(bytes.NewBufferString(`{"version":99}`)); err == nil {
-		t.Fatal("accepted wrong version")
-	}
-	if _, err := LoadState(bytes.NewBufferString(`{"version":1,"space":{"dims":[{"name":"x","kind":0,"min":0,"max":1}]},"observations":[{"u":[0.1,0.2],"y":1}]}`)); err == nil {
-		t.Fatal("accepted observation dim mismatch")
-	}
-}
-
 func TestMaxGPPointsTruncation(t *testing.T) {
 	s := MustSpace(Dim{Name: "x", Kind: Float, Min: 0, Max: 1})
-	opt := NewOptimizer(s, Options{Seed: 1, MaxGPPoints: 5, PriorMean: func(u []float64) float64 { return u[0] }})
+	opt := NewOptimizer(s, Options{Seed: 1, Knobs: Knobs{MaxGPPoints: 5}, PriorMean: func(u []float64) float64 { return u[0] }})
 	for i := 0; i < 9; i++ {
 		opt.Observe([]float64{float64(i) / 10}, float64(i))
 	}

@@ -48,7 +48,7 @@ func TestCachedMatchesDenseRebuild(t *testing.T) {
 	for _, prior := range []func([]float64) float64{nil, testPriorMean} {
 		mk := func() *Optimizer {
 			return NewOptimizer(cacheTestSpace(), Options{
-				Seed: 11, Candidates: 120, HyperSamples: 2, LocalSearchIters: 2,
+				Seed: 11, Knobs: Knobs{Candidates: 120, HyperSamples: 2, LocalSearchIters: 2},
 				PriorMean: prior,
 			})
 		}
@@ -102,7 +102,7 @@ func checkCachedMatchesDense(t *testing.T, inc, ref *Optimizer) {
 // slice sampling) and still proposes deterministically.
 func TestInitHypersWarmStart(t *testing.T) {
 	donor := NewOptimizer(cacheTestSpace(), Options{
-		Seed: 3, Candidates: 100, HyperSamples: 2, LocalSearchIters: 2,
+		Seed: 3, Knobs: Knobs{Candidates: 100, HyperSamples: 2, LocalSearchIters: 2},
 	})
 	for i := 0; i < 8; i++ {
 		u := donor.Suggest()
@@ -115,7 +115,7 @@ func TestInitHypersWarmStart(t *testing.T) {
 
 	mk := func() *Optimizer {
 		o := NewOptimizer(cacheTestSpace(), Options{
-			Seed: 5, Candidates: 100, HyperSamples: 2, LocalSearchIters: 2,
+			Seed: 5, Knobs: Knobs{Candidates: 100, HyperSamples: 2, LocalSearchIters: 2},
 			InitialDesign: 1, InitHypers: hs,
 		})
 		o.Observe([]float64{0.3, 0.6, 0.9}, cacheObjective([]float64{0.3, 0.6, 0.9}))
@@ -142,7 +142,7 @@ func TestInitHypersWarmStart(t *testing.T) {
 
 	// Mismatched hyper dimensions must be ignored, not crash.
 	bad := NewOptimizer(cacheTestSpace(), Options{
-		Seed: 5, Candidates: 80, HyperSamples: 1, InitialDesign: 1,
+		Seed: 5, Knobs: Knobs{Candidates: 80, HyperSamples: 1}, InitialDesign: 1,
 		InitHypers: &HyperState{Hypers: [][]float64{{0.1, 0.2}}},
 	})
 	bad.Observe([]float64{0.5, 0.5, 0.5}, 1)
@@ -157,7 +157,7 @@ func TestInitHypersWarmStart(t *testing.T) {
 func TestApproxSwitchover(t *testing.T) {
 	mk := func() *Optimizer {
 		return NewOptimizer(cacheTestSpace(), Options{
-			Seed: 7, Candidates: 80, HyperSamples: 2, LocalSearchIters: 2,
+			Seed: 7, Knobs: Knobs{Candidates: 80, HyperSamples: 2, LocalSearchIters: 2},
 			ApproxAfter: 20, RFFFeatures: 64, InitialDesign: 3,
 		})
 	}
@@ -195,8 +195,8 @@ func TestApproxSwitchover(t *testing.T) {
 // ask without a new observation starts no refit epoch.
 func TestWindowedSessionsShareEpochHypers(t *testing.T) {
 	opt := NewOptimizer(cacheTestSpace(), Options{
-		Seed: 9, Candidates: 80, HyperSamples: 2, LocalSearchIters: 2,
-		MaxGPPoints: 10, InitialDesign: 3,
+		Seed: 9, Knobs: Knobs{Candidates: 80, HyperSamples: 2, LocalSearchIters: 2, MaxGPPoints: 10},
+		InitialDesign: 3,
 	})
 	for i := 0; i < 25; i++ {
 		u := opt.Suggest()

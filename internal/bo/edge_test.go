@@ -55,8 +55,7 @@ func TestSeedCandidatesAreConsidered(t *testing.T) {
 	target := []float64{0.123456, 0.654321}
 	opt := NewOptimizer(s, Options{
 		Seed:           3,
-		Candidates:     50,
-		HyperSamples:   2,
+		Knobs:          Knobs{Candidates: 50, HyperSamples: 2},
 		SeedCandidates: [][]float64{target},
 		InitialDesign:  3,
 	})

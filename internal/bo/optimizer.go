@@ -11,22 +11,35 @@ import (
 	"stormtune/internal/sample"
 )
 
+// Knobs are the optimizer settings that shape its proposals as plain
+// numbers. Session snapshots record them (the JSON tags are the
+// snapshot field names), so a resumed run rebuilds the exact same
+// optimizer. Zero values select the Spearmint-like defaults.
+type Knobs struct {
+	// Candidates is the size of the random candidate grid scored by the
+	// acquisition each step (default 1000).
+	Candidates int `json:"candidates,omitempty"`
+	// HyperSamples is the number of slice-sampling hyperparameter draws
+	// the acquisition is averaged over (default 6). 1 disables
+	// marginalization and uses a MAP fit.
+	HyperSamples int `json:"hyperSamples,omitempty"`
+	// LocalSearchIters refines the best candidate by coordinate
+	// perturbation (default 20).
+	LocalSearchIters int `json:"localSearchIters,omitempty"`
+	// MaxGPPoints caps the number of observations used to condition the
+	// GP; the most recent points are kept (0 = unlimited). Protects the
+	// O(n³) fit on very long runs.
+	MaxGPPoints int `json:"maxGPPoints,omitempty"`
+}
+
 // Options tune the optimizer. Zero values select Spearmint-like
 // defaults.
 type Options struct {
 	// InitialDesign is the number of Latin-hypercube seed points before
 	// the GP takes over (default max(3, d)).
 	InitialDesign int
-	// Candidates is the size of the random candidate grid scored by the
-	// acquisition each step (default 1000).
-	Candidates int
-	// HyperSamples is the number of slice-sampling hyperparameter draws
-	// the acquisition is averaged over (default 6). 1 disables
-	// marginalization and uses a MAP fit.
-	HyperSamples int
-	// LocalSearchIters refines the best candidate by coordinate
-	// perturbation (default 20).
-	LocalSearchIters int
+	// Knobs are the settings a session snapshot records.
+	Knobs
 	// Acq selects the acquisition function (default EI{}).
 	Acq Acquisition
 	// Kernel selects the surrogate kernel constructor (default
@@ -37,10 +50,6 @@ type Options struct {
 	NoiseVar float64
 	// Seed seeds the internal RNG (default 1).
 	Seed int64
-	// MaxGPPoints caps the number of observations used to condition the
-	// GP; the most recent points are kept (0 = unlimited). Protects the
-	// O(n³) fit on very long runs.
-	MaxGPPoints int
 	// SeedCandidates are unit-cube points always included in the
 	// acquisition's candidate pool — the standard practice of seeding a
 	// tuner with baseline configurations (they are only selected when
@@ -83,8 +92,8 @@ type Options struct {
 	// around the current incumbent — conservative (retune) mode. The
 	// first suggestion with no data is the region's center itself, and
 	// Observe adapts the region (recenter/widen/shrink). Runtime-only,
-	// like the other non-scalar options: bo.State does not carry it,
-	// the session-level snapshot reconstructs it.
+	// like the other non-scalar options: the session-level snapshot
+	// reconstructs it.
 	Trust *TrustRegion
 	// ApproxAfter is the observation count past which the surrogate
 	// switches from exact GPs to the random-Fourier-feature

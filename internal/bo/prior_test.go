@@ -22,7 +22,7 @@ func TestPriorMeanResiduals(t *testing.T) {
 		Dim{Name: "a", Kind: Float, Min: 0, Max: 1},
 		Dim{Name: "b", Kind: Float, Min: 0, Max: 1},
 	), Options{
-		Seed: 2, Candidates: 40, InitialDesign: len(x), PriorMean: prior,
+		Seed: 2, Knobs: Knobs{Candidates: 40}, InitialDesign: len(x), PriorMean: prior,
 		// One fixed hyper sample: unit amplitude, length 0.3, noise 1e-6.
 		InitHypers: &HyperState{Hypers: [][]float64{{0, math.Log(0.3), math.Log(0.3), math.Log(1e-6)}}},
 	})
@@ -87,7 +87,7 @@ func TestPriorMeanEvaluatedOncePerPoint(t *testing.T) {
 	acq := &countingAcq{inner: EI{}}
 	const hypers = 3
 	opt := NewOptimizer(cacheTestSpace(), Options{
-		Seed: 13, Candidates: 61, HyperSamples: hypers, LocalSearchIters: 3, Workers: 2, Acq: acq,
+		Seed: 13, Knobs: Knobs{Candidates: 61, HyperSamples: hypers, LocalSearchIters: 3}, Workers: 2, Acq: acq,
 		PriorMean: func(u []float64) float64 {
 			calls.Add(1)
 			return testPriorMean(u)

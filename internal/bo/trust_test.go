@@ -87,7 +87,7 @@ func TestOptimizerTrustConfinesEverySuggestion(t *testing.T) {
 	tr := &TrustRegion{Center: append([]float64(nil), center...), Radius: 0.12}
 	tr.Baseline(5)
 	opt := NewOptimizer(space, Options{
-		Seed: 3, Candidates: 120, HyperSamples: 1, LocalSearchIters: 4,
+		Seed: 3, Knobs: Knobs{Candidates: 120, HyperSamples: 1, LocalSearchIters: 4},
 		InitialDesign: 1, Trust: tr,
 	})
 
@@ -118,7 +118,7 @@ func TestOptimizerTrustBatchStaysConfined(t *testing.T) {
 	tr := &TrustRegion{Center: []float64{0.5, 0.5}, Radius: 0.15}
 	tr.Baseline(1)
 	opt := NewOptimizer(space, Options{
-		Seed: 7, Candidates: 80, HyperSamples: 1, LocalSearchIters: 2,
+		Seed: 7, Knobs: Knobs{Candidates: 80, HyperSamples: 1, LocalSearchIters: 2},
 		InitialDesign: 1, Trust: tr,
 	})
 	for _, u := range opt.SuggestBatch(4) {

@@ -84,8 +84,8 @@ func TestSetSharedSeedsBeforeDesignDrawn(t *testing.T) {
 func TestPriorMeanPullsSuggestions(t *testing.T) {
 	run := func(prior func([]float64) float64) []float64 {
 		opt := NewOptimizer(warmSpace(2), Options{
-			InitialDesign: 3, Seed: 11, HyperSamples: 1, Candidates: 200,
-			LocalSearchIters: 4, PriorMean: prior,
+			InitialDesign: 3, Seed: 11, Knobs: Knobs{HyperSamples: 1, Candidates: 200, LocalSearchIters: 4},
+			PriorMean: prior,
 		})
 		for i := 0; i < 3; i++ {
 			u := opt.Suggest()

@@ -31,7 +31,7 @@ func testEval(t *topo.Topology) *storm.FluidSim {
 }
 
 func fastBOOpts() BOOptions {
-	return BOOptions{Opt: bo.Options{Candidates: 120, HyperSamples: 2, LocalSearchIters: 4}}
+	return BOOptions{Opt: bo.Options{Knobs: bo.Knobs{Candidates: 120, HyperSamples: 2, LocalSearchIters: 4}}}
 }
 
 // runPass drives one in-process session of steps evaluations of ev:

@@ -46,9 +46,10 @@ type TrialState struct {
 // SessionState is the serializable snapshot of a session: the completed
 // records, the in-flight (pending) trials, and the interleaved ask/tell
 // log from which the strategy's random state is reconstructed on
-// resume. It extends the optimizer-level bo.State to the session level,
-// the way Spearmint's pause/resume covered the whole tuning run
-// (§III-C: it "turned out to be important" on the shared lab cluster).
+// resume. It is the only pause/resume path: replaying the log restores
+// the optimizer bit-exactly, the way Spearmint's pause/resume covered
+// the whole tuning run (§III-C: it "turned out to be important" on the
+// shared lab cluster).
 type SessionState struct {
 	Version        int           `json:"version"`
 	Strategy       string        `json:"strategy"`

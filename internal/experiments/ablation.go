@@ -27,10 +27,14 @@ func Ablation(sc Scale) *Report {
 		Columns: []string{"variant", "throughput", "steps-to-best", "sec/step"},
 	}
 
+	// variant is the scale's optimizer with the variant's acquisition
+	// and hyper-sample count.
+	variant := func(acq bo.Acquisition, hyperSamples int) bo.Options {
+		o := sc.boOptions().Opt
+		o.Acq, o.HyperSamples = acq, hyperSamples
+		return o
+	}
 	run := func(label string, opt bo.Options) {
-		opt.Candidates = sc.BOCandidates
-		opt.LocalSearchIters = sc.BOLocalIters
-		opt.MaxGPPoints = 60
 		factory := func(pass int) core.Strategy {
 			o := core.BOOptions{Set: core.Hints, Seed: sc.Seed + 500 + int64(pass)*7919, Opt: opt}
 			return core.NewBO(t, spec, template, o)
@@ -47,19 +51,18 @@ func Ablation(sc Scale) *Report {
 			fmt.Sprintf("%.4f", sec))
 	}
 
-	hs := sc.BOHyperSamples
+	hs := sc.BO.HyperSamples
 	if hs < 2 {
 		hs = 2
 	}
-	run("ei+marginalized (paper)", bo.Options{Acq: bo.EI{}, HyperSamples: hs})
-	run("pi", bo.Options{Acq: bo.PI{}, HyperSamples: hs})
-	run("ucb(k=2)", bo.Options{Acq: bo.UCB{Kappa: 2}, HyperSamples: hs})
-	run("ei+map-hypers", bo.Options{Acq: bo.EI{}, HyperSamples: 1})
+	run("ei+marginalized (paper)", variant(bo.EI{}, hs))
+	run("pi", variant(bo.PI{}, hs))
+	run("ucb(k=2)", variant(bo.UCB{Kappa: 2}, hs))
+	run("ei+map-hypers", variant(bo.EI{}, 1))
 
 	// Seeding off: replace the diagonal seeds with an empty set.
-	noSeeds := bo.Options{Acq: bo.EI{}, HyperSamples: hs,
-		Candidates: sc.BOCandidates, LocalSearchIters: sc.BOLocalIters, MaxGPPoints: 60,
-		SeedCandidates: [][]float64{make([]float64, t.N()+1)}}
+	noSeeds := variant(bo.EI{}, hs)
+	noSeeds.SeedCandidates = [][]float64{make([]float64, t.N()+1)}
 	factory := func(pass int) core.Strategy {
 		return core.NewBO(t, spec, template, core.BOOptions{
 			Set: core.Hints, Seed: sc.Seed + 900 + int64(pass)*7919, Opt: noSeeds})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"stormtune/internal/bo"
 	"stormtune/internal/cluster"
 	"stormtune/internal/core"
 	"stormtune/internal/storm"
@@ -42,16 +41,9 @@ func BatchScaling(sc Scale) *Report {
 	var rows []row
 	bestOverall := 0.0
 	for _, q := range []int{1, 2, 4} {
-		strat := core.NewBO(t, spec, template, core.BOOptions{
-			Set:  core.Hints,
-			Seed: sc.Seed + 17,
-			Opt: bo.Options{
-				Candidates:       sc.BOCandidates,
-				HyperSamples:     sc.BOHyperSamples,
-				LocalSearchIters: sc.BOLocalIters,
-				MaxGPPoints:      60,
-			},
-		})
+		o := sc.boOptions()
+		o.Seed = sc.Seed + 17
+		strat := core.NewBO(t, spec, template, o)
 		sess := core.NewSession(strat, core.AsBackend(ev), core.SessionOptions{MaxSteps: sc.Steps})
 		start := time.Now()
 		tr, _ := sess.RunBatch(context.Background(), q)

@@ -171,14 +171,16 @@ func RunDrift(sc Scale) *DriftData {
 			boOpts.Seed = sc.Seed
 			c := watch.New(tp, spec, storm.DefaultSyntheticConfig(tp, 1),
 				core.AsBackend(ev), boOpts, watch.Options{
-					Steps:        sc.Steps,
-					RetuneSteps:  10,
-					TrialCost:    60,
-					HoldInterval: 60,
-					Horizon:      6000,
-					Monitor:      pol.Monitor,
-					Retune:       pol.Retune,
-					Observer:     col,
+					Plan: watch.Plan{
+						Steps:        sc.Steps,
+						RetuneSteps:  10,
+						TrialCost:    60,
+						HoldInterval: 60,
+						Horizon:      6000,
+					},
+					Monitor:  pol.Monitor,
+					Retune:   pol.Retune,
+					Observer: col,
 				})
 			if err := c.Run(context.Background()); err != nil {
 				// The simulated watch only errors on a broken setup; record

@@ -10,9 +10,7 @@ import (
 func driftScale() Scale {
 	sc := tinyScale()
 	sc.Steps = 12
-	sc.BOCandidates = 120
-	sc.BOHyperSamples = 2
-	sc.BOLocalIters = 4
+	sc.BO = boKnobs(120, 2, 4)
 	return sc
 }
 

@@ -17,7 +17,7 @@ func tinyScale() Scale {
 		IncludeBO180: false,
 		Sizes:        []string{"small"},
 		Seed:         1,
-		BOCandidates: 60, BOHyperSamples: 1, BOLocalIters: 2,
+		BO:           boKnobs(60, 1, 2),
 	}
 }
 

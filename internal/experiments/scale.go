@@ -25,11 +25,19 @@ type Scale struct {
 	Sizes []string
 	// Seed decorrelates the whole experiment.
 	Seed int64
-	// BOCandidates / BOHyperSamples / BOLocalIters tune the optimizer's
-	// decision-time/quality tradeoff.
-	BOCandidates   int
-	BOHyperSamples int
-	BOLocalIters   int
+	// BO tunes the optimizer's decision-time/quality tradeoff; every
+	// strategy of every experiment starts from it.
+	BO bo.Knobs
+}
+
+// boKnobs sets the optimizer's candidate, hyper-sample and local-search
+// budgets, with the GP conditioned on a window of the 60 most recent
+// observations.
+func boKnobs(candidates, hyperSamples, localIters int) bo.Knobs {
+	return bo.Knobs{
+		Candidates: candidates, HyperSamples: hyperSamples, LocalSearchIters: localIters,
+		MaxGPPoints: 60,
+	}
 }
 
 // FullScale is the paper's protocol. Setting STORMTUNE_BO180=0 drops
@@ -41,7 +49,7 @@ func FullScale() Scale {
 		IncludeBO180: true,
 		Sizes:        []string{"small", "medium", "large"},
 		Seed:         1,
-		BOCandidates: 300, BOHyperSamples: 4, BOLocalIters: 8,
+		BO:           boKnobs(300, 4, 8),
 	}
 	if os.Getenv("STORMTUNE_BO180") == "0" {
 		sc.IncludeBO180 = false
@@ -50,7 +58,7 @@ func FullScale() Scale {
 	// (steps, passes, re-runs, sizes) but dials the optimizer's
 	// candidate budget down to bound wall-clock time.
 	if os.Getenv("STORMTUNE_FAST_GRID") == "1" {
-		sc.BOCandidates, sc.BOHyperSamples, sc.BOLocalIters = 150, 2, 4
+		sc.BO = boKnobs(150, 2, 4)
 	}
 	return sc
 }
@@ -62,7 +70,7 @@ func QuickScale() Scale {
 		IncludeBO180: false,
 		Sizes:        []string{"small", "medium"},
 		Seed:         1,
-		BOCandidates: 150, BOHyperSamples: 2, BOLocalIters: 4,
+		BO:           boKnobs(150, 2, 4),
 	}
 }
 
@@ -78,12 +86,7 @@ func ScaleFromEnv() Scale {
 
 // boOptions converts the scale into strategy options.
 func (s Scale) boOptions() core.BOOptions {
-	return core.BOOptions{Opt: bo.Options{
-		Candidates:       s.BOCandidates,
-		HyperSamples:     s.BOHyperSamples,
-		LocalSearchIters: s.BOLocalIters,
-		MaxGPPoints:      60,
-	}}
+	return core.BOOptions{Opt: bo.Options{Knobs: s.BO}}
 }
 
 // protocol converts the scale into the §V-A protocol.

@@ -11,9 +11,9 @@ import (
 func shapeScale() Scale {
 	return Scale{
 		Steps: 25, Steps180: 30, Passes: 1, BestReruns: 6,
-		Sizes:        []string{"small", "medium"},
-		Seed:         1,
-		BOCandidates: 150, BOHyperSamples: 2, BOLocalIters: 4,
+		Sizes: []string{"small", "medium"},
+		Seed:  1,
+		BO:    boKnobs(150, 2, 4),
 	}
 }
 

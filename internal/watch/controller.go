@@ -52,25 +52,66 @@ const holdRunBase = 1 << 20
 // episodes, keeping retune GP fits cheap on long watches.
 const historyCap = 40
 
-// Options configure a watch.
-type Options struct {
+// Plan is a watch's budget and timeline: the session budgets, what
+// trials and monitoring samples cost on the simulated clock, and when
+// the watch stops. Watch snapshots record it (the JSON tags are the
+// snapshot field names), so a resumed watch keeps the same plan.
+type Plan struct {
 	// Steps is the initial tuning session's budget (default 40).
-	Steps int
+	Steps int `json:"steps"`
 	// RetuneSteps is each retune episode's budget (default
 	// max(8, Steps/4)).
-	RetuneSteps int
+	RetuneSteps int `json:"retuneSteps,omitempty"`
 	// TrialCost is the simulated seconds one trial evaluation takes
 	// (default 60) — how fast the timeline moves while tuning.
-	TrialCost float64
+	TrialCost float64 `json:"trialCost,omitempty"`
 	// HoldInterval is the simulated seconds between monitoring samples
 	// (default 60).
-	HoldInterval float64
+	HoldInterval float64 `json:"holdInterval,omitempty"`
 	// Horizon stops the watch when the simulated clock reaches it;
 	// 0 means no horizon (run until ctx cancel or MaxEpisodes).
-	Horizon float64
+	Horizon float64 `json:"horizon,omitempty"`
 	// MaxEpisodes stops the watch after this many completed retune
 	// episodes; 0 means unlimited.
-	MaxEpisodes int
+	MaxEpisodes int `json:"maxEpisodes,omitempty"`
+}
+
+func (p Plan) steps() int {
+	if p.Steps <= 0 {
+		return 40
+	}
+	return p.Steps
+}
+
+func (p Plan) retuneSteps() int {
+	if p.RetuneSteps > 0 {
+		return p.RetuneSteps
+	}
+	if s := p.steps() / 4; s > 8 {
+		return s
+	}
+	return 8
+}
+
+func (p Plan) trialCost() float64 {
+	if p.TrialCost <= 0 {
+		return 60
+	}
+	return p.TrialCost
+}
+
+func (p Plan) holdInterval() float64 {
+	if p.HoldInterval <= 0 {
+		return 60
+	}
+	return p.HoldInterval
+}
+
+// Options configure a watch.
+type Options struct {
+	// Plan sets the session budgets, the simulated costs and the
+	// stopping rules.
+	Plan
 	// Monitor tunes the degradation monitor; Retune bounds the
 	// conservative search.
 	Monitor MonitorOptions
@@ -91,37 +132,6 @@ type Options struct {
 	// timeline as fast as the simulator allows. Pacing only — no
 	// decision reads it.
 	Throttle time.Duration
-}
-
-func (o Options) steps() int {
-	if o.Steps <= 0 {
-		return 40
-	}
-	return o.Steps
-}
-
-func (o Options) retuneSteps() int {
-	if o.RetuneSteps > 0 {
-		return o.RetuneSteps
-	}
-	if s := o.steps() / 4; s > 8 {
-		return s
-	}
-	return 8
-}
-
-func (o Options) trialCost() float64 {
-	if o.TrialCost <= 0 {
-		return 60
-	}
-	return o.TrialCost
-}
-
-func (o Options) holdInterval() float64 {
-	if o.HoldInterval <= 0 {
-		return 60
-	}
-	return o.HoldInterval
 }
 
 // Controller runs the continuous-tuning loop. Build one with New (or

@@ -32,7 +32,7 @@ func watchSpec() cluster.Spec {
 
 func fastBO() core.BOOptions {
 	return core.BOOptions{
-		Opt:  bo.Options{Candidates: 120, HyperSamples: 2, LocalSearchIters: 4},
+		Opt:  bo.Options{Knobs: bo.Knobs{Candidates: 120, HyperSamples: 2, LocalSearchIters: 4}},
 		Seed: 1,
 	}
 }
@@ -69,11 +69,9 @@ func (l *eventLog) all() []core.Event {
 
 func watchOpts(obs core.Observer) Options {
 	return Options{
-		Steps: 12, RetuneSteps: 10,
-		TrialCost: 60, HoldInterval: 60,
-		MaxEpisodes: 1,
-		Monitor:     MonitorOptions{Window: 6},
-		Observer:    obs,
+		Plan:     Plan{Steps: 12, RetuneSteps: 10, TrialCost: 60, HoldInterval: 60, MaxEpisodes: 1},
+		Monitor:  MonitorOptions{Window: 6},
+		Observer: obs,
 	}
 }
 
@@ -309,7 +307,7 @@ func TestWatchHorizonStopsHold(t *testing.T) {
 	ev := storm.Drifting(f, nil, 300)
 	c := New(tp, watchSpec(), storm.DefaultSyntheticConfig(tp, 1),
 		core.AsBackend(ev), fastBO(), Options{
-			Steps: 6, TrialCost: 60, HoldInterval: 60, Horizon: 1200,
+			Plan:    Plan{Steps: 6, TrialCost: 60, HoldInterval: 60, Horizon: 1200},
 			Monitor: MonitorOptions{Window: 4},
 		})
 	if err := c.Run(context.Background()); err != nil {

@@ -39,7 +39,7 @@ func quietTunerOpts(steps int) stormtune.TunerOptions {
 	spec := stormtune.SmallCluster()
 	return stormtune.TunerOptions{
 		Steps: steps, Seed: 11, Cluster: &spec,
-		Candidates: 150, HyperSamples: 2, LocalSearchIters: 4,
+		OptimizerOptions: stormtune.OptimizerOptions{Candidates: 150, HyperSamples: 2, LocalSearchIters: 4},
 	}
 }
 
@@ -307,8 +307,8 @@ func TestRemoteServeProcessRoundTrip(t *testing.T) {
 	spec := stormtune.PaperCluster()
 	tn, err := stormtune.NewTuner(top, bk, stormtune.TunerOptions{
 		Steps: 10, Seed: 1, Cluster: &spec,
-		Candidates: 150, HyperSamples: 2, LocalSearchIters: 4,
-		Retry: stormtune.RetryPolicy{MaxAttempts: 4, Backoff: 10 * time.Millisecond},
+		OptimizerOptions: stormtune.OptimizerOptions{Candidates: 150, HyperSamples: 2, LocalSearchIters: 4},
+		Retry:            stormtune.RetryPolicy{MaxAttempts: 4, Backoff: 10 * time.Millisecond},
 		Observer: stormtune.ObserverFunc(func(e stormtune.Event) {
 			if _, ok := e.(stormtune.TrialFailed); ok {
 				mu.Lock()

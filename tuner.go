@@ -3,6 +3,7 @@ package stormtune
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -100,6 +101,15 @@ func NewBackendPoolWith(opts BackendPoolOptions, members ...Backend) (*BackendPo
 	return core.NewPoolBackendWith(opts, members...)
 }
 
+// OptimizerOptions are the built-in Bayesian optimizer's knobs:
+// Candidates (the acquisition's candidate grid), HyperSamples (the
+// slice-sampled hyperparameter draws EI is averaged over),
+// LocalSearchIters (the refinement of the best candidate) and
+// MaxGPPoints (a sliding window on the GP's conditioning data). Zero
+// values select the Spearmint-like defaults. Tuner and watch snapshots
+// record them, so a resumed run rebuilds the exact same optimizer.
+type OptimizerOptions = bo.Knobs
+
 // TunerOptions configure a tuning session.
 type TunerOptions struct {
 	// Steps is the evaluation budget — the total number of trials the
@@ -162,36 +172,42 @@ type TunerOptions struct {
 	// the built-in Bayesian strategy; off by default.
 	WarmStart WarmStartOptions
 
-	// Optimizer knobs, forwarded to the Bayesian strategy (zero values
-	// select the Spearmint-like defaults). They are recorded in
-	// snapshots so a resumed run rebuilds the exact same optimizer.
-	Candidates       int
-	HyperSamples     int
-	LocalSearchIters int
-	MaxGPPoints      int
+	// OptimizerOptions are forwarded to the built-in Bayesian strategy.
+	OptimizerOptions
 }
 
-// composedObserver wires the Recorder in next to the Observer. The
-// typed-nil check matters: a nil *Recorder must not reach MultiObserver
-// as a non-nil Observer interface.
-func (o TunerOptions) composedObserver() Observer {
-	if o.Recorder == nil {
-		return o.Observer
+// composeObserver wires a Recorder in next to an Observer. The typed-nil
+// check matters: a nil *Recorder must not reach MultiObserver as a
+// non-nil Observer interface.
+func composeObserver(rec *Recorder, obs Observer) Observer {
+	if rec == nil {
+		return obs
 	}
-	return core.MultiObserver(o.Recorder, o.Observer)
+	return core.MultiObserver(rec, obs)
 }
 
-func (o TunerOptions) boOptions() BOOptions {
-	return BOOptions{
-		Set:  o.Set,
-		Seed: o.Seed,
-		Opt: bo.Options{
-			Candidates:       o.Candidates,
-			HyperSamples:     o.HyperSamples,
-			LocalSearchIters: o.LocalSearchIters,
-			MaxGPPoints:      o.MaxGPPoints,
-		},
+// boOptions builds the built-in Bayesian strategy's options.
+func boOptions(set ParamSet, seed int64, k OptimizerOptions) BOOptions {
+	return BOOptions{Set: set, Seed: seed, Opt: bo.Options{Knobs: k}}
+}
+
+// resolveEnv fills the session environment defaults NewTuner and
+// NewWatcher share: seed 1, the paper's cluster, and the hint-1 default
+// template. A supplied template is cloned, so the session never aliases
+// the caller's.
+func resolveEnv(t *Topology, seed int64, spec *ClusterSpec, template *Config) (int64, *ClusterSpec, *Config) {
+	if seed == 0 {
+		seed = 1
 	}
+	s := cluster.Paper()
+	if spec != nil {
+		s = *spec
+	}
+	tpl := storm.DefaultConfig(t, 1)
+	if template != nil {
+		tpl = template.Clone()
+	}
+	return seed, &s, &tpl
 }
 
 // Tuner is a long-lived, interruptible tuning session over one topology
@@ -236,27 +252,16 @@ func NewTuner(t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
 	if opts.Steps <= 0 {
 		opts.Steps = 60
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	if opts.Parallel < 1 {
 		opts.Parallel = 1
 	}
-	spec := cluster.Paper()
-	if opts.Cluster != nil {
-		spec = *opts.Cluster
-	}
-	template := storm.DefaultConfig(t, 1)
-	if opts.Template != nil {
-		template = opts.Template.Clone()
-	}
-	opts.Cluster = &spec
-	opts.Template = &template
+	opts.Seed, opts.Cluster, opts.Template = resolveEnv(t, opts.Seed, opts.Cluster, opts.Template)
+	spec, template := *opts.Cluster, *opts.Template
 
 	strat := opts.Strategy
 	custom := strat != nil
 	if strat == nil {
-		strat = core.NewBO(t, spec, template, opts.boOptions())
+		strat = core.NewBO(t, spec, template, boOptions(opts.Set, opts.Seed, opts.OptimizerOptions))
 	}
 
 	// Archive + transfer wiring. The warm start must attach before the
@@ -284,7 +289,7 @@ func NewTuner(t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
 	if opts.Recorder != nil && transfer != nil {
 		opts.Recorder.SetTransfer(transfer)
 	}
-	observer := opts.composedObserver()
+	observer := composeObserver(opts.Recorder, opts.Observer)
 	if arec != nil {
 		observer = core.MultiObserver(observer, arec)
 	}
@@ -438,22 +443,21 @@ func (tn *Tuner) clampParallel(q int) int {
 // uninterrupted run — the Spearmint pause/resume workflow (§III-C),
 // now at the public API level.
 type TunerState struct {
-	Version          int                `json:"version"`
-	Topology         string             `json:"topology"`
-	Nodes            int                `json:"nodes"`
-	Steps            int                `json:"steps"`
-	Set              ParamSet           `json:"set"`
-	Seed             int64              `json:"seed"`
-	StopAfterZeros   int                `json:"stopAfterZeros,omitempty"`
-	Parallel         int                `json:"parallel,omitempty"`
-	Candidates       int                `json:"candidates,omitempty"`
-	HyperSamples     int                `json:"hyperSamples,omitempty"`
-	LocalSearchIters int                `json:"localSearchIters,omitempty"`
-	MaxGPPoints      int                `json:"maxGPPoints,omitempty"`
-	Template         Config             `json:"template"`
-	Cluster          ClusterSpec        `json:"cluster"`
-	Custom           bool               `json:"custom,omitempty"`
-	Session          *core.SessionState `json:"session"`
+	Version        int      `json:"version"`
+	Topology       string   `json:"topology"`
+	Nodes          int      `json:"nodes"`
+	Steps          int      `json:"steps"`
+	Set            ParamSet `json:"set"`
+	Seed           int64    `json:"seed"`
+	StopAfterZeros int      `json:"stopAfterZeros,omitempty"`
+	Parallel       int      `json:"parallel,omitempty"`
+	// The knobs' fields are written inline, here: the embedding's
+	// position fixes their place in the snapshot bytes.
+	OptimizerOptions
+	Template Config             `json:"template"`
+	Cluster  ClusterSpec        `json:"cluster"`
+	Custom   bool               `json:"custom,omitempty"`
+	Session  *core.SessionState `json:"session"`
 	// ArchiveKey and Transfer carry the archive identity and the
 	// applied warm start: resume re-attaches the same record (no
 	// double-appends) and reapplies the identical transfer so replay
@@ -480,10 +484,7 @@ func (tn *Tuner) Snapshot() *TunerState {
 		Seed:             o.Seed,
 		StopAfterZeros:   o.StopAfterZeros,
 		Parallel:         o.Parallel,
-		Candidates:       o.Candidates,
-		HyperSamples:     o.HyperSamples,
-		LocalSearchIters: o.LocalSearchIters,
-		MaxGPPoints:      o.MaxGPPoints,
+		OptimizerOptions: o.OptimizerOptions,
 		Template:         *o.Template,
 		Cluster:          *o.Cluster,
 		Custom:           tn.custom,
@@ -491,6 +492,21 @@ func (tn *Tuner) Snapshot() *TunerState {
 		ArchiveKey:       tn.archiveKey,
 		Transfer:         tn.transfer,
 	}
+}
+
+// validate rejects a snapshot no entry point can resume: a nil one, an
+// unknown version, or one without its session. Callers add their own
+// context to the error.
+func (s *TunerState) validate() error {
+	switch {
+	case s == nil:
+		return errors.New("nil tuner state")
+	case s.Version != tunerStateVersion:
+		return fmt.Errorf("unsupported tuner state version %d", s.Version)
+	case s.Session == nil:
+		return errors.New("tuner state has no session")
+	}
+	return nil
 }
 
 // Save writes the snapshot as JSON.
@@ -512,11 +528,8 @@ func LoadTunerState(r io.Reader) (*TunerState, error) {
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("stormtune: decoding tuner state: %w", err)
 	}
-	if s.Version != tunerStateVersion {
-		return nil, fmt.Errorf("stormtune: unsupported tuner state version %d", s.Version)
-	}
-	if s.Session == nil {
-		return nil, fmt.Errorf("stormtune: tuner state has no session")
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: %w", err)
 	}
 	return &s, nil
 }
@@ -547,11 +560,8 @@ func LoadTunerStateFile(path string) (*TunerState, error) {
 // equally fresh Strategy instance. All other fields are taken from the
 // snapshot.
 func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
-	if st == nil || st.Session == nil {
-		return nil, fmt.Errorf("stormtune: nil tuner state")
-	}
-	if st.Version != tunerStateVersion {
-		return nil, fmt.Errorf("stormtune: unsupported tuner state version %d", st.Version)
+	if err := st.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: resume: %w", err)
 	}
 	if t == nil {
 		return nil, fmt.Errorf("stormtune: nil topology")
@@ -566,10 +576,7 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 		Seed:             st.Seed,
 		StopAfterZeros:   st.StopAfterZeros,
 		Parallel:         st.Parallel,
-		Candidates:       st.Candidates,
-		HyperSamples:     st.HyperSamples,
-		LocalSearchIters: st.LocalSearchIters,
-		MaxGPPoints:      st.MaxGPPoints,
+		OptimizerOptions: st.OptimizerOptions,
 		Template:         &st.Template,
 		Cluster:          &st.Cluster,
 		Observer:         opts.Observer,
@@ -603,7 +610,7 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 		if opts.Strategy != nil {
 			return nil, fmt.Errorf("stormtune: snapshot used the built-in optimizer; opts.Strategy must be nil")
 		}
-		bs := core.NewBO(t, st.Cluster, st.Template, resolved.boOptions())
+		bs := core.NewBO(t, st.Cluster, st.Template, boOptions(st.Set, st.Seed, st.OptimizerOptions))
 		// Reapply the snapshotted warm start before replay: the op-log
 		// cross-checks every regenerated proposal, so the resumed
 		// optimizer must start from the identical warm design.
@@ -628,7 +635,7 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 			return nil, fmt.Errorf("stormtune: archive: %w", aerr)
 		}
 	}
-	observer := resolved.composedObserver()
+	observer := composeObserver(resolved.Recorder, resolved.Observer)
 	if arec != nil {
 		observer = core.MultiObserver(observer, arec)
 	}

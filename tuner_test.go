@@ -13,7 +13,7 @@ import (
 func fastTunerOpts(seed int64, steps int) TunerOptions {
 	return TunerOptions{
 		Steps: steps, Seed: seed,
-		Candidates: 120, HyperSamples: 2, LocalSearchIters: 4,
+		OptimizerOptions: OptimizerOptions{Candidates: 120, HyperSamples: 2, LocalSearchIters: 4},
 	}
 }
 
@@ -128,7 +128,7 @@ func TestTunerRunAsyncMatchesRunAtQ1(t *testing.T) {
 	recordsEqual(t, seq.Records, async.Records)
 	// And a second Tuner built the same way — strategy injected rather
 	// than built-in — still agrees with the session drivers.
-	strat := NewBO(top, SmallCluster(), DefaultConfig(top, 1), BOOptions{Seed: 5, Opt: fastTunerOpts(5, 12).boOptions().Opt})
+	strat := NewBO(top, SmallCluster(), DefaultConfig(top, 1), boOptions(Hints, 5, fastTunerOpts(5, 12).OptimizerOptions))
 	tn, err := NewTuner(top, AsBackend(quietEval(top, SmallCluster())),
 		TunerOptions{Steps: 12, Strategy: strat})
 	if err != nil {

@@ -3,6 +3,7 @@ package stormtune
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,7 +12,6 @@ import (
 
 	"stormtune/internal/archive"
 	"stormtune/internal/bo"
-	"stormtune/internal/cluster"
 	"stormtune/internal/core"
 	"stormtune/internal/journal"
 	"stormtune/internal/storm"
@@ -85,12 +85,21 @@ type (
 	RetuneCompleted = core.RetuneCompleted
 )
 
+// WatchPlan is a watch's budget and timeline: Steps is the initial
+// tuning session's budget (default 40) and RetuneSteps each retune
+// episode's (default max(8, Steps/4)); TrialCost is the simulated
+// seconds one trial evaluation costs (default 60) and HoldInterval the
+// simulated seconds between monitoring samples (default 60); Horizon
+// stops the watch when the simulated clock reaches it (0 = run until
+// ctx cancel or MaxEpisodes) and MaxEpisodes after that many retune
+// episodes (0 = unlimited). Watch snapshots record it.
+type WatchPlan = watch.Plan
+
 // WatchOptions configure a continuous-tuning session.
 type WatchOptions struct {
-	// Steps is the initial tuning session's budget (default 40);
-	// RetuneSteps each retune episode's (default max(8, Steps/4)).
-	Steps       int
-	RetuneSteps int
+	// WatchPlan sets the session budgets, the simulated costs and the
+	// stopping rules.
+	WatchPlan
 	// Set selects the searched parameters (default Hints).
 	Set ParamSet
 	// Template supplies the non-searched parameters; zero value uses
@@ -101,16 +110,6 @@ type WatchOptions struct {
 	// Seed drives the optimizers: the initial tune uses it directly,
 	// retune episode e uses Seed+e (default 1).
 	Seed int64
-	// TrialCost is the simulated seconds one trial evaluation costs
-	// (default 60); HoldInterval the simulated seconds between
-	// monitoring samples (default 60).
-	TrialCost    float64
-	HoldInterval float64
-	// Horizon stops the watch when the simulated clock reaches it
-	// (0 = run until ctx cancel or MaxEpisodes); MaxEpisodes stops it
-	// after that many retune episodes (0 = unlimited).
-	Horizon     float64
-	MaxEpisodes int
 	// Monitor tunes the degradation monitor; Retune bounds the
 	// conservative search.
 	Monitor MonitorOptions
@@ -144,31 +143,9 @@ type WatchOptions struct {
 	// the topology fingerprint and seed. Resume reuses the snapshot's.
 	ArchiveKey string
 
-	// Optimizer knobs, as in TunerOptions.
-	Candidates       int
-	HyperSamples     int
-	LocalSearchIters int
-	MaxGPPoints      int
-}
-
-func (o WatchOptions) boOptions() BOOptions {
-	return BOOptions{
-		Set:  o.Set,
-		Seed: o.Seed,
-		Opt: bo.Options{
-			Candidates:       o.Candidates,
-			HyperSamples:     o.HyperSamples,
-			LocalSearchIters: o.LocalSearchIters,
-			MaxGPPoints:      o.MaxGPPoints,
-		},
-	}
-}
-
-func (o WatchOptions) composedObserver() Observer {
-	if o.Recorder == nil {
-		return o.Observer
-	}
-	return core.MultiObserver(o.Recorder, o.Observer)
+	// OptimizerOptions are forwarded to every session's Bayesian
+	// strategy, as in TunerOptions.
+	OptimizerOptions
 }
 
 // Watcher is a tuning session that never ends: tune, hold while a
@@ -236,38 +213,14 @@ func newWatchArchiver(store Archive, key string, t *Topology, spec ClusterSpec, 
 	return &watchArchiver{store: store, key: key, step: store.LastStep(key)}, nil
 }
 
-// resolve fills the option defaults shared by NewWatcher and
-// ResumeWatcher.
-func (o WatchOptions) resolve(t *Topology) WatchOptions {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	spec := cluster.Paper()
-	if o.Cluster != nil {
-		spec = *o.Cluster
-	}
-	template := storm.DefaultConfig(t, 1)
-	if o.Template != nil {
-		template = o.Template.Clone()
-	}
-	o.Cluster = &spec
-	o.Template = &template
-	return o
-}
-
 // watchOptions converts the public options into the controller's.
 func (w *Watcher) watchOptions(o WatchOptions) watch.Options {
 	wo := watch.Options{
-		Steps:         o.Steps,
-		RetuneSteps:   o.RetuneSteps,
-		TrialCost:     o.TrialCost,
-		HoldInterval:  o.HoldInterval,
-		Horizon:       o.Horizon,
-		MaxEpisodes:   o.MaxEpisodes,
+		Plan:          o.WatchPlan,
 		Monitor:       o.Monitor,
 		Retune:        o.Retune,
 		Retry:         o.Retry,
-		Observer:      o.composedObserver(),
+		Observer:      composeObserver(o.Recorder, o.Observer),
 		SnapshotEvery: o.SnapshotEvery,
 		Throttle:      o.Throttle,
 	}
@@ -292,7 +245,7 @@ func NewWatcher(t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
 	if b == nil {
 		return nil, fmt.Errorf("stormtune: watch needs a backend")
 	}
-	opts = opts.resolve(t)
+	opts.Seed, opts.Cluster, opts.Template = resolveEnv(t, opts.Seed, opts.Cluster, opts.Template)
 	w := &Watcher{opts: opts, topoName: t.Name, topoN: t.N()}
 	if opts.Archive != nil {
 		key := opts.ArchiveKey
@@ -306,7 +259,8 @@ func NewWatcher(t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
 		w.arch = arch
 		w.opts.ArchiveKey = key
 	}
-	w.c = watch.New(t, *opts.Cluster, *opts.Template, b, opts.boOptions(), w.watchOptions(opts))
+	w.c = watch.New(t, *opts.Cluster, *opts.Template, b,
+		boOptions(opts.Set, opts.Seed, opts.OptimizerOptions), w.watchOptions(opts))
 	return w, nil
 }
 
@@ -349,25 +303,19 @@ func (w *Watcher) SimTime() float64 { return w.c.Clock().Now() }
 // frozen progress (phase, clock, incumbent, monitor, and — when taken
 // mid-tune or mid-retune — the in-flight session's own state).
 type WatchState struct {
-	Version          int            `json:"version"`
-	Topology         string         `json:"topology"`
-	Nodes            int            `json:"nodes"`
-	Set              ParamSet       `json:"set"`
-	Seed             int64          `json:"seed"`
-	Steps            int            `json:"steps"`
-	RetuneSteps      int            `json:"retuneSteps,omitempty"`
-	TrialCost        float64        `json:"trialCost,omitempty"`
-	HoldInterval     float64        `json:"holdInterval,omitempty"`
-	Horizon          float64        `json:"horizon,omitempty"`
-	MaxEpisodes      int            `json:"maxEpisodes,omitempty"`
-	Candidates       int            `json:"candidates,omitempty"`
-	HyperSamples     int            `json:"hyperSamples,omitempty"`
-	LocalSearchIters int            `json:"localSearchIters,omitempty"`
-	MaxGPPoints      int            `json:"maxGPPoints,omitempty"`
-	Template         Config         `json:"template"`
-	Cluster          ClusterSpec    `json:"cluster"`
-	Monitor          MonitorOptions `json:"monitor"`
-	Retune           RetuneOptions  `json:"retune"`
+	Version  int      `json:"version"`
+	Topology string   `json:"topology"`
+	Nodes    int      `json:"nodes"`
+	Set      ParamSet `json:"set"`
+	Seed     int64    `json:"seed"`
+	// The plan's and the knobs' fields are written inline, here: the
+	// embeddings' positions fix their place in the snapshot bytes.
+	WatchPlan
+	OptimizerOptions
+	Template Config         `json:"template"`
+	Cluster  ClusterSpec    `json:"cluster"`
+	Monitor  MonitorOptions `json:"monitor"`
+	Retune   RetuneOptions  `json:"retune"`
 	// ArchiveKey is the archive record key the watch appended under;
 	// resume re-attaches it when opts.Archive is passed again.
 	ArchiveKey string       `json:"archiveKey,omitempty"`
@@ -384,16 +332,8 @@ func (w *Watcher) wrapState(st *watch.State) *WatchState {
 		Nodes:            w.topoN,
 		Set:              o.Set,
 		Seed:             o.Seed,
-		Steps:            o.Steps,
-		RetuneSteps:      o.RetuneSteps,
-		TrialCost:        o.TrialCost,
-		HoldInterval:     o.HoldInterval,
-		Horizon:          o.Horizon,
-		MaxEpisodes:      o.MaxEpisodes,
-		Candidates:       o.Candidates,
-		HyperSamples:     o.HyperSamples,
-		LocalSearchIters: o.LocalSearchIters,
-		MaxGPPoints:      o.MaxGPPoints,
+		WatchPlan:        o.WatchPlan,
+		OptimizerOptions: o.OptimizerOptions,
 		Template:         *o.Template,
 		Cluster:          *o.Cluster,
 		Monitor:          o.Monitor,
@@ -401,6 +341,21 @@ func (w *Watcher) wrapState(st *watch.State) *WatchState {
 		ArchiveKey:       o.ArchiveKey,
 		Watch:            st,
 	}
+}
+
+// validate rejects a snapshot no entry point can resume: a nil one, an
+// unknown version, or one without the controller's state. Callers add
+// their own context to the error.
+func (s *WatchState) validate() error {
+	switch {
+	case s == nil:
+		return errors.New("nil watch state")
+	case s.Version != watchStateVersion:
+		return fmt.Errorf("unsupported watch state version %d", s.Version)
+	case s.Watch == nil:
+		return errors.New("watch state has no controller state")
+	}
+	return nil
 }
 
 // Snapshot freezes the watch. Safe to call at any time — from an
@@ -426,11 +381,8 @@ func LoadWatchState(r io.Reader) (*WatchState, error) {
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("stormtune: decoding watch state: %w", err)
 	}
-	if s.Version != watchStateVersion {
-		return nil, fmt.Errorf("stormtune: unsupported watch state version %d", s.Version)
-	}
-	if s.Watch == nil {
-		return nil, fmt.Errorf("stormtune: watch state has no controller state")
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: %w", err)
 	}
 	return &s, nil
 }
@@ -453,11 +405,8 @@ func LoadWatchStateFile(path string) (*WatchState, error) {
 // only the non-serializable pieces: Observer, Recorder, Snapshot hook,
 // Throttle and Retry; everything else comes from the snapshot.
 func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
-	if st == nil || st.Watch == nil {
-		return nil, fmt.Errorf("stormtune: nil watch state")
-	}
-	if st.Version != watchStateVersion {
-		return nil, fmt.Errorf("stormtune: unsupported watch state version %d", st.Version)
+	if err := st.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: resume: %w", err)
 	}
 	if t == nil {
 		return nil, fmt.Errorf("stormtune: nil topology")
@@ -470,20 +419,12 @@ func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*
 		return nil, fmt.Errorf("stormtune: watch needs a backend")
 	}
 	resolved := WatchOptions{
-		Steps:            st.Steps,
-		RetuneSteps:      st.RetuneSteps,
+		WatchPlan:        st.WatchPlan,
 		Set:              st.Set,
 		Seed:             st.Seed,
-		TrialCost:        st.TrialCost,
-		HoldInterval:     st.HoldInterval,
-		Horizon:          st.Horizon,
-		MaxEpisodes:      st.MaxEpisodes,
 		Monitor:          st.Monitor,
 		Retune:           st.Retune,
-		Candidates:       st.Candidates,
-		HyperSamples:     st.HyperSamples,
-		LocalSearchIters: st.LocalSearchIters,
-		MaxGPPoints:      st.MaxGPPoints,
+		OptimizerOptions: st.OptimizerOptions,
 		Template:         &st.Template,
 		Cluster:          &st.Cluster,
 		Retry:            opts.Retry,
@@ -508,7 +449,7 @@ func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*
 		w.opts.ArchiveKey = key
 	}
 	c, err := watch.Resume(st.Watch, t, st.Cluster, st.Template, b,
-		resolved.boOptions(), w.watchOptions(resolved))
+		boOptions(st.Set, st.Seed, st.OptimizerOptions), w.watchOptions(resolved))
 	if err != nil {
 		return nil, err
 	}
