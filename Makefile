@@ -40,11 +40,14 @@ bench:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
 # The GP/BO hot-path benchmarks alone: fit, incremental observe,
-# decision steps at small and large history, and the four-lane solve
-# behind blocked scoring. Fast enough to run while iterating on
-# internal/gp, internal/linalg or internal/bo.
+# decision steps at small and large history, the four-lane solve behind
+# blocked scoring, and the kernel row (vector and generic). Fast enough
+# to run while iterating on internal/gp, internal/linalg or internal/bo.
+# A kernel row takes about a microsecond, so it runs at the default
+# benchtime rather than three iterations.
 bench-gp:
 	go test -run '^$$' -bench '^Benchmark(GPFit|GPObserveIncremental|BOSuggest.*|ForwardSolve4)$$' -benchtime 3x -count 3 . ./internal/linalg
+	go test -run '^$$' -bench '^BenchmarkMaternRow$$' -count 3 ./internal/gp
 
 # Refresh the committed bench-regression baseline. Run this on the same
 # class of machine CI uses (or accept that the first CI run after a
@@ -79,10 +82,11 @@ bench-smoke:
 	go -C bench test ./...
 
 # The native fuzz targets, 10 s each: journal recovery over arbitrary
-# file bytes, and tuner/watch snapshot loading. go test -fuzz takes one
-# target per run.
+# file bytes, tuner/watch snapshot loading, and the kernel row against
+# its scalar oracle. go test -fuzz takes one target per run.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 10s ./internal/journal
+	go test -run '^$$' -fuzz '^FuzzMaternRow$$' -fuzztime 10s ./internal/gp
 	go test -run '^$$' -fuzz '^FuzzLoadTunerState$$' -fuzztime 10s .
 	go test -run '^$$' -fuzz '^FuzzLoadWatchState$$' -fuzztime 10s .
 

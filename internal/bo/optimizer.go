@@ -437,36 +437,63 @@ type acqSearch func(opt *Optimizer, sc *scorer, cands [][]float64) []float64
 // improves the score. Moves are scored gp.Block at a time,
 // speculatively from the current point: the first improving move of a
 // block is taken, the rest of the block (built from a point that is now
-// stale) is dropped, and the sweep resumes at the move after it. That
-// makes exactly the decisions of scoring the moves one by one.
+// stale) is dropped, and the sweep resumes at the move after it. A move
+// onto a point this search has already scored — the start point, a
+// step clamped back onto the current point, a step back to where the
+// last move came from — is not scored again: its remembered score
+// decides it in its turn. That makes exactly the decisions of scoring
+// the moves one by one.
 func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
 	bi, bestScore := sc.argmax(cands, opt.Opts.Workers)
 	cur := append([]float64(nil), cands[bi]...)
 	moves := 2 * len(cur)
+	// Sized for the start point and every move of every sweep, which a
+	// search at the default iteration count comes close to.
+	seen := make(scoredPoints, 1+opt.Opts.LocalSearchIters*moves)
+	seen.add(cur, bestScore)
 	b := sc.newBuf()
 	var blk [gp.Block][]float64
+	var at [gp.Block]int // blk[l] is move at[l]
 	var out [gp.Block]float64
 	step := 0.08
 	for it := 0; it < opt.Opts.LocalSearchIters; it++ {
 		improved := false
 		for m := 0; m < moves; {
-			nb := min(gp.Block, moves-m)
-			for l := range blk[:nb] {
-				j, dir := (m+l)/2, float64(1-2*((m+l)%2))
+			// Gather the next block of unscored moves. A scored move that
+			// does not improve is passed over; one that does (possible
+			// only for a lane dropped from an earlier block) ends the
+			// block, and is taken unless a lane before it improves.
+			nb := 0
+			var known []float64
+			var knownScore float64
+			for ; m < moves && nb < gp.Block; m++ {
+				j, dir := m/2, float64(1-2*(m%2))
 				trial := append([]float64(nil), cur...)
 				trial[j] = clamp01(trial[j] + dir*step)
-				blk[l] = opt.confine(trial)
-			}
-			sc.scoreBlock(b, blk[:nb], out[:nb])
-			next := m + nb
-			for l, v := range out[:nb] {
-				if v > bestScore {
-					bestScore, cur, improved = v, blk[l], true
-					next = m + l + 1
+				trial = opt.confine(trial)
+				if v, ok := seen.score(trial); !ok {
+					blk[nb], at[nb] = trial, m
+					nb++
+				} else if v > bestScore {
+					known, knownScore = trial, v
 					break
 				}
 			}
-			m = next
+			if nb > 0 {
+				sc.scoreBlock(b, blk[:nb], out[:nb])
+			}
+			taken := false
+			for l, v := range out[:nb] {
+				seen.add(blk[l], v)
+				if !taken && v > bestScore {
+					bestScore, cur, improved, taken = v, blk[l], true, true
+					m = at[l] + 1
+				}
+			}
+			if !taken && known != nil {
+				bestScore, cur, improved = knownScore, known, true
+				m++
+			}
 		}
 		if !improved {
 			step /= 2
@@ -476,6 +503,49 @@ func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
 		}
 	}
 	return cur
+}
+
+// scoredPoints remembers the score of points one local search has
+// scored, keyed on a hash of each point's exact bits and confirmed bit
+// for bit. A point whose hash another point already holds is not
+// remembered, which costs a rescore, never a different decision.
+type scoredPoints map[uint64]scoredPoint
+
+type scoredPoint struct {
+	u     []float64
+	score float64
+}
+
+// bitsHash mixes the bit patterns of u's coordinates (FNV-1a over
+// 64-bit words).
+func bitsHash(u []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range u {
+		h = (h ^ math.Float64bits(v)) * 1099511628211
+	}
+	return h
+}
+
+// add remembers u's score; u must not be modified afterwards.
+func (s scoredPoints) add(u []float64, v float64) {
+	h := bitsHash(u)
+	if _, taken := s[h]; !taken {
+		s[h] = scoredPoint{u, v}
+	}
+}
+
+// score returns u's remembered score.
+func (s scoredPoints) score(u []float64) (float64, bool) {
+	p, ok := s[bitsHash(u)]
+	if !ok {
+		return 0, false
+	}
+	for j, v := range p.u {
+		if math.Float64bits(v) != math.Float64bits(u[j]) {
+			return 0, false
+		}
+	}
+	return p.score, true
 }
 
 // trainingSet returns the conditioning data, truncated to MaxGPPoints

@@ -45,6 +45,34 @@
 // whatever the other lanes hold and however many there are, so
 // blocking changes the cost of scoring and never a proposal.
 //
+// # Kernel rows
+//
+// Every kernel matrix row and k* vector — refit, Observe/Extend,
+// PredictInto and PredictBlockInto — goes through Kernel.EvalRow. On
+// amd64 the Matérn-5/2 row is evaluated four training points per
+// instruction by an AVX2+FMA kernel (kernel_amd64.s) whose contract is
+// bit-identity: each lane performs exactly the scalar loop's
+// operations in its order (r² summed dimension by dimension with a
+// separate multiply and add, √(5r²), amp2·((1+r) + r·r/3)) and
+// computes exp(−r) with the instruction sequence of the FMA branch of
+// math.Exp. The row is therefore bitwise what maternRowGeneric — the
+// unchanged scalar loop — returns, and no proposal, snapshot or log
+// byte depends on which one ran. A last group of fewer than four
+// points runs the same code with its spare lanes repeating the last
+// point, storing only the real lanes.
+//
+// The kernel runs only where CPUID reports AVX2 and FMA with YMM state
+// enabled by the OS, and only if, at package init, it reproduces the
+// scalar row bit for bit on a fixed probe row; the probe turns it off
+// when math.Exp has left its FMA branch (GODEBUG=cpu.fma=off), whose
+// results differ in the last bit on about one argument in eleven. A
+// row with some r NaN or above 708, where math.Exp would take its
+// denormal or special-value branches, is declined and recomputed by
+// the scalar loop, as are rows whose slices are too short for the
+// unchecked assembly. Every other GOARCH runs the scalar loop. The
+// reciprocal length scales live in a stack buffer of 32 or 128 slots,
+// so a row allocates nothing up to 128 dimensions.
+//
 // # Exact / approximate switchover
 //
 // Exact inference costs O(n²) per observe and O(n) per posterior mean.

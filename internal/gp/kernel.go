@@ -20,6 +20,9 @@ type Kernel interface {
 	// divides, so the two may differ in the last ulp. The GP uses EvalRow
 	// consistently on every internal path, which is what makes the
 	// incremental factor updates bit-identical to batch refactorization.
+	// An implementation may evaluate the row with vector instructions
+	// (Matern52 does on amd64, see "Kernel rows"), but must return the
+	// bits its scalar loop returns on the same host.
 	EvalRow(x []float64, xs [][]float64, dst []float64)
 
 	// Eval returns k(a, b).
@@ -64,9 +67,16 @@ func (k *Matern52) Eval(a, b []float64) float64 {
 	return k.Amp2 * (1 + r + r*r/3) * math.Exp(-r)
 }
 
-// maxStackDims bounds the stack-allocated reciprocal-length buffer in
-// EvalRow; higher-dimensional spaces fall back to a heap slice.
-const maxStackDims = 32
+// maxStackDims is the small size class of the stack-allocated
+// reciprocal-length buffer in EvalRow, and bigStackDims the large one:
+// a row zeroes the smallest class that fits its dimension, so the
+// synthetic topologies' spaces (11, 51 and 101 parameters) evaluate
+// rows without allocating, and a low-dimensional row never pays to
+// clear the large buffer. Wider spaces fall back to a heap slice.
+const (
+	maxStackDims = 32
+	bigStackDims = 128
+)
 
 // invLengths fills a buffer with 1/ℓ_i, reusing buf when it is large
 // enough.
@@ -81,11 +91,36 @@ func invLengths(buf, lengths []float64) []float64 {
 	return buf
 }
 
-// EvalRow sets dst[i] = k(x, xs[i]) without per-pair divisions.
+// EvalRow sets dst[i] = k(x, xs[i]) without per-pair divisions. Where
+// the host supports it the row is evaluated four training points at a
+// time (see "Kernel rows" in the package comment), bit for bit what
+// maternRowGeneric returns.
 func (k *Matern52) EvalRow(x []float64, xs [][]float64, dst []float64) {
-	var stack [maxStackDims]float64
-	inv := invLengths(stack[:0], k.Lengths)
-	amp2 := k.Amp2
+	switch d := len(k.Lengths); {
+	case d <= maxStackDims:
+		var buf [maxStackDims]float64
+		maternRow(x, xs, invLengths(buf[:0], k.Lengths), k.Amp2, dst)
+	case d <= bigStackDims:
+		var buf [bigStackDims]float64
+		maternRow(x, xs, invLengths(buf[:0], k.Lengths), k.Amp2, dst)
+	default:
+		maternRow(x, xs, invLengths(nil, k.Lengths), k.Amp2, dst)
+	}
+}
+
+// maternRow evaluates a Matérn-5/2 row with the vector kernel when it
+// can, and with maternRowGeneric otherwise — including every row the
+// vector kernel declines (a lane outside its exp range).
+func maternRow(x []float64, xs [][]float64, inv []float64, amp2 float64, dst []float64) {
+	if !maternRowVector(x, xs, inv, amp2, dst) {
+		maternRowGeneric(x, xs, inv, amp2, dst)
+	}
+}
+
+// maternRowGeneric is the scalar Matérn-5/2 row: the path on every
+// architecture without a vector kernel, and the oracle the vector
+// kernel is tested against bit for bit.
+func maternRowGeneric(x []float64, xs [][]float64, inv []float64, amp2 float64, dst []float64) {
 	for i, xi := range xs {
 		r2 := 0.0
 		for j, v := range x {
