@@ -1,18 +1,7 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same
 # commands; keep the two in sync.
 
-# bash for pipefail: a crashing benchmark run must fail the pipe, not
-# hand benchjson a partial report that slips through the gate.
-SHELL := /bin/bash
-
-# GATE_BENCH selects both what the gate runs and what benchcmp filters
-# on — one variable, so the two sets cannot diverge (a baseline
-# refreshed from a fuller report must never contain benchmarks the gate
-# run does not produce).
-GATE_BENCH   = ^Benchmark(BOSuggest(Sequential|Parallel)Scorer|BOSuggestLargeHistory(/n\d+)?|GPObserveIncremental|FleetSchedule|MonitorObserve|ArchiveQuery|WarmStartSeed)$$
-GATE_PERCENT = 0.30
-
-.PHONY: build test lint stormlint bench bench-baseline bench-gate bench-gp bench-pairs bench-smoke fuzz-smoke dash-smoke fleet-smoke serve-multi-smoke watch-smoke archive-smoke
+.PHONY: build test lint stormlint bench bench-gp bench-pairs bench-smoke fuzz-smoke dash-smoke fleet-smoke serve-multi-smoke watch-smoke archive-smoke
 
 build:
 	go build ./... && go build ./examples/...
@@ -49,27 +38,11 @@ bench-gp:
 	go test -run '^$$' -bench '^Benchmark(GPFit|GPObserveIncremental|BOSuggest.*|ForwardSolve4)$$' -benchtime 3x -count 3 . ./internal/linalg
 	go test -run '^$$' -bench '^BenchmarkMaternRow$$' -count 3 ./internal/gp
 
-# Refresh the committed bench-regression baseline. Run this on the same
-# class of machine CI uses (or accept that the first CI run after a
-# hardware change may need a re-baseline), then commit the file:
-#   make bench-baseline && git add BENCH_baseline.json
-bench-baseline:
-	set -o pipefail; go test -run '^$$' -bench '$(GATE_BENCH)' -benchtime 3x -count 3 . \
-	  | go run ./cmd/benchjson -o BENCH_baseline.json
-
-# The CI regression gate: fresh scorer numbers vs the committed
-# baseline, failing on >$(GATE_PERCENT) ns/op growth.
-bench-gate:
-	set -o pipefail; go test -run '^$$' -bench '$(GATE_BENCH)' -benchtime 3x -count 3 . \
-	  | go run ./cmd/benchjson -o BENCH_gate.json
-	go run ./cmd/benchcmp -baseline BENCH_baseline.json -current BENCH_gate.json \
-	  -filter '$(GATE_BENCH)' -threshold $(GATE_PERCENT)
-
-# Paired A/B runs of the end-to-end benchmark: the merge base (in a
+# The performance gate CI runs: paired A/B runs of the merge base (in a
 # temporary git worktree) against the working tree, alternating which
-# side runs first; bench's -compare gives medians, spreads and verdicts,
-# and scripts/benchpairs per-pair values and win counts. Pass options
-# through ARGS, e.g.
+# side runs first, over the gated micro benchmarks and every end-to-end
+# workload; scripts/benchpairs decides each metric on the pairs. Pass
+# options through ARGS, e.g.
 #   make bench-pairs ARGS='--workload fleet-durable --pairs 10'
 bench-pairs:
 	./scripts/bench-pairs.sh $(ARGS)

@@ -193,8 +193,8 @@ func seedSuggestBench(b *testing.B, opt *bo.Optimizer, n int) {
 // benchmarkSuggestWorkers measures one optimizer decision step on a
 // 100-observation history at a fixed worker count; the Sequential/
 // Parallel pair below shows the speedup of the concurrent candidate
-// scorer on multi-core hardware. Gated against BENCH_baseline.json by
-// cmd/benchcmp.
+// scorer on multi-core hardware. Gated by the micro half of
+// scripts/bench-pairs.sh.
 func benchmarkSuggestWorkers(b *testing.B, workers int) {
 	b.Helper()
 	opt := bo.NewOptimizer(suggestBenchSpace(), bo.Options{
@@ -213,8 +213,8 @@ func benchmarkSuggestWorkers(b *testing.B, workers int) {
 // bookkeeping, across 64 sessions with mixed weights and per-session
 // in-flight caps — the decision made every time a shared slot frees up
 // under `stormtune fleet`. One benchmark op is 4096 decisions, so the
-// ns/op is stable at the gate's small -benchtime. Gated against
-// BENCH_baseline.json by cmd/benchcmp.
+// ns/op is stable at the gate's small -benchtime. Gated by the micro
+// half of scripts/bench-pairs.sh.
 func BenchmarkFleetSchedule(b *testing.B) {
 	const sessions, slots, rounds = 64, 16, 4096
 	weights := make([]float64, sessions)
@@ -261,7 +261,7 @@ func BenchmarkBOSuggestParallelScorer(b *testing.B) { benchmarkSuggestWorkers(b,
 // observation into a 500-point GP and retracting it again — the rank-1
 // Cholesky extend/shrink pair plus the two alpha refreshes that the
 // optimizer's cached hot path performs per ask instead of an O(n³)
-// refactorization. Gated against BENCH_baseline.json by cmd/benchcmp.
+// refactorization. Gated by the micro half of scripts/bench-pairs.sh.
 func BenchmarkGPObserveIncremental(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const n, d = 500, 6
@@ -300,8 +300,8 @@ func BenchmarkGPObserveIncremental(b *testing.B) {
 // scoring) run dense cached Cholesky, n=1000 and n=10000 sit past
 // ApproxAfter and run the random-Fourier-feature surrogate, whose
 // per-ask cost is constant in n. The sub-benchmarks together pin the
-// sublinear growth of the hot path. Gated against BENCH_baseline.json
-// by cmd/benchcmp.
+// sublinear growth of the hot path. Gated by the micro half of
+// scripts/bench-pairs.sh.
 func BenchmarkBOSuggestLargeHistory(b *testing.B) {
 	for _, n := range []int{100, 250, 1000, 10000} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -423,7 +423,7 @@ func BenchmarkTunerRunAsync(b *testing.B) {
 // cost of continuous tuning's hold phase (rolling baseline update,
 // degradation/backpressure streak tracking, episode bookkeeping),
 // including the trigger/reset cycle every time a degradation burst
-// fires. Gated against BENCH_baseline.json by cmd/benchcmp.
+// fires. Gated by the micro half of scripts/bench-pairs.sh.
 func BenchmarkMonitorObserve(b *testing.B) {
 	const samples = 10_000
 	// A deterministic stream: long healthy stretches with a degradation
@@ -454,7 +454,7 @@ func BenchmarkMonitorObserve(b *testing.B) {
 // against a 1000-session archive — the query a warm-started session
 // issues at construction time, scanning every record's feature vector
 // (exact fingerprint matches ranked first, then weighted feature
-// distance). Gated against BENCH_baseline.json by cmd/benchcmp.
+// distance). Gated by the micro half of scripts/bench-pairs.sh.
 func BenchmarkArchiveQuery(b *testing.B) {
 	store := archive.NewMem()
 	cfg := storm.Config{Hints: []int{4, 4, 4, 4}, BatchSize: 50, BatchParallelism: 8, WorkerThreads: 8, ReceiverThreads: 1}
@@ -497,8 +497,8 @@ func BenchmarkArchiveQuery(b *testing.B) {
 // archive query, donor filtering, warm-point projection and prior
 // training-set assembly a warm-started tuner performs once at
 // construction — against an archive holding 8 same-fingerprint donors
-// of 60 trials each plus 200 dissimilar sessions. Gated against
-// BENCH_baseline.json by cmd/benchcmp.
+// of 60 trials each plus 200 dissimilar sessions. Gated by the micro
+// half of scripts/bench-pairs.sh.
 func BenchmarkWarmStartSeed(b *testing.B) {
 	top := stormtune.BuildSynthetic("small", stormtune.Condition{}, 1)
 	spec := cluster.Small()
