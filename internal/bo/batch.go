@@ -8,50 +8,20 @@ import (
 	"stormtune/internal/gp"
 )
 
-// LiarStrategy selects the fantasy objective value assigned to pending
-// points when the surrogate is conditioned on an in-flight batch
-// (Ginsbourger, Le Riche & Carraro's constant-liar heuristic).
-type LiarStrategy int
-
-const (
-	// LiarMin lies with the worst observed objective (we maximize, so
-	// this is the pessimistic lie). It pushes the acquisition away from
-	// already-suggested points and gives the most diverse batches; the
-	// default.
-	LiarMin LiarStrategy = iota
-	// LiarMean lies with the mean observed objective.
-	LiarMean
-	// LiarMax lies with the best observed objective — the greedy lie
-	// that keeps the batch exploiting one region.
-	LiarMax
-)
-
-// value computes the lie for a non-empty observed objective slice.
-func (l LiarStrategy) value(ys []float64) float64 {
-	switch l {
-	case LiarMean:
-		s := 0.0
-		for _, y := range ys {
-			s += y
+// liarValue is the constant lie assigned to pending points when the
+// surrogate is conditioned on an in-flight batch (Ginsbourger, Le Riche
+// & Carraro's constant-liar heuristic): the worst of the non-empty
+// observed objectives ys. We maximize, so this is the pessimistic lie;
+// it pushes the acquisition away from already-suggested points and
+// gives the most diverse batches.
+func liarValue(ys []float64) float64 {
+	m := math.Inf(1)
+	for _, y := range ys {
+		if y < m {
+			m = y
 		}
-		return s / float64(len(ys))
-	case LiarMax:
-		m := math.Inf(-1)
-		for _, y := range ys {
-			if y > m {
-				m = y
-			}
-		}
-		return m
-	default:
-		m := math.Inf(1)
-		for _, y := range ys {
-			if y < m {
-				m = y
-			}
-		}
-		return m
 	}
+	return m
 }
 
 // SuggestBatch proposes q unit-cube points to evaluate concurrently.
@@ -96,7 +66,7 @@ func haltonOffset(nObs int) int {
 // surrogate ensemble. The models are only read, so one scorer serves
 // many goroutines, each with its own scoreBuf.
 type scorer struct {
-	models []gp.Surrogate
+	models []*gp.GP
 	prior  func([]float64) float64 // Options.PriorMean; nil is the zero prior
 	acq    Acquisition
 	bestY  float64

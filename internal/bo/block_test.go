@@ -80,10 +80,11 @@ func scalarSearch(t *testing.T) acqSearch {
 // TestBlockedScoringMatchesScalarOracle drives whole sessions through
 // the blocked scorer and the one-candidate oracle side by side and
 // requires every ask to be bitwise equal: across refit epochs,
-// constant-liar batches, a trust region, a transfer prior mean on the
-// exact and RFF surrogates, the RFF surrogate past a small ApproxAfter,
-// and the parallel scan (candidate counts and chunk bounds that are not
-// multiples of the block width).
+// constant-liar batches, a trust region, a transfer prior mean, a
+// sliding MaxGPPoints window that rebuilds the ensemble every ask (the
+// CLI's path), with and without the prior, and the parallel scan
+// (candidate counts and chunk bounds that are not multiples of the
+// block width).
 func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -101,10 +102,10 @@ func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 				Trust: &TrustRegion{Center: []float64{0.4, 0.5, 0.6}, Radius: 0.15, GrowAfter: 2, Grow: 2, Shrink: 0.5},
 			}
 		}},
-		{"rff", func() Options {
+		{"window", func() Options {
 			return Options{
-				Seed: 7, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4}, Workers: 2,
-				ApproxAfter: 14, RFFFeatures: 33, InitialDesign: 3,
+				Seed: 7, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, MaxGPPoints: 10}, Workers: 2,
+				InitialDesign: 3,
 			}
 		}},
 		{"prior-mean", func() Options {
@@ -113,10 +114,10 @@ func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 				PriorMean: testPriorMean,
 			}
 		}},
-		{"prior-mean-rff", func() Options {
+		{"prior-mean-window", func() Options {
 			return Options{
-				Seed: 9, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4}, Workers: 2,
-				ApproxAfter: 14, RFFFeatures: 33, InitialDesign: 3, PriorMean: testPriorMean,
+				Seed: 9, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, MaxGPPoints: 10}, Workers: 2,
+				InitialDesign: 3, PriorMean: testPriorMean,
 			}
 		}},
 	}
@@ -125,7 +126,11 @@ func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 			blocked := NewOptimizer(cacheTestSpace(), tc.opts())
 			oracle := NewOptimizer(cacheTestSpace(), tc.opts())
 			search := scalarSearch(t)
+			slid := 0 // asks made with more observations than the window holds
 			for step := 0; step < 24; step++ {
+				if w := blocked.Opts.MaxGPPoints; w > 0 && blocked.N() > w {
+					slid++
+				}
 				var ub, uo [][]float64
 				if step%5 == 4 {
 					ub = blocked.SuggestBatch(3)
@@ -147,8 +152,8 @@ func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 					oracle.Observe(uo[k], y)
 				}
 			}
-			if strings.HasSuffix(tc.name, "rff") && !blocked.cache.approx {
-				t.Fatal("session never reached the RFF surrogate")
+			if strings.HasSuffix(tc.name, "window") && slid == 0 {
+				t.Fatal("the window never slid")
 			}
 		})
 	}
@@ -174,7 +179,7 @@ func TestArgmaxTieBreaking(t *testing.T) {
 	for i := 0; i < 131; i++ {
 		cands = append(cands, pts[(i+3)%len(pts)])
 	}
-	sc := &scorer{models: []gp.Surrogate{g}, acq: EI{}, bestY: 0.5}
+	sc := &scorer{models: []*gp.GP{g}, acq: EI{}, bestY: 0.5}
 	var s gp.Scratch
 	want, wantScore := 0, math.Inf(-1)
 	for i, c := range cands {
@@ -189,7 +194,7 @@ func TestArgmaxTieBreaking(t *testing.T) {
 		}
 	}
 
-	nan := &scorer{models: []gp.Surrogate{g}, acq: nanAcq{}}
+	nan := &scorer{models: []*gp.GP{g}, acq: nanAcq{}}
 	for _, w := range []int{1, 3} {
 		if bi, bs := nan.argmax(cands, w); bi != 0 || !math.IsInf(bs, -1) {
 			t.Fatalf("w=%d: all-NaN argmax (%d, %v), want (0, -Inf)", w, bi, bs)

@@ -2,7 +2,6 @@ package bo
 
 import (
 	"errors"
-	"math"
 
 	"stormtune/internal/gp"
 )
@@ -32,8 +31,8 @@ func (opt *Optimizer) HyperState() *HyperState {
 
 // fantasyPoint is one constant-liar fantasy conditioned into the
 // surrogate ensemble: a pending point and its residual target (the
-// standardized lie minus the prior mean there), fixed at append time so
-// retraction can replay the exact inverse.
+// standardized lie minus the prior mean there), fixed at append time.
+// Retraction needs only the point: it drops the trailing row.
 type fantasyPoint struct {
 	u []float64
 	r float64
@@ -53,32 +52,22 @@ type modelCache struct {
 	my, sy float64     // frozen y-standardization
 	hypers [][]float64 // slice samples (log space), one per ensemble member
 	fitN   int         // observation count at the last refit
-	approx bool        // past ApproxAfter: RFF ensemble, hypers frozen for good
 
 	// conditioning state
-	models []gp.Surrogate
+	models []*gp.GP
 	nObs   int // real observations conditioned into models
 	fant   []fantasyPoint
 }
-
-// hyperFitCap bounds the conditioning set used for slice sampling when
-// an epoch starts above the approximation threshold (cold start on a
-// huge history): hypers are fit on a deterministic strided subset.
-const hyperFitCap = 256
 
 // needRefit reports whether the next suggestion must start a new refit
 // epoch. The schedule is a pure function of the observation count (no
 // clock, no RNG): refit on every new observation while the history is
 // tiny, then only after ~25% growth — that amortization is what turns
-// slice sampling from a per-ask cost into a per-epoch one. Once the
-// approximate regime is entered hypers are frozen permanently.
+// slice sampling from a per-ask cost into a per-epoch one.
 func (opt *Optimizer) needRefit() bool {
 	c := &opt.cache
 	if len(c.hypers) == 0 || c.fitN == 0 {
 		return true
-	}
-	if c.approx {
-		return false
 	}
 	n := len(opt.obs)
 	if n == c.fitN {
@@ -109,28 +98,14 @@ func (opt *Optimizer) refitEpoch() error {
 	}
 	my, sy := meanStd(ys)
 	n := len(opt.obs)
-	approx := opt.approxThreshold() > 0 && n > opt.approxThreshold() && opt.Opts.MaxGPPoints <= 0
 
 	var hypers [][]float64
 	if c.fitN == 0 && opt.Opts.InitHypers != nil {
 		hypers = opt.validInitHypers(d)
 	}
 	if hypers == nil {
-		fx, fy := xs, residuals(ys, m0, my, sy)
-		if approx && len(fx) > hyperFitCap {
-			// Deterministic strided subset: slice sampling on the full
-			// history would be O(n³) per posterior evaluation.
-			stride := len(fx) / hyperFitCap
-			sx := make([][]float64, 0, hyperFitCap)
-			sy2 := make([]float64, 0, hyperFitCap)
-			for i := 0; i < len(fx) && len(sx) < hyperFitCap; i += stride {
-				sx = append(sx, fx[i])
-				sy2 = append(sy2, fy[i])
-			}
-			fx, fy = sx, sy2
-		}
-		g := gp.New(opt.Opts.Kernel(d), opt.Opts.NoiseVar)
-		if err := g.Fit(fx, fy); err != nil {
+		g := newMember(d)
+		if err := g.Fit(xs, residuals(ys, m0, my, sy)); err != nil {
 			return err
 		}
 		if opt.Opts.HyperSamples <= 1 {
@@ -146,7 +121,6 @@ func (opt *Optimizer) refitEpoch() error {
 	c.my, c.sy = my, sy
 	c.hypers = hypers
 	c.fitN = n
-	c.approx = approx
 	// Epoch state changed: every cached factor is invalid.
 	c.models = nil
 	c.nObs = 0
@@ -155,10 +129,10 @@ func (opt *Optimizer) refitEpoch() error {
 }
 
 // validInitHypers filters Options.InitHypers down to vectors matching
-// the kernel's hyperparameter count, returning nil when nothing
+// an ensemble member's hyperparameter count, returning nil when nothing
 // survives (the epoch then samples normally).
 func (opt *Optimizer) validInitHypers(d int) [][]float64 {
-	want := len(opt.Opts.Kernel(d).Hypers()) + 1
+	want := len(newMember(d).HyperVector())
 	var out [][]float64
 	for _, h := range opt.Opts.InitHypers.Hypers {
 		if len(h) == want {
@@ -168,18 +142,11 @@ func (opt *Optimizer) validInitHypers(d int) [][]float64 {
 	return out
 }
 
-// approxThreshold resolves the exact→approximate switchover point:
-// Options.ApproxAfter, defaulting to 1024, with negative values
-// disabling the approximation entirely.
-func (opt *Optimizer) approxThreshold() int {
-	switch {
-	case opt.Opts.ApproxAfter < 0:
-		return 0
-	case opt.Opts.ApproxAfter == 0:
-		return 1024
-	default:
-		return opt.Opts.ApproxAfter
-	}
+// newMember builds one unfitted ensemble member: an exact GP with an
+// ARD Matérn-5/2 kernel of initial length scale 0.3 in every dimension
+// and initial noise variance 1e-3 (slice sampling adapts both).
+func newMember(d int) *gp.GP {
+	return gp.New(gp.NewMatern52(d, 0.3), 1e-3)
 }
 
 // rebuildModels constructs the surrogate ensemble from scratch for the
@@ -202,23 +169,17 @@ func (opt *Optimizer) rebuildModels(fant []fantasyPoint) error {
 		ars = append(ars, f.r)
 	}
 
-	models := make([]gp.Surrogate, len(c.hypers))
-	if c.approx {
-		parallelFor(opt.Opts.Workers, len(c.hypers), func(k int) {
-			models[k] = opt.buildRFF(d, c.hypers[k], axs, ars)
-		})
-	} else {
-		parallelFor(opt.Opts.Workers, len(c.hypers), func(k int) {
-			g := gp.New(opt.Opts.Kernel(d), opt.Opts.NoiseVar)
-			if err := g.SetHypersAndRefit(c.hypers[k]); err != nil {
-				return
-			}
-			if err := g.Fit(axs, ars); err != nil {
-				return
-			}
-			models[k] = g
-		})
-	}
+	models := make([]*gp.GP, len(c.hypers))
+	parallelFor(opt.Opts.Workers, len(c.hypers), func(k int) {
+		g := newMember(d)
+		if err := g.SetHypersAndRefit(c.hypers[k]); err != nil {
+			return
+		}
+		if err := g.Fit(axs, ars); err != nil {
+			return
+		}
+		models[k] = g
+	})
 	compact := models[:0]
 	for _, m := range models {
 		if m != nil {
@@ -232,51 +193,6 @@ func (opt *Optimizer) rebuildModels(fant []fantasyPoint) error {
 	c.nObs = len(opt.obs)
 	c.fant = append(c.fant[:0], fant...)
 	return nil
-}
-
-// buildRFF constructs one random-Fourier-feature ensemble member at the
-// given hyper sample and conditions it on points xs with residual
-// targets rs. Falls back to an exact GP when the kernel has no spectral
-// sampler.
-func (opt *Optimizer) buildRFF(d int, h []float64, xs [][]float64, rs []float64) gp.Surrogate {
-	kern := opt.Opts.Kernel(d)
-	nk := len(kern.Hypers())
-	if len(h) != nk+1 {
-		return nil
-	}
-	kern.SetHypers(h[:nk])
-	noise := math.Exp(h[nk])
-	m := opt.Opts.RFFFeatures
-	if m <= 0 {
-		m = 256
-	}
-	r, err := gp.NewRFF(kern, noise, m, opt.rffSeed(h))
-	if err != nil {
-		// Kernel without a spectral sampler: stay exact. Slow at scale,
-		// but correct.
-		g := gp.New(kern, noise)
-		if err := g.Fit(xs, rs); err != nil {
-			return nil
-		}
-		return g
-	}
-	for i := range xs {
-		if err := r.Observe(xs[i], rs[i]); err != nil {
-			return nil
-		}
-	}
-	return r
-}
-
-// rffSeed derives a deterministic feature-draw seed from the optimizer
-// seed and the hyper sample, so distinct ensemble members get distinct
-// (but reproducible) feature maps.
-func (opt *Optimizer) rffSeed(h []float64) int64 {
-	s := opt.Opts.Seed*1000003 + 17
-	for _, v := range h {
-		s = s*31 + int64(math.Float64bits(v)&0xffffffff)
-	}
-	return s
 }
 
 // syncModels brings the cached ensemble to the canonical conditioning
@@ -293,7 +209,7 @@ func (opt *Optimizer) syncModels(fant []fantasyPoint) error {
 	for i := len(c.fant) - 1; i >= 0; i-- {
 		f := c.fant[i]
 		for _, m := range c.models {
-			if err := m.Retract(f.u, f.r); err != nil {
+			if err := m.Retract(f.u); err != nil {
 				return opt.rebuildModels(fant)
 			}
 		}

@@ -39,8 +39,7 @@ func denseSuggest(opt *Optimizer) []float64 {
 }
 
 // TestCachedMatchesDenseRebuild is the pinned parity test for the
-// incremental GP hot path: below the approximation threshold, an
-// optimizer extending cached factors across asks proposes bit-identical
+// incremental GP hot path: an optimizer extending cached factors across asks proposes bit-identical
 // points to one rebuilding dense GP state from scratch every ask, both
 // through single suggests and constant-liar batches, with and without
 // a transfer prior mean.
@@ -148,44 +147,6 @@ func TestInitHypersWarmStart(t *testing.T) {
 	bad.Observe([]float64{0.5, 0.5, 0.5}, 1)
 	if u := bad.Suggest(); len(u) != 3 {
 		t.Fatalf("suggest with invalid InitHypers returned %v", u)
-	}
-}
-
-// TestApproxSwitchover drives an optimizer past a small ApproxAfter
-// threshold and checks the approximate regime proposes valid,
-// deterministic points and freezes further hyper refits.
-func TestApproxSwitchover(t *testing.T) {
-	mk := func() *Optimizer {
-		return NewOptimizer(cacheTestSpace(), Options{
-			Seed: 7, Knobs: Knobs{Candidates: 80, HyperSamples: 2, LocalSearchIters: 2},
-			ApproxAfter: 20, RFFFeatures: 64, InitialDesign: 3,
-		})
-	}
-	a, b := mk(), mk()
-	for i := 0; i < 30; i++ {
-		ua, ub := a.Suggest(), b.Suggest()
-		for j := range ua {
-			if ua[j] != ub[j] {
-				t.Fatalf("step %d: approx path not deterministic: %v vs %v", i, ua, ub)
-			}
-			if ua[j] < 0 || ua[j] > 1 || math.IsNaN(ua[j]) {
-				t.Fatalf("step %d: proposal out of cube: %v", i, ua)
-			}
-		}
-		y := cacheObjective(ua)
-		a.Observe(ua, y)
-		b.Observe(ub, y)
-	}
-	if !a.cache.approx {
-		t.Fatal("optimizer never entered the approximate regime")
-	}
-	fitN := a.cache.fitN
-	for i := 0; i < 5; i++ {
-		u := a.Suggest()
-		a.Observe(u, cacheObjective(u))
-	}
-	if a.cache.fitN != fitN {
-		t.Fatal("approximate regime refit hypers; they must stay frozen")
 	}
 }
 

@@ -27,8 +27,10 @@ type Knobs struct {
 	// perturbation (default 20).
 	LocalSearchIters int `json:"localSearchIters,omitempty"`
 	// MaxGPPoints caps the number of observations used to condition the
-	// GP; the most recent points are kept (0 = unlimited). Protects the
-	// O(n³) fit on very long runs.
+	// GP; the most recent points are kept (0 = the whole history). The
+	// whole history stays exact at every n, so its per-ask cost grows
+	// with the run; the window is how to bound the cost of long
+	// sessions, as the CLI does with 60.
 	MaxGPPoints int `json:"maxGPPoints,omitempty"`
 }
 
@@ -42,12 +44,6 @@ type Options struct {
 	Knobs
 	// Acq selects the acquisition function (default EI{}).
 	Acq Acquisition
-	// Kernel selects the surrogate kernel constructor (default
-	// Matérn-5/2 with length 0.3). It is called with the space dimension.
-	Kernel func(d int) gp.Kernel
-	// NoiseVar is the initial observation-noise variance of the
-	// surrogate (default 1e-3; the sampler adapts it).
-	NoiseVar float64
 	// Seed seeds the internal RNG (default 1).
 	Seed int64
 	// SeedCandidates are unit-cube points always included in the
@@ -85,9 +81,6 @@ type Options struct {
 	// GOMAXPROCS; 1 forces fully sequential operation). Results are
 	// identical for any worker count.
 	Workers int
-	// Liar selects the fantasy objective used by SuggestBatch's
-	// constant-liar strategy (default LiarMin, the pessimistic lie).
-	Liar LiarStrategy
 	// Trust, when set, confines every suggestion to a trust region
 	// around the current incumbent — conservative (retune) mode. The
 	// first suggestion with no data is the region's center itself, and
@@ -95,15 +88,6 @@ type Options struct {
 	// like the other non-scalar options: the session-level snapshot
 	// reconstructs it.
 	Trust *TrustRegion
-	// ApproxAfter is the observation count past which the surrogate
-	// switches from exact GPs to the random-Fourier-feature
-	// approximation with frozen hyperparameters (0 = default 1024,
-	// negative disables). Only applies when MaxGPPoints is unset — a
-	// sliding window already bounds the exact cost.
-	ApproxAfter int
-	// RFFFeatures is the number of random Fourier features used past
-	// ApproxAfter (default 256).
-	RFFFeatures int
 	// InitHypers seeds the first refit epoch with an existing
 	// hyperparameter posterior (an incumbent session's HyperState), so a
 	// retune session reuses the cache its parent already paid for
@@ -134,12 +118,6 @@ func (o Options) withDefaults(d int) Options {
 	}
 	if o.Acq == nil {
 		o.Acq = EI{}
-	}
-	if o.Kernel == nil {
-		o.Kernel = func(d int) gp.Kernel { return gp.NewMatern52(d, 0.3) }
-	}
-	if o.NoiseVar <= 0 {
-		o.NoiseVar = 1e-3
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -358,7 +336,7 @@ func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 	if len(opt.pending) > 0 {
 		_, ys, _ := opt.trainingSet()
 		if len(ys) > 0 {
-			lie := (opt.Opts.Liar.value(ys) - c.my) / c.sy
+			lie := (liarValue(ys) - c.my) / c.sy
 			for _, p := range opt.pending {
 				fant = append(fant, fantasyPoint{u: p, r: lie - priorAt(opt.Opts.PriorMean, p)})
 			}

@@ -33,10 +33,7 @@ func TestPriorMeanResiduals(t *testing.T) {
 	if len(opt.cache.models) != 1 {
 		t.Fatalf("ensemble has %d models, want 1", len(opt.cache.models))
 	}
-	g, ok := opt.cache.models[0].(*gp.GP)
-	if !ok {
-		t.Fatalf("ensemble member is %T, want *gp.GP", opt.cache.models[0])
-	}
+	g := opt.cache.models[0]
 	if math.Abs(g.Mean) > 1e-9 {
 		t.Fatalf("residual mean should be ~0, got %v", g.Mean)
 	}

@@ -2,8 +2,9 @@
 // (Snoek, Larochelle & Adams 2012), the toolkit the paper uses: a
 // Gaussian-process surrogate over the unit hypercube, Expected
 // Improvement acquisition marginalized over slice-sampled kernel
-// hyperparameters, and a Suggest/Observe loop with JSON state
-// serialization for pause and resume.
+// hyperparameters, and a Suggest/Observe loop. The optimizer keeps no
+// snapshot of its own: a session resumes by replaying its op log into a
+// fresh optimizer (internal/core).
 //
 // # The incremental hot path
 //
@@ -12,16 +13,13 @@
 // y-standardization run only at refit epochs — a pure function of the
 // observation count — and stay frozen in between; each ask then
 // extends the cached Cholesky factors with the new observations
-// (gp.Surrogate.Observe) and conditions constant-liar fantasies in and
-// out by trailing extend/retract, instead of refitting the ensemble
-// from scratch. Past Options.ApproxAfter observations the ensemble
-// switches to a random-Fourier-feature surrogate whose per-ask cost is
-// constant in n. Sessions with Options.MaxGPPoints condition on a
-// sliding window instead: they rebuild the ensemble every ask on the
-// epoch's frozen hypers and never switch to the approximation. Tests
-// pin the cache bit-for-bit against a cold rebuild on every ask;
-// Options.InitHypers warm-starts the first epoch from another session's
-// HyperState.
+// (gp.GP.Observe) and conditions constant-liar fantasies in and out by
+// trailing extend/retract, instead of refitting the ensemble from
+// scratch. Sessions with Options.MaxGPPoints condition on a sliding
+// window instead: they rebuild the ensemble every ask on the epoch's
+// frozen hypers. Tests pin the cache bit-for-bit against a cold rebuild
+// on every ask; Options.InitHypers warm-starts the first epoch from
+// another session's HyperState.
 package bo
 
 import (

@@ -9,7 +9,7 @@ import (
 // checkBlockMatchesScalar scores every block size 1..Block at several
 // offsets into qs, query i carrying prior mean m0[i], and requires each
 // lane to be bitwise PredictInto.
-func checkBlockMatchesScalar(t *testing.T, name string, m Surrogate, qs [][]float64, m0 []float64) {
+func checkBlockMatchesScalar(t *testing.T, name string, m *GP, qs [][]float64, m0 []float64) {
 	t.Helper()
 	var bs BlockScratch
 	var s Scratch
@@ -42,8 +42,8 @@ func randomQueries(rng *rand.Rand, n, d int) [][]float64 {
 }
 
 // TestPredictBlockMatchesPredictInto pins PredictBlockInto's lane
-// contract on every surrogate: an exact GP with per-query prior means,
-// an unfitted GP, and an RFF model.
+// contract on a fitted GP with per-query prior means and on an unfitted
+// GP.
 func TestPredictBlockMatchesPredictInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const d = 3
@@ -61,19 +61,8 @@ func TestPredictBlockMatchesPredictInto(t *testing.T) {
 	}
 	checkBlockMatchesScalar(t, "gp+prior", g, qs, m0)
 
-	unfitted := New(NewSquaredExp(d, 0.4), 1e-3)
+	unfitted := New(NewMatern52(d, 0.4), 1e-3)
 	checkBlockMatchesScalar(t, "unfitted", unfitted, qs, m0)
-
-	r, err := NewRFF(NewMatern52(d, 0.4), 1e-3, 64, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if err := r.Observe(xs[i], ys[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkBlockMatchesScalar(t, "rff", r, qs, m0)
 }
 
 // TestRefitReusesFactorBitIdentically refits one GP at a fixed n under

@@ -1,7 +1,7 @@
 // Package gp implements Gaussian-process regression as used by
-// Spearmint: an ARD Matérn-5/2 (or squared-exponential) kernel over the
-// unit hypercube, exact inference via Cholesky factorization, and
-// marginalization of kernel hyperparameters by slice sampling.
+// Spearmint: an ARD Matérn-5/2 kernel over the unit hypercube, exact
+// inference via Cholesky factorization, and marginalization of kernel
+// hyperparameters by slice sampling.
 //
 // # Cache lifecycle
 //
@@ -48,7 +48,7 @@
 // # Kernel rows
 //
 // Every kernel matrix row and k* vector — refit, Observe/Extend,
-// PredictInto and PredictBlockInto — goes through Kernel.EvalRow. On
+// PredictInto and PredictBlockInto — goes through Matern52.EvalRow. On
 // amd64 the Matérn-5/2 row is evaluated four training points per
 // instruction by an AVX2+FMA kernel (kernel_amd64.s) whose contract is
 // bit-identity: each lane performs exactly the scalar loop's
@@ -72,15 +72,6 @@
 // unchecked assembly. Every other GOARCH runs the scalar loop. The
 // reciprocal length scales live in a stack buffer of 32 or 128 slots,
 // so a row allocates nothing up to 128 dimensions.
-//
-// # Exact / approximate switchover
-//
-// Exact inference costs O(n²) per observe and O(n) per posterior mean.
-// Past a few thousand points that is too slow for a continuous tuning
-// service, so RFF provides a random-Fourier-feature approximation with
-// O(m²) observe and O(m) posterior cost, constant in n (m = number of
-// features, deterministic for a fixed seed). Both satisfy Surrogate;
-// internal/bo switches from GP to RFF past its ApproxAfter threshold.
 package gp
 
 import (
@@ -91,31 +82,12 @@ import (
 	"stormtune/internal/linalg"
 )
 
-// Surrogate is the posterior interface internal/bo consumes: an exact
-// GP below the approximation threshold, an RFF model above it. Observe
-// and Retract are incremental (no refactorization); Retract removes the
-// most recently observed point and callers retract in reverse
-// observation order.
-type Surrogate interface {
-	Predict(xs []float64) (mu, sigma2 float64)
-	// PredictInto returns the posterior at xs, whose prior mean is m0.
-	PredictInto(s *Scratch, xs []float64, m0 float64) (mu, sigma2 float64)
-	// PredictBlockInto writes the posterior at each of 1..Block points
-	// xs[l], whose prior mean is m0[l], into mu[l] and sigma2[l],
-	// bitwise what PredictInto returns for that point alone.
-	PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64)
-	// Observe conditions on one point and its residual target.
-	Observe(x []float64, r float64) error
-	Retract(x []float64, r float64) error
-	N() int
-}
-
 // GP is a Gaussian-process regressor with a constant mean function and
 // i.i.d. Gaussian observation noise, conditioned on residual targets
 // around the caller's prior mean (see "Cache lifecycle"). Fit must be
 // called before Predict.
 type GP struct {
-	Kern  Kernel
+	Kern  *Matern52
 	Noise float64 // observation noise variance σ_n²
 	Mean  float64 // constant mean of the targets
 
@@ -133,7 +105,7 @@ type GP struct {
 
 // New creates a GP with the given kernel and noise variance. A zero
 // noise variance is clamped to a small positive value for stability.
-func New(k Kernel, noise float64) *GP {
+func New(k *Matern52, noise float64) *GP {
 	if noise < 1e-10 {
 		noise = 1e-10
 	}
@@ -218,12 +190,10 @@ func (g *GP) Observe(x []float64, y float64) error {
 }
 
 // Retract removes the most recently observed point, restoring the
-// previous factor bit-for-bit (a trailing downdate via Shrink). The
-// arguments identify the point for interface symmetry with RFF, which
-// needs them; the GP only checks that x matches the trailing row.
-// Retracting the last remaining point returns the GP to its unfitted
-// state.
-func (g *GP) Retract(x []float64, y float64) error {
+// previous factor bit-for-bit (a trailing downdate via Shrink). x
+// identifies the point: it must match the trailing row. Retracting the
+// last remaining point returns the GP to its unfitted state.
+func (g *GP) Retract(x []float64) error {
 	n := len(g.x)
 	if n == 0 {
 		return errors.New("gp: retract on empty GP")

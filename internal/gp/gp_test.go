@@ -8,47 +8,45 @@ import (
 )
 
 func TestKernelBasics(t *testing.T) {
-	for _, k := range []Kernel{NewMatern52(3, 0.5), NewSquaredExp(3, 0.5)} {
-		a := []float64{0.1, 0.2, 0.3}
-		// k(x,x) = amplitude.
-		if math.Abs(k.Eval(a, a)-1) > 1e-12 {
-			t.Fatalf("k(x,x) = %v, want 1", k.Eval(a, a))
-		}
-		// Symmetry.
-		b := []float64{0.9, 0.8, 0.7}
-		if math.Abs(k.Eval(a, b)-k.Eval(b, a)) > 1e-15 {
-			t.Fatalf("kernel not symmetric")
-		}
-		// Decay with distance.
-		c := []float64{0.15, 0.2, 0.3}
-		if k.Eval(a, c) <= k.Eval(a, b) {
-			t.Fatalf("kernel should decay with distance: near=%v far=%v", k.Eval(a, c), k.Eval(a, b))
-		}
-		if k.Dim() != 3 {
-			t.Fatalf("dim = %d", k.Dim())
-		}
+	k := NewMatern52(3, 0.5)
+	a := []float64{0.1, 0.2, 0.3}
+	// k(x,x) = amplitude.
+	if math.Abs(k.Eval(a, a)-1) > 1e-12 {
+		t.Fatalf("k(x,x) = %v, want 1", k.Eval(a, a))
+	}
+	// Symmetry.
+	b := []float64{0.9, 0.8, 0.7}
+	if math.Abs(k.Eval(a, b)-k.Eval(b, a)) > 1e-15 {
+		t.Fatalf("kernel not symmetric")
+	}
+	// Decay with distance.
+	c := []float64{0.15, 0.2, 0.3}
+	if k.Eval(a, c) <= k.Eval(a, b) {
+		t.Fatalf("kernel should decay with distance: near=%v far=%v", k.Eval(a, c), k.Eval(a, b))
+	}
+	if k.Dim() != 3 {
+		t.Fatalf("dim = %d", k.Dim())
 	}
 }
 
 func TestKernelHypersRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{NewMatern52(2, 0.4), NewSquaredExp(2, 0.4)} {
-		h := k.Hypers()
-		if len(h) != 3 {
-			t.Fatalf("hypers len = %d, want 3", len(h))
-		}
-		h2 := append([]float64(nil), h...)
-		h2[1] = math.Log(0.9)
-		k.SetHypers(h2)
-		got := k.Hypers()
-		if math.Abs(got[1]-math.Log(0.9)) > 1e-12 {
-			t.Fatalf("SetHypers did not stick: %v", got)
-		}
+	k := NewMatern52(2, 0.4)
+	h := k.Hypers()
+	if len(h) != 3 {
+		t.Fatalf("hypers len = %d, want 3", len(h))
+	}
+	h2 := append([]float64(nil), h...)
+	h2[1] = math.Log(0.9)
+	k.SetHypers(h2)
+	got := k.Hypers()
+	if math.Abs(got[1]-math.Log(0.9)) > 1e-12 {
+		t.Fatalf("SetHypers did not stick: %v", got)
 	}
 }
 
 func TestKernelCloneIndependence(t *testing.T) {
 	k := NewMatern52(2, 0.4)
-	c := k.Clone().(*Matern52)
+	c := k.Clone()
 	c.Lengths[0] = 99
 	if k.Lengths[0] == 99 {
 		t.Fatal("Clone aliases parent")
@@ -77,7 +75,7 @@ func TestGPInterpolatesWithLowNoise(t *testing.T) {
 func TestGPVarianceGrowsAwayFromData(t *testing.T) {
 	x := [][]float64{{0.5}}
 	y := []float64{1}
-	g := New(NewSquaredExp(1, 0.1), 1e-6)
+	g := New(NewMatern52(1, 0.1), 1e-6)
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestGPVarianceGrowsAwayFromData(t *testing.T) {
 func TestGPRevertsToMeanFarAway(t *testing.T) {
 	x := [][]float64{{0.1}, {0.2}}
 	y := []float64{10, 12}
-	g := New(NewSquaredExp(1, 0.05), 1e-6)
+	g := New(NewMatern52(1, 0.05), 1e-6)
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +205,7 @@ func TestGPClone(t *testing.T) {
 		t.Fatalf("clone predicts differently: %v vs %v", muG, muC)
 	}
 	// Mutating the clone's kernel must not affect the parent.
-	c.Kern.(*Matern52).Lengths[0] = 100
+	c.Kern.Lengths[0] = 100
 	muG2, _ := g.Predict([]float64{0.4})
 	if muG2 != muG {
 		t.Fatalf("clone mutation leaked into parent")

@@ -14,11 +14,10 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // jitter that had to be added to the diagonal to make A numerically
 // positive definite.
 //
-// The factor supports four incremental operations used by the GP hot
-// path (see the package comment): Extend appends one row/column,
-// Shrink drops trailing rows/columns, and Update/Downdate apply
-// symmetric rank-1 modifications A ± vvᵀ. All of them cost O(n²)
-// against the O(n³) of a fresh factorization.
+// The factor supports two incremental operations used by the GP hot
+// path (see the package comment): Extend appends one row/column, and
+// Shrink drops trailing rows/columns. Both cost O(n²) against the
+// O(n³) of a fresh factorization.
 type Cholesky struct {
 	L *Matrix
 	// Jitter is the diagonal jitter the factorization actually used.
@@ -158,61 +157,6 @@ func (c *Cholesky) Shrink(m int) error {
 		copy(l.Data[i*m:(i+1)*m], c.L.Data[i*n:i*n+m])
 	}
 	c.L = l
-	return nil
-}
-
-// Update applies the symmetric rank-1 update A → A + vvᵀ to the
-// factorization in place, in O(n²) (the LINPACK dchud scheme). v is
-// not modified. An update of a positive-definite matrix cannot lose
-// positive definiteness, so Update always succeeds.
-func (c *Cholesky) Update(v []float64) {
-	n := c.L.Rows
-	if len(v) != n {
-		panic(fmt.Sprintf("linalg: update vector len %d vs %d", len(v), n))
-	}
-	w := append([]float64(nil), v...)
-	l := c.L.Data
-	for k := 0; k < n; k++ {
-		lkk := l[k*n+k]
-		r := math.Hypot(lkk, w[k])
-		cos := r / lkk
-		sin := w[k] / lkk
-		l[k*n+k] = r
-		for i := k + 1; i < n; i++ {
-			l[i*n+k] = (l[i*n+k] + sin*w[i]) / cos
-			w[i] = cos*w[i] - sin*l[i*n+k]
-		}
-	}
-}
-
-// Downdate applies the symmetric rank-1 downdate A → A − vvᵀ in
-// O(n²). It fails with ErrNotPositiveDefinite when the downdated
-// matrix would not be positive definite; the factor is left unchanged
-// in that case (the rotation runs against a scratch copy and only
-// commits on success).
-func (c *Cholesky) Downdate(v []float64) error {
-	n := c.L.Rows
-	if len(v) != n {
-		return fmt.Errorf("linalg: downdate vector len %d vs %d", len(v), n)
-	}
-	w := append([]float64(nil), v...)
-	l := append([]float64(nil), c.L.Data...)
-	for k := 0; k < n; k++ {
-		lkk := l[k*n+k]
-		d := (lkk - w[k]) * (lkk + w[k])
-		if d <= 0 || math.IsNaN(d) {
-			return ErrNotPositiveDefinite
-		}
-		r := math.Sqrt(d)
-		cos := r / lkk
-		sin := w[k] / lkk
-		l[k*n+k] = r
-		for i := k + 1; i < n; i++ {
-			l[i*n+k] = (l[i*n+k] - sin*w[i]) / cos
-			w[i] = cos*w[i] - sin*l[i*n+k]
-		}
-	}
-	copy(c.L.Data, l)
 	return nil
 }
 

@@ -130,78 +130,6 @@ func TestCholeskyShrinkRestoresFactor(t *testing.T) {
 	}
 }
 
-// TestCholeskyUpdateMatchesRefactor checks the rank-1 update against a
-// fresh factorization of A + vvᵀ.
-func TestCholeskyUpdateMatchesRefactor(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(12)
-		a := randomSPDRidge(rng, n, 0.5)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch.Update(v)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Add(i, j, v[i]*v[j])
-			}
-		}
-		full, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(ch.L.Data, full.L.Data); d > 1e-9 {
-			t.Fatalf("trial %d: update factor diff %g", trial, d)
-		}
-	}
-}
-
-// TestCholeskyDowndateRestoresUpdate checks update-then-downdate is an
-// identity to 1e-10, and that a failing downdate leaves the factor
-// untouched.
-func TestCholeskyDowndateRestoresUpdate(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(12)
-		a := randomSPDRidge(rng, n, 0.5)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig := append([]float64(nil), ch.L.Data...)
-		ch.Update(v)
-		if err := ch.Downdate(v); err != nil {
-			t.Fatalf("trial %d: downdate: %v", trial, err)
-		}
-		if d := maxAbsDiff(ch.L.Data, orig); d > 1e-10 {
-			t.Fatalf("trial %d: round trip diff %g", trial, d)
-		}
-
-		// A downdate that would destroy positive definiteness must fail
-		// and leave the factor unchanged.
-		before := append([]float64(nil), ch.L.Data...)
-		huge := make([]float64, n)
-		for i := range huge {
-			huge[i] = 1e6
-		}
-		if err := ch.Downdate(huge); err == nil {
-			t.Fatalf("trial %d: non-PD downdate succeeded", trial)
-		}
-		if d := maxAbsDiff(ch.L.Data, before); d != 0 {
-			t.Fatalf("trial %d: failed downdate mutated factor (diff %g)", trial, d)
-		}
-	}
-}
-
 // TestCholeskyExtendReusesJitter pins the jitter-consistency bugfix: a
 // factor that needed diagonal jitter must apply the same jitter to
 // appended rows, agreeing bit-for-bit with a batch factorization at

@@ -5,9 +5,8 @@
 //
 // The incremental operations are what make the BO hot path fast. A
 // Cholesky factor can be Extended by one row/column (a new GP
-// observation), Shrunk back (fantasy retraction), and rank-1
-// Updated/Downdated (the random-Fourier-feature surrogate's normal
-// equations) — each in O(n²) against the O(n³) of refactorizing.
+// observation) and Shrunk back (fantasy retraction), each in O(n²)
+// against the O(n³) of refactorizing.
 // Extend records and reuses the jitter of the original factorization,
 // so an incrementally grown factor agrees bit-for-bit with a batch
 // factorization at the same jitter; the gp package's cache and its
