@@ -55,8 +55,9 @@ bench-smoke:
 	go -C bench test ./...
 
 # The native fuzz targets, 10 s each: journal recovery over arbitrary
-# file bytes, tuner/watch snapshot loading, and the kernel row against
-# its scalar oracle. go test -fuzz takes one target per run. Each new
+# file bytes, tuner/watch snapshot loading, the kernel row against its
+# scalar oracle, and the serve worker's /run decoder over arbitrary
+# request bodies. go test -fuzz takes one target per run. Each new
 # interesting input is minimized for at most 2 s: at Go's 60 s default
 # the snapshot loaders spend the whole run minimizing and barely fuzz.
 fuzz-smoke:
@@ -64,6 +65,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzMaternRow$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/gp
 	go test -run '^$$' -fuzz '^FuzzLoadTunerState$$' -fuzztime 10s -fuzzminimizetime 2s .
 	go test -run '^$$' -fuzz '^FuzzLoadWatchState$$' -fuzztime 10s -fuzzminimizetime 2s .
+	go test -run '^$$' -fuzz '^FuzzServeRun$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/remote
 
 # The CI dashboard smoke test, runnable locally.
 dash-smoke:

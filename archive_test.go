@@ -196,3 +196,95 @@ func TestWatcherArchivesTrials(t *testing.T) {
 		t.Fatalf("archived strategy %q, want \"watch\"", rec.Meta.Strategy)
 	}
 }
+
+// TestWatcherArchiveResumeNoDoubleAppend: a watch snapshotted mid-tune,
+// run on past the snapshot and cancelled, then resumed from that
+// snapshot over the same archive re-runs the trials completed after the
+// snapshot. The archive must keep one copy of each: the resumed watch
+// leaves exactly the record an uninterrupted watch writes.
+func TestWatcherArchiveResumeNoDoubleAppend(t *testing.T) {
+	top := BuildSynthetic("small", Condition{}, 1)
+	template := DefaultSyntheticConfig(top, 1)
+	opts := func(arch Archive) WatchOptions {
+		return WatchOptions{
+			WatchPlan: WatchPlan{Steps: 6, TrialCost: 60, HoldInterval: 60, Horizon: 2000},
+			Seed:      1, Template: &template,
+			OptimizerOptions: OptimizerOptions{Candidates: 120, HyperSamples: 2, LocalSearchIters: 4},
+			Archive:          arch,
+		}
+	}
+	backend := func() Backend { return AsBackend(quietEval(top, SmallCluster())) }
+
+	fullArch := NewMemArchive()
+	full, err := NewWatcher(top, backend(), opts(fullArch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := fullArch.Get(full.ArchiveKey())
+
+	arch := NewMemArchive()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var snap *WatchState
+	var w *Watcher
+	n := 0
+	o := opts(arch)
+	o.Observer = ObserverFunc(func(e Event) {
+		if _, ok := e.(TrialCompleted); !ok {
+			return
+		}
+		switch n++; n {
+		case 3:
+			snap = w.Snapshot()
+		case 5:
+			cancel()
+		}
+	})
+	if w, err = NewWatcher(top, backend(), o); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if snap == nil {
+		t.Fatal("test premise broken: no snapshot at the 3rd completed trial")
+	}
+	resumed, err := ResumeWatcher(snap, top, backend(), WatchOptions{Archive: arch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	got, ok := arch.Get(resumed.ArchiveKey())
+	if !ok || !got.Sealed {
+		t.Fatalf("resumed watch left record %q sealed=%v, want a sealed record", resumed.ArchiveKey(), got.Sealed)
+	}
+	if len(got.Trials) != len(want.Trials) {
+		t.Fatalf("archive holds %d trials, an uninterrupted watch archives %d (trials re-run after resume appended twice?)",
+			len(got.Trials), len(want.Trials))
+	}
+	byStep := make(map[int]ArchiveTrial, len(got.Trials))
+	for _, tr := range got.Trials {
+		if _, dup := byStep[tr.Step]; dup {
+			t.Fatalf("step %d archived twice", tr.Step)
+		}
+		byStep[tr.Step] = tr
+	}
+	for i, wt := range want.Trials {
+		if wt.Step != i+1 {
+			t.Fatalf("uninterrupted watch archived step %d at position %d, want steps 1..%d", wt.Step, i, len(want.Trials))
+		}
+		gt, ok := byStep[wt.Step]
+		if !ok {
+			t.Fatalf("resumed watch archived no step %d", wt.Step)
+		}
+		if gt.Config.Fingerprint() != wt.Config.Fingerprint() || gt.Y != wt.Y || gt.Failed != wt.Failed {
+			t.Fatalf("step %d: resumed archive holds %+v, uninterrupted %+v", wt.Step, gt, wt)
+		}
+	}
+}

@@ -113,6 +113,27 @@ func remoteOptions(token string) stormtune.RemoteBackendOptions {
 	}
 }
 
+// applyStrategy sets up opts for a strategy name: the paper's linear
+// searches pla and ipla stop after 3 consecutive zero-throughput
+// trials, bo is the default Bayesian optimizer, and ibo searches the
+// informed hint set.
+func applyStrategy(opts *stormtune.TunerOptions, name string, t *stormtune.Topology, template stormtune.Config) error {
+	switch name {
+	case "pla":
+		opts.Strategy = stormtune.NewPLA(t, template)
+		opts.StopAfterZeros = 3
+	case "ipla":
+		opts.Strategy = stormtune.NewIPLA(t, template)
+		opts.StopAfterZeros = 3
+	case "bo":
+	case "ibo":
+		opts.Set = stormtune.InformedHints
+	default:
+		return fmt.Errorf("unknown strategy %q", name)
+	}
+	return nil
+}
+
 // splitList splits a comma-separated flag value, trimming whitespace and
 // dropping empty entries.
 func splitList(s string) []string {

@@ -217,18 +217,8 @@ func prepareSessions(man *fleetManifest, trialTimeout time.Duration,
 			Recorder:         stormtune.NewRecorder(),
 			Observer:         progress(name),
 		}
-		switch strategy {
-		case "pla":
-			opts.Strategy = stormtune.NewPLA(t, template)
-			opts.StopAfterZeros = 3
-		case "ipla":
-			opts.Strategy = stormtune.NewIPLA(t, template)
-			opts.StopAfterZeros = 3
-		case "bo":
-		case "ibo":
-			opts.Set = stormtune.InformedHints
-		default:
-			return nil, fmt.Errorf("session %q: unknown strategy %q", name, strategy)
+		if err := applyStrategy(&opts, strategy, t, template); err != nil {
+			return nil, fmt.Errorf("session %q: %w", name, err)
 		}
 		if s.StopAfterZeros > 0 {
 			opts.StopAfterZeros = s.StopAfterZeros

@@ -385,18 +385,8 @@ func runTune(args []string) {
 		OptimizerOptions: optimizer,
 		TrialTimeout:     ef.trialDeadline(),
 	}
-	switch *strategy {
-	case "pla":
-		opts.Strategy = stormtune.NewPLA(t, template)
-		opts.StopAfterZeros = 3
-	case "ipla":
-		opts.Strategy = stormtune.NewIPLA(t, template)
-		opts.StopAfterZeros = 3
-	case "bo":
-	case "ibo":
-		opts.Set = stormtune.InformedHints
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -strategy %q\n", *strategy)
+	if err := applyStrategy(&opts, *strategy, t, template); err != nil {
+		fmt.Fprintf(os.Stderr, "-strategy: %v\n", err)
 		os.Exit(2)
 	}
 

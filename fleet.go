@@ -1,6 +1,7 @@
 package stormtune
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -189,14 +190,7 @@ func (fl *FleetLog) MemberState(name string) (*TunerState, error) {
 	if !ok || ms.State == nil {
 		return nil, nil
 	}
-	var st TunerState
-	if err := json.Unmarshal(ms.State, &st); err != nil {
-		return nil, fmt.Errorf("stormtune: fleet log: decoding %q snapshot: %w", name, err)
-	}
-	if err := st.validate(); err != nil {
-		return nil, fmt.Errorf("stormtune: fleet log: %q snapshot: %w", name, err)
-	}
-	return &st, nil
+	return loadState[TunerState](bytes.NewReader(ms.State), fmt.Sprintf("fleet log %q snapshot", name))
 }
 
 // Err returns the first write error the log hit while observing the

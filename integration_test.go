@@ -66,7 +66,7 @@ func TestStrategiesRespectEvaluatorContract(t *testing.T) {
 				if !ok {
 					break
 				}
-				if err := cfg.Validate(top); err != nil {
+				if err := cfg.Validate(top.N()); err != nil {
 					t.Fatalf("%s/%s: %v", cond.Label(), name, err)
 				}
 				for _, ev := range evals {

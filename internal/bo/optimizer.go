@@ -598,11 +598,6 @@ func (opt *Optimizer) Observe(u []float64, y float64) {
 	}
 }
 
-// Observations returns a copy of the completed observations in order.
-func (opt *Optimizer) Observations() []Observation {
-	return append([]Observation(nil), opt.obs...)
-}
-
 func sameVec(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -129,14 +129,20 @@ func PlaceRoundRobin(spec Spec, counts []int) *Placement {
 	return p
 }
 
-// Overloaded reports whether any machine exceeds its task-slot budget —
-// the condition under which the simulated topology fails to start and
-// measures zero throughput.
-func (p *Placement) Overloaded() bool {
-	for _, n := range p.TasksOn {
-		if n > p.Spec.TaskSlotsPerMachine {
+// Overloads reports whether round-robin placement of counts[node]
+// instances puts more than TaskSlotsPerMachine on some machine — the
+// condition under which the simulated topology fails to start and
+// measures zero throughput. Round robin deals the tasks evenly, so that
+// happens exactly when they outnumber the cluster's slots; the answer
+// needs no placement, and the sum stops at the first excess, so it
+// cannot overflow. Counts are non-negative.
+func (s Spec) Overloads(counts []int) bool {
+	free := s.TotalTaskSlots()
+	for _, c := range counts {
+		if c > free {
 			return true
 		}
+		free -= c
 	}
 	return false
 }

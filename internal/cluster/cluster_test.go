@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -57,11 +58,23 @@ func TestPlaceRoundRobinSpreads(t *testing.T) {
 func TestPlacementOverload(t *testing.T) {
 	spec := Spec{Machines: 2, CoresPerMachine: 4, CoreMillisPerSec: 1000,
 		NICBytesPerSec: 1, TaskSlotsPerMachine: 3, ThrashTasksPerCore: 4}
-	if PlaceRoundRobin(spec, []int{6}).Overloaded() {
+	if spec.Overloads([]int{6}) || spec.Overloads([]int{2, 4}) {
 		t.Fatal("6 tasks on 2×3 slots should fit")
 	}
-	if !PlaceRoundRobin(spec, []int{7}).Overloaded() {
+	if !spec.Overloads([]int{7}) || !spec.Overloads([]int{3, 4}) {
 		t.Fatal("7 tasks on 2×3 slots should overload")
+	}
+	// The sum stops at the first excess instead of overflowing.
+	if !spec.Overloads([]int{math.MaxInt, math.MaxInt}) || !spec.Overloads([]int{1, math.MaxInt}) {
+		t.Fatal("counts summing past MaxInt must overload")
+	}
+	// The placement agrees: round robin puts at most 3 on a machine
+	// exactly when the tasks fit.
+	for total := 1; total <= 8; total++ {
+		p := PlaceRoundRobin(spec, []int{total})
+		if over := p.MaxTasksOnAnyMachine() > spec.TaskSlotsPerMachine; over != spec.Overloads([]int{total}) {
+			t.Fatalf("%d tasks: placement overloaded=%v, Overloads=%v", total, over, !over)
+		}
 	}
 }
 

@@ -165,7 +165,7 @@ func TestBOStrategyDecodesValidConfigs(t *testing.T) {
 			if !ok {
 				t.Fatalf("set %d exhausted", set)
 			}
-			if err := cfg.Validate(tp); err != nil {
+			if err := cfg.Validate(tp.N()); err != nil {
 				t.Fatalf("set %d produced invalid config: %v", set, err)
 			}
 			strat.Observe(cfg, storm.Result{Throughput: float64(i)})
@@ -356,7 +356,7 @@ func TestMakeFactoryAllStrategies(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no first config", name)
 		}
-		if err := cfg.Validate(tp); err != nil {
+		if err := cfg.Validate(tp.N()); err != nil {
 			t.Fatalf("%s: invalid first config: %v", name, err)
 		}
 	}

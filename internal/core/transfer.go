@@ -357,7 +357,9 @@ func containsVec(set [][]float64, u []float64) bool {
 // trials to an archive store as they happen. OnEvent runs on the
 // session's serialized observer dispatch — outside the session lock,
 // off the propose/report hot path — so the store write never blocks a
-// proposal (the emitnolock contract). On resume it skips steps the
+// proposal (the emitnolock contract). A trial's archive step is its
+// run index: the session step for a single session, the cumulative
+// trial number across a watch's sessions. On resume it skips steps the
 // archive already holds, preventing double-appends when the archive is
 // ahead of the snapshot.
 type ArchiveRecorder struct {
@@ -404,7 +406,7 @@ func (a *ArchiveRecorder) OnEvent(e Event) {
 	if tc.Result.Failed {
 		y = 0
 	}
-	a.append(archive.TrialRecord{Step: tc.Trial.ID, Config: tc.Trial.Config, Y: y, Failed: tc.Result.Failed})
+	a.append(archive.TrialRecord{Step: tc.Trial.RunIndex, Config: tc.Trial.Config, Y: y, Failed: tc.Result.Failed})
 }
 
 func (a *ArchiveRecorder) append(tr archive.TrialRecord) {
@@ -420,17 +422,18 @@ func (a *ArchiveRecorder) append(tr archive.TrialRecord) {
 	a.seen[tr.Step] = true
 }
 
-// Backfill archives completed records a resumed session replayed
-// internally (replay does not emit TrialCompleted): only steps the
-// archive does not already hold are appended, so a snapshot behind
-// the archive double-appends nothing.
-func (a *ArchiveRecorder) Backfill(records []RunRecord) {
-	for _, r := range records {
+// Backfill archives the completed records of a session snapshot that
+// a resumed session replayed internally (replay does not emit
+// TrialCompleted), each at its run index: only steps the archive does
+// not already hold are appended, so a snapshot behind the archive
+// double-appends nothing.
+func (a *ArchiveRecorder) Backfill(st *SessionState) {
+	for _, r := range st.Records {
 		y := r.Result.Throughput
 		if r.Result.Failed {
 			y = 0
 		}
-		a.append(archive.TrialRecord{Step: r.Step, Config: r.Config, Y: y, Failed: r.Result.Failed})
+		a.append(archive.TrialRecord{Step: st.RunOffset + r.Step, Config: r.Config, Y: y, Failed: r.Result.Failed})
 	}
 }
 

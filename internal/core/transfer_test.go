@@ -21,7 +21,7 @@ func archiveDonor(t *testing.T, store archive.Store, key string, seed int64, ste
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Backfill(res.Records)
+	rec.Backfill(recordsState(res.Records))
 	if err := rec.Seal(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +29,16 @@ func archiveDonor(t *testing.T, store archive.Store, key string, seed int64, ste
 		t.Fatal(err)
 	}
 	return res
+}
+
+// recordsState wraps a pass's records as the session snapshot Backfill
+// reads.
+func recordsState(recs []RunRecord) *SessionState {
+	st := &SessionState{}
+	for _, r := range recs {
+		st.Records = append(st.Records, RecordState{Step: r.Step, Config: r.Config, Result: r.Result})
+	}
+	return st
 }
 
 func TestArchiveRecorderObservesAndSeals(t *testing.T) {
@@ -66,7 +76,7 @@ func TestArchiveRecorderObservesAndSeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2.Backfill(res.Records)
+	rec2.Backfill(recordsState(res.Records))
 	if again, _ := store.Get("live-1"); len(again.Trials) != len(got.Trials) {
 		t.Fatalf("backfill after resume double-appended: %d -> %d", len(got.Trials), len(again.Trials))
 	}
@@ -201,7 +211,7 @@ func TestComputeTransferSkipsOwnKeyAndOtherParamSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Backfill(res.Records)
+	rec.Backfill(recordsState(res.Records))
 	meta2 := SessionMetaFor("hints-2", tp, cluster.Small(), "bo", Hints, 52)
 	seed := ComputeTransfer(s, store, meta2, WarmStartOptions{Enabled: true})
 	if seed == nil || seed.Donor != "self-1" {

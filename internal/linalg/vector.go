@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dot returns the inner product of a and b.
 func Dot(a, b []float64) float64 {
@@ -15,21 +12,6 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: axpy len %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
 }
 
 // Scale multiplies x by alpha in place.
@@ -44,17 +26,4 @@ func CloneVec(x []float64) []float64 {
 	out := make([]float64, len(x))
 	copy(out, x)
 	return out
-}
-
-// SqDist returns the squared Euclidean distance between a and b.
-func SqDist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: sqdist len %d vs %d", len(a), len(b)))
-	}
-	s := 0.0
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return s
 }

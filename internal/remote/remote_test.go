@@ -1,9 +1,12 @@
 package remote
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -597,5 +600,44 @@ func TestEndToEndSnapshotResumeBitIdentical(t *testing.T) {
 	}
 	if got.BestStep != want.BestStep {
 		t.Fatalf("best step %d, want %d", got.BestStep, want.BestStep)
+	}
+}
+
+// TestServerRejectsInvalidConfig: a config the simulator cannot run is
+// the caller's error — HTTP 400 bad_request, not a crashed worker — and
+// the worker goes on serving. A hint far past the cluster's slots is a
+// valid config that fails placement, evaluated without placing it.
+func TestServerRejectsInvalidConfig(t *testing.T) {
+	tp := testTopo()
+	_, srv := startServer(t, ServerOptions{}, BackendOptions{})
+	post := func(cfg storm.Config) (int, RunResponse) {
+		t.Helper()
+		body, err := json.Marshal(RunRequest{Trial: TrialMeta{ID: 1, RunIndex: 1, Attempt: 1}, Config: cfg, Fingerprint: fp(tp)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.Post(srv.URL+"/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		var resp RunResponse
+		if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		return hr.StatusCode, resp
+	}
+	bad := storm.DefaultSyntheticConfig(tp, 1)
+	bad.Hints[1] = -1
+	if code, resp := post(bad); code != http.StatusBadRequest || resp.Code != CodeBadRequest {
+		t.Fatalf("negative hint: HTTP %d %+v, want 400 %s", code, resp, CodeBadRequest)
+	}
+	huge := storm.DefaultSyntheticConfig(tp, 1)
+	huge.Hints[1] = 1 << 40
+	if code, resp := post(huge); code != http.StatusOK || resp.Result == nil || resp.Result.Failure != storm.FailurePlacement {
+		t.Fatalf("2^40 hint: HTTP %d %+v, want 200 with a placement failure", code, resp)
+	}
+	if code, resp := post(storm.DefaultSyntheticConfig(tp, 2)); code != http.StatusOK || resp.Result == nil || resp.Result.Failed {
+		t.Fatalf("valid config after the rejections: HTTP %d %+v", code, resp)
 	}
 }

@@ -252,11 +252,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if want := reg.info.Nodes; want > 0 && len(req.Config.Hints) != want {
+	// A config the simulators cannot run (a hint count other than the
+	// served topology's, a hint below 1, ...) is the caller's error, not
+	// a lost evaluation. A registration without a node count accepts
+	// any number of hints.
+	nodes := reg.info.Nodes
+	if nodes <= 0 {
+		nodes = len(req.Config.Hints)
+	}
+	if err := req.Config.Validate(nodes); err != nil {
 		writeJSON(w, http.StatusBadRequest, RunResponse{
-			Error: fmt.Sprintf("config has %d hints, served topology %q has %d operators",
-				len(req.Config.Hints), reg.info.Topology, want),
-			Code: CodeBadRequest,
+			Error: fmt.Sprintf("config for served topology %q: %v", reg.info.Topology, err),
+			Code:  CodeBadRequest,
 		})
 		return
 	}

@@ -91,8 +91,8 @@ const (
 	// evaluation never started — shed the trial to another worker or
 	// wait, no retry budget is owed.
 	CodeOverloaded = "overloaded"
-	// CodeBadRequest: malformed body or a config that does not fit the
-	// routed topology (HTTP 400).
+	// CodeBadRequest: malformed body, or a config that does not fit the
+	// routed topology or that storm.Config.Validate rejects (HTTP 400).
 	CodeBadRequest = "bad_request"
 	// CodeEvaluation: the backend lost the measurement (HTTP 502) — the
 	// classic case for the session's RetryPolicy.

@@ -4,10 +4,7 @@
 // in §V-D), and LOESS regression smoothing (Figures 6 and 8b).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
 func Mean(xs []float64) float64 {
@@ -65,30 +62,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
-// between order statistics (type-7, the R default).
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Summary bundles the min/avg/max triple the paper's error bars report.

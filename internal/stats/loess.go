@@ -87,19 +87,3 @@ func Loess(xs, ys []float64, span float64, evalAt []float64) []float64 {
 	}
 	return out
 }
-
-// LoessCurve smooths (xs, ys) and evaluates at the sorted unique xs,
-// returning parallel slices ready for plotting as a trend line.
-func LoessCurve(xs, ys []float64, span float64) (ex, ey []float64) {
-	uniq := map[float64]struct{}{}
-	for _, x := range xs {
-		uniq[x] = struct{}{}
-	}
-	ex = make([]float64, 0, len(uniq))
-	for x := range uniq {
-		ex = append(ex, x)
-	}
-	sort.Float64s(ex)
-	ey = Loess(xs, ys, span, ex)
-	return ex, ey
-}

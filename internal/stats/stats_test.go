@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func approx(t *testing.T, got, want, tol float64, name string) {
@@ -36,14 +35,6 @@ func TestMinMax(t *testing.T) {
 	approx(t, Max(xs), 5, 0, "max")
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	approx(t, Quantile(xs, 0), 1, 0, "q0")
-	approx(t, Quantile(xs, 1), 4, 0, "q1")
-	approx(t, Quantile(xs, 0.5), 2.5, 1e-12, "median")
-	approx(t, Quantile(xs, 0.25), 1.75, 1e-12, "q25")
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if s.N != 3 || s.Min != 1 || s.Max != 3 {
@@ -57,30 +48,6 @@ func TestNormalPDFCDF(t *testing.T) {
 	approx(t, NormalCDF(0), 0.5, 1e-12, "cdf(0)")
 	approx(t, NormalCDF(1.959963985), 0.975, 1e-6, "cdf(1.96)")
 	approx(t, NormalCDF(-1.959963985), 0.025, 1e-6, "cdf(-1.96)")
-}
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999} {
-		z := NormalQuantile(p)
-		approx(t, NormalCDF(z), p, 1e-10, "roundtrip")
-	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
-		t.Fatal("quantile at bounds should be infinite")
-	}
-}
-
-func TestQuickNormalQuantileMonotone(t *testing.T) {
-	f := func(a, b float64) bool {
-		pa := 0.001 + 0.998*math.Abs(math.Mod(a, 1))
-		pb := 0.001 + 0.998*math.Abs(math.Mod(b, 1))
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		return NormalQuantile(pa) <= NormalQuantile(pb)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestStudentTCDF(t *testing.T) {
@@ -191,20 +158,6 @@ func TestLoessEmptyAndTies(t *testing.T) {
 	ys := []float64{2, 4, 6, 8}
 	got := Loess(xs, ys, 0.75, []float64{1})
 	approx(t, got[0], 5, 1e-9, "ties")
-}
-
-func TestLoessCurveSortedOutput(t *testing.T) {
-	xs := []float64{3, 1, 2, 1}
-	ys := []float64{9, 1, 4, 1.2}
-	ex, ey := LoessCurve(xs, ys, 0.9)
-	if len(ex) != 3 || len(ey) != 3 {
-		t.Fatalf("want 3 unique xs, got %d", len(ex))
-	}
-	for i := 1; i < len(ex); i++ {
-		if ex[i-1] >= ex[i] {
-			t.Fatalf("eval xs not strictly sorted: %v", ex)
-		}
-	}
 }
 
 func TestRegIncBetaBounds(t *testing.T) {

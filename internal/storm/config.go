@@ -78,10 +78,10 @@ func DefaultSyntheticConfig(t *topo.Topology, hint int) Config {
 	return c
 }
 
-// Validate checks the config against a topology.
-func (c Config) Validate(t *topo.Topology) error {
-	if len(c.Hints) != t.N() {
-		return fmt.Errorf("storm: %d hints for %d nodes", len(c.Hints), t.N())
+// Validate checks the config against a topology of nodes operators.
+func (c Config) Validate(nodes int) error {
+	if len(c.Hints) != nodes {
+		return fmt.Errorf("storm: %d hints for %d nodes", len(c.Hints), nodes)
 	}
 	for i, h := range c.Hints {
 		if h < 1 {

@@ -89,10 +89,10 @@ func (d *BatchDES) Run(cfg Config, runIndex int) Result {
 		ackers = spec.Machines
 	}
 	counts := append(append([]int(nil), hints...), ackers)
-	place := cluster.PlaceRoundRobin(spec, counts)
-	if place.Overloaded() {
+	if spec.Overloads(counts) {
 		return Result{Failed: true, Failure: FailurePlacement, Bottleneck: "scheduler", Tasks: cfg.TotalTasks()}
 	}
+	place := cluster.PlaceRoundRobin(spec, counts)
 
 	rates := t.Rates()
 	svc := make([]float64, t.N())

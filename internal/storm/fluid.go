@@ -104,14 +104,14 @@ func (f *FluidSim) Solve(cfg Config) Result {
 		ackers = spec.Machines
 	}
 	counts := append(append([]int(nil), hints...), ackers)
-	place := cluster.PlaceRoundRobin(spec, counts)
 	totalTasks := 0
 	for _, c := range hints {
 		totalTasks += c
 	}
-	if place.Overloaded() {
+	if spec.Overloads(counts) {
 		return Result{Failed: true, Failure: FailurePlacement, Bottleneck: "scheduler", Tasks: totalTasks}
 	}
+	place := cluster.PlaceRoundRobin(spec, counts)
 
 	rates := t.Rates()
 	spouts := t.Spouts()

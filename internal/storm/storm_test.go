@@ -2,6 +2,7 @@ package storm
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"stormtune/internal/cluster"
@@ -36,22 +37,22 @@ func noNoiseFluid(t *topo.Topology, spec cluster.Spec) *FluidSim {
 func TestConfigValidate(t *testing.T) {
 	tp := chainTopo(20)
 	good := DefaultSyntheticConfig(tp, 2)
-	if err := good.Validate(tp); err != nil {
+	if err := good.Validate(tp.N()); err != nil {
 		t.Fatal(err)
 	}
 	bad := good.Clone()
 	bad.Hints = bad.Hints[:2]
-	if err := bad.Validate(tp); err == nil {
+	if err := bad.Validate(tp.N()); err == nil {
 		t.Fatal("hint-count mismatch accepted")
 	}
 	bad = good.Clone()
 	bad.Hints[0] = 0
-	if err := bad.Validate(tp); err == nil {
+	if err := bad.Validate(tp.N()); err == nil {
 		t.Fatal("zero hint accepted")
 	}
 	bad = good.Clone()
 	bad.BatchParallelism = 0
-	if err := bad.Validate(tp); err == nil {
+	if err := bad.Validate(tp.N()); err == nil {
 		t.Fatal("zero batch parallelism accepted")
 	}
 }
@@ -369,6 +370,33 @@ func TestDESSchedulerFailure(t *testing.T) {
 	}
 }
 
+// TestHugeHintFailsPlacementUnplaced: a hint far past the cluster's
+// task slots fails placement before any per-task state is built — at
+// 2^40 tasks one int per task would exhaust memory.
+func TestHugeHintFailsPlacementUnplaced(t *testing.T) {
+	tp := chainTopo(20)
+	cfg := DefaultSyntheticConfig(tp, 1)
+	cfg.Hints[1] = 1 << 40
+	for _, c := range []struct {
+		name string
+		ev   Evaluator
+	}{
+		{"fluid", noNoiseFluid(tp, testCluster())},
+		{"des", NewBatchDES(tp, testCluster(), SinkTuples)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := c.ev.Run(cfg, 0)
+		runtime.ReadMemStats(&after)
+		if !r.Failed || r.Failure != FailurePlacement {
+			t.Fatalf("%s: %+v, want a placement failure", c.name, r)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("%s allocated %d bytes to refuse a placement", c.name, got)
+		}
+	}
+}
+
 func TestDESDeterministic(t *testing.T) {
 	tp := chainTopo(20)
 	ds := NewBatchDES(tp, testCluster(), SinkTuples)
@@ -377,61 +405,6 @@ func TestDESDeterministic(t *testing.T) {
 	b := ds.Run(cfg, 0)
 	if a.Throughput != b.Throughput {
 		t.Fatal("DES must be deterministic")
-	}
-}
-
-func TestFuseChains(t *testing.T) {
-	// s → a → b → c with a,b,c a pure chain plus a fan-out at c.
-	tp := topo.MustNew("chainfuse",
-		[]topo.Node{
-			{Name: "s", Kind: topo.Spout, TimeUnits: 1, Selectivity: 1, TupleBytes: 10},
-			{Name: "a", Kind: topo.Bolt, TimeUnits: 2, Selectivity: 2, TupleBytes: 20},
-			{Name: "b", Kind: topo.Bolt, TimeUnits: 3, Selectivity: 0.5, TupleBytes: 30},
-			{Name: "c1", Kind: topo.Bolt, TimeUnits: 4, Selectivity: 1, TupleBytes: 40},
-			{Name: "c2", Kind: topo.Bolt, TimeUnits: 5, Selectivity: 1, TupleBytes: 50},
-		},
-		[]topo.Edge{
-			{From: 0, To: 1, Grouping: topo.Shuffle},
-			{From: 1, To: 2, Grouping: topo.Shuffle},
-			{From: 2, To: 3, Grouping: topo.Shuffle},
-			{From: 2, To: 4, Grouping: topo.Shuffle},
-		},
-	)
-	fused, mapping := FuseChains(tp)
-	// s+a+b collapse (s→a→b is a chain); c1, c2 stay.
-	if fused.N() != 3 {
-		t.Fatalf("fused to %d nodes, want 3: %+v", fused.N(), fused.Nodes)
-	}
-	if mapping[0] != mapping[1] || mapping[1] != mapping[2] {
-		t.Fatalf("chain not fused together: %v", mapping)
-	}
-	head := fused.Nodes[mapping[0]]
-	if head.TimeUnits != 6 {
-		t.Fatalf("fused cost = %v, want 6", head.TimeUnits)
-	}
-	if head.Selectivity != 1 { // 1 × 2 × 0.5
-		t.Fatalf("fused selectivity = %v, want 1", head.Selectivity)
-	}
-	if err := fused.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFuseChainsContentionPropagates(t *testing.T) {
-	tp := chainTopo(5)
-	tp.Nodes[2].Contentious = true
-	fused, mapping := FuseChains(tp)
-	if !fused.Nodes[mapping[2]].Contentious {
-		t.Fatal("contention flag lost in fusion")
-	}
-}
-
-func TestFuseHints(t *testing.T) {
-	hints := []int{2, 7, 3}
-	mapping := []int{0, 0, 1}
-	out := FuseHints(hints, mapping, 2)
-	if out[0] != 7 || out[1] != 3 {
-		t.Fatalf("fused hints = %v", out)
 	}
 }
 

@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"stormtune/internal/ggen"
 )
@@ -206,15 +205,4 @@ func BuildSynthetic(size string, cond Condition, seed int64) *Topology {
 	opts.Seed = seed
 	name := fmt.Sprintf("%s[TiIm=%.0f%%,Cont=%.0f%%]", size, cond.TimeImbalance*100, cond.ContentiousFraction*100)
 	return FromDAG(name, d, opts)
-}
-
-// NodeNamesSorted returns node names in index order; helper for stable
-// test output.
-func (t *Topology) NodeNamesSorted() []string {
-	names := make([]string, len(t.Nodes))
-	for i, n := range t.Nodes {
-		names[i] = n.Name
-	}
-	sort.Strings(names)
-	return names
 }

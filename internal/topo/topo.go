@@ -394,15 +394,3 @@ func (t *Topology) CriticalPathUnits() float64 {
 	}
 	return maxAll
 }
-
-// MaxFiniteWeight returns the largest base weight, guarding against the
-// exponential growth deep layered graphs can exhibit.
-func (t *Topology) MaxFiniteWeight() float64 {
-	m := 0.0
-	for _, w := range t.BaseWeights() {
-		if !math.IsInf(w, 0) && w > m {
-			m = w
-		}
-	}
-	return m
-}

@@ -246,6 +246,14 @@ type Tuner struct {
 // trials itself through Propose/Report (the Run* drivers then return
 // an error).
 func NewTuner(t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
+	return newTuner(t, b, opts, nil)
+}
+
+// newTuner is the one build path of a Tuner: NewTuner passes st == nil,
+// ResumeTuner the snapshot whose fields it folded into opts. Only the
+// transfer, the session, the archive backfill and the recorder's
+// priming depend on st.
+func newTuner(t *Topology, b Backend, opts TunerOptions, st *TunerState) (*Tuner, error) {
 	if t == nil {
 		return nil, fmt.Errorf("stormtune: nil topology")
 	}
@@ -259,17 +267,21 @@ func NewTuner(t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
 	spec, template := *opts.Cluster, *opts.Template
 
 	strat := opts.Strategy
-	custom := strat != nil
 	if strat == nil {
 		strat = core.NewBO(t, spec, template, boOptions(opts.Set, opts.Seed, opts.OptimizerOptions))
 	}
+	bs, builtin := strat.(*core.BOStrategy)
 
-	// Archive + transfer wiring. The warm start must attach before the
-	// session issues its first suggestion, and the session's own record
-	// must never serve as its donor — so the key is derived, transfer
-	// computed, and only then the record begun.
-	var arec *core.ArchiveRecorder
+	// A resumed session reapplies its snapshotted warm start: replay
+	// cross-checks every regenerated proposal, so the optimizer must
+	// start from the identical warm design. A fresh one (ResumeTuner
+	// never sets WarmStart) computes it before its own record is begun,
+	// so the record never serves as its own donor.
 	var transfer *TransferSeed
+	if st != nil {
+		transfer = st.Transfer
+	}
+	var arec *core.ArchiveRecorder
 	archiveKey := ""
 	if opts.Archive != nil {
 		archiveKey = opts.ArchiveKey
@@ -277,38 +289,61 @@ func NewTuner(t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
 			archiveKey = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), strat.Name(), opts.Seed)
 		}
 		meta := core.SessionMetaFor(archiveKey, t, spec, strat.Name(), opts.Set, opts.Seed)
-		if bs, ok := strat.(*core.BOStrategy); ok && opts.WarmStart.Enabled {
+		if builtin && opts.WarmStart.Enabled {
 			transfer = core.ComputeTransfer(bs, opts.Archive, meta, opts.WarmStart)
-			bs.ApplyTransfer(transfer)
 		}
 		var err error
 		if arec, err = core.NewArchiveRecorder(opts.Archive, meta); err != nil {
 			return nil, fmt.Errorf("stormtune: archive: %w", err)
 		}
 	}
-	if opts.Recorder != nil && transfer != nil {
-		opts.Recorder.SetTransfer(transfer)
+	if builtin {
+		bs.ApplyTransfer(transfer)
 	}
 	observer := composeObserver(opts.Recorder, opts.Observer)
 	if arec != nil {
 		observer = core.MultiObserver(observer, arec)
 	}
 
-	sess := core.NewSession(strat, b, core.SessionOptions{
+	sopts := core.SessionOptions{
 		MaxSteps:       opts.Steps,
 		StopAfterZeros: opts.StopAfterZeros,
 		Retry:          opts.Retry,
 		TrialTimeout:   opts.TrialTimeout,
 		Observer:       observer,
 		Fingerprint:    TopologyFingerprint(t),
-	})
+	}
+	var sess *core.Session
+	if st == nil {
+		sess = core.NewSession(strat, b, sopts)
+	} else {
+		var err error
+		if sess, err = core.ResumeSession(st.Session, strat, b, sopts); err != nil {
+			return nil, err
+		}
+		// Replay emits no events, so the snapshot's records are
+		// backfilled; steps the archive already holds are skipped. The
+		// recorder is primed only now that replay accepted the snapshot,
+		// and before any live event, so a dashboard shows the
+		// pre-snapshot incumbent trace and the carried-over pending
+		// trials.
+		if arec != nil {
+			arec.Backfill(st.Session)
+		}
+		if opts.Recorder != nil {
+			opts.Recorder.Prime(st.Session)
+		}
+	}
+	if opts.Recorder != nil {
+		opts.Recorder.SetTransfer(transfer)
+	}
 	return &Tuner{
 		sess:       sess,
 		opts:       opts,
 		topoName:   t.Name,
 		topoN:      t.N(),
 		fp:         TopologyFingerprint(t),
-		custom:     custom,
+		custom:     opts.Strategy != nil,
 		bound:      spec.MaxConcurrentTrials(template.TotalTasks()),
 		arec:       arec,
 		archiveKey: archiveKey,
@@ -509,39 +544,65 @@ func (s *TunerState) validate() error {
 	return nil
 }
 
-// Save writes the snapshot as JSON.
-func (s *TunerState) Save(w io.Writer) error {
+// resumable is a resumable type's snapshot, *TunerState or *WatchState.
+type resumable[T any] interface {
+	*T
+	validate() error
+}
+
+// saveState writes a snapshot as indented JSON.
+func saveState(w io.Writer, s any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
 
-// SaveFile atomically replaces path with the snapshot (the bytes Save
-// writes): a crash mid-save leaves the previous snapshot in place.
-func (s *TunerState) SaveFile(path string) error {
-	return journal.WriteFile(path, s.Save)
+// loadState decodes one JSON snapshot from r and validates it; what
+// names the snapshot in errors.
+func loadState[T any, P resumable[T]](r io.Reader, what string) (*T, error) {
+	s := new(T)
+	if err := json.NewDecoder(r).Decode(s); err != nil {
+		return nil, fmt.Errorf("stormtune: decoding %s: %w", what, err)
+	}
+	if err := P(s).validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: %s: %w", what, err)
+	}
+	return s, nil
 }
 
-// LoadTunerState reads a snapshot from r.
-func LoadTunerState(r io.Reader) (*TunerState, error) {
-	var s TunerState
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("stormtune: decoding tuner state: %w", err)
-	}
-	if err := s.validate(); err != nil {
-		return nil, fmt.Errorf("stormtune: %w", err)
-	}
-	return &s, nil
-}
-
-// LoadTunerStateFile reads a snapshot from a file.
-func LoadTunerStateFile(path string) (*TunerState, error) {
+// loadStateFile is loadState over a file.
+func loadStateFile[T any, P resumable[T]](path, what string) (*T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadTunerState(f)
+	return loadState[T, P](f, what)
+}
+
+// Save writes the snapshot as JSON.
+func (s *TunerState) Save(w io.Writer) error { return saveState(w, s) }
+
+// SaveFile atomically replaces path with the snapshot (the bytes Save
+// writes): a crash mid-save leaves the previous snapshot in place.
+func (s *TunerState) SaveFile(path string) error { return journal.WriteFile(path, s.Save) }
+
+// LoadTunerState reads a snapshot from r.
+func LoadTunerState(r io.Reader) (*TunerState, error) { return loadState[TunerState](r, "tuner state") }
+
+// LoadTunerStateFile reads a snapshot from a file.
+func LoadTunerStateFile(path string) (*TunerState, error) {
+	return loadStateFile[TunerState](path, "tuner state")
+}
+
+// checkResumeTopology rejects resuming a snapshot taken over nodes
+// nodes onto a topology of another size; newTuner and newWatcher
+// reject a nil topology.
+func checkResumeTopology(t *Topology, nodes int, name string) error {
+	if t != nil && t.N() != nodes {
+		return fmt.Errorf("stormtune: topology has %d nodes, snapshot was taken over %d (%s)", t.N(), nodes, name)
+	}
+	return nil
 }
 
 // ResumeTuner reconstructs a session from a snapshot against the same
@@ -554,22 +615,29 @@ func LoadTunerStateFile(path string) (*TunerState, error) {
 //
 // opts carries the non-serializable and extendable pieces: Observer, a
 // Recorder (primed from the snapshot so its dashboard shows the whole
-// run), a raised Steps budget, a Retry policy and TrialTimeout fitting the
-// new backend's failure profile (zero values keep the snapshot's), and
-// — for snapshots of sessions that injected a custom Strategy — an
-// equally fresh Strategy instance. All other fields are taken from the
-// snapshot.
+// run), a raised Steps budget or Parallel, a Retry policy and
+// TrialTimeout fitting the new backend's failure profile (zero values
+// keep the snapshot's), the Archive to re-attach, and — for snapshots
+// of sessions that injected a custom Strategy — an equally fresh
+// Strategy instance. All other fields are taken from the snapshot.
 func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
 	if err := st.validate(); err != nil {
 		return nil, fmt.Errorf("stormtune: resume: %w", err)
 	}
-	if t == nil {
-		return nil, fmt.Errorf("stormtune: nil topology")
+	if err := checkResumeTopology(t, st.Nodes, st.Topology); err != nil {
+		return nil, err
 	}
-	if t.N() != st.Nodes {
-		return nil, fmt.Errorf("stormtune: topology has %d nodes, snapshot was taken over %d (%s)",
-			t.N(), st.Nodes, st.Topology)
+	if st.Custom && opts.Strategy == nil {
+		return nil, fmt.Errorf("stormtune: snapshot used a custom strategy; pass a fresh one in opts.Strategy")
 	}
+	if !st.Custom && opts.Strategy != nil {
+		return nil, fmt.Errorf("stormtune: snapshot used the built-in optimizer; opts.Strategy must be nil")
+	}
+	// A zero Steps or Parallel keeps the snapshot's. A zero Retry or
+	// TrialTimeout makes core.ResumeSession fall back to the policy
+	// stored once, in st.Session; a non-zero one overrides it, because a
+	// resumed session may face another failure profile (a local run
+	// resumed against a RemoteBackend).
 	resolved := TunerOptions{
 		Steps:            st.Steps,
 		Set:              st.Set,
@@ -579,8 +647,13 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 		OptimizerOptions: st.OptimizerOptions,
 		Template:         &st.Template,
 		Cluster:          &st.Cluster,
+		Retry:            opts.Retry,
+		TrialTimeout:     opts.TrialTimeout,
 		Observer:         opts.Observer,
 		Recorder:         opts.Recorder,
+		Strategy:         opts.Strategy,
+		Archive:          opts.Archive,
+		ArchiveKey:       st.ArchiveKey,
 	}
 	if opts.Steps > 0 {
 		resolved.Steps = opts.Steps
@@ -588,101 +661,5 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 	if opts.Parallel > 0 {
 		resolved.Parallel = opts.Parallel
 	}
-	if resolved.Parallel < 1 {
-		resolved.Parallel = 1
-	}
-	// A resumed session may face a different failure profile than the
-	// snapshotted one — e.g. resuming a local-simulator run against a
-	// RemoteBackend — so a non-zero Retry/TrialTimeout overrides the
-	// snapshot's (stored once, in st.Session; core.ResumeSession falls
-	// back to it when these are zero).
-	resolved.Retry = opts.Retry
-	resolved.TrialTimeout = opts.TrialTimeout
-
-	var strat Strategy
-	if st.Custom {
-		if opts.Strategy == nil {
-			return nil, fmt.Errorf("stormtune: snapshot used a custom strategy; pass a fresh one in opts.Strategy")
-		}
-		strat = opts.Strategy
-		resolved.Strategy = opts.Strategy
-	} else {
-		if opts.Strategy != nil {
-			return nil, fmt.Errorf("stormtune: snapshot used the built-in optimizer; opts.Strategy must be nil")
-		}
-		bs := core.NewBO(t, st.Cluster, st.Template, boOptions(st.Set, st.Seed, st.OptimizerOptions))
-		// Reapply the snapshotted warm start before replay: the op-log
-		// cross-checks every regenerated proposal, so the resumed
-		// optimizer must start from the identical warm design.
-		bs.ApplyTransfer(st.Transfer)
-		strat = bs
-	}
-
-	// Re-attach the archive record (if the caller passes the store
-	// again). Begun before the replay so its resume cursor reflects
-	// what the archive already holds.
-	var arec *core.ArchiveRecorder
-	archiveKey := ""
-	if opts.Archive != nil {
-		resolved.Archive = opts.Archive
-		archiveKey = st.ArchiveKey
-		if archiveKey == "" {
-			archiveKey = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), strat.Name(), st.Seed)
-		}
-		meta := core.SessionMetaFor(archiveKey, t, st.Cluster, strat.Name(), st.Set, st.Seed)
-		var aerr error
-		if arec, aerr = core.NewArchiveRecorder(opts.Archive, meta); aerr != nil {
-			return nil, fmt.Errorf("stormtune: archive: %w", aerr)
-		}
-	}
-	observer := composeObserver(resolved.Recorder, resolved.Observer)
-	if arec != nil {
-		observer = core.MultiObserver(observer, arec)
-	}
-
-	sess, err := core.ResumeSession(st.Session, strat, b, core.SessionOptions{
-		MaxSteps:       resolved.Steps,
-		StopAfterZeros: resolved.StopAfterZeros,
-		Retry:          resolved.Retry,
-		TrialTimeout:   resolved.TrialTimeout,
-		Observer:       observer,
-		Fingerprint:    TopologyFingerprint(t),
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The snapshot may hold records the archive never saw (e.g. the
-	// first run recorded no archive); replay emits no events, so
-	// backfill them — the resume cursor skips everything the archive
-	// already has, never double-appending pre-snapshot records.
-	if arec != nil {
-		recs := make([]RunRecord, len(st.Session.Records))
-		for i, r := range st.Session.Records {
-			recs[i] = RunRecord{Step: r.Step, Config: r.Config, Result: r.Result}
-		}
-		arec.Backfill(recs)
-	}
-	// Rebuild the recorder's history from the snapshot — only now that
-	// the replay cross-check accepted it (a rejected snapshot must not
-	// leave its records in the caller's recorder), and before any live
-	// event, so a dashboard shows the pre-snapshot incumbent trace and
-	// the carried-over pending trials.
-	if resolved.Recorder != nil {
-		resolved.Recorder.Prime(st.Session)
-		if st.Transfer != nil {
-			resolved.Recorder.SetTransfer(st.Transfer)
-		}
-	}
-	return &Tuner{
-		sess:       sess,
-		opts:       resolved,
-		topoName:   st.Topology,
-		topoN:      st.Nodes,
-		fp:         TopologyFingerprint(t),
-		custom:     st.Custom,
-		bound:      st.Cluster.MaxConcurrentTrials(st.Template.TotalTasks()),
-		arec:       arec,
-		archiveKey: archiveKey,
-		transfer:   st.Transfer,
-	}, nil
+	return newTuner(t, b, resolved, st)
 }

@@ -2,15 +2,11 @@ package stormtune
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 	"time"
 
-	"stormtune/internal/archive"
 	"stormtune/internal/bo"
 	"stormtune/internal/core"
 	"stormtune/internal/journal"
@@ -158,80 +154,9 @@ type Watcher struct {
 	opts     WatchOptions
 	topoName string
 	topoN    int
-	arch     *watchArchiver
-}
-
-// watchArchiver appends a watch's completed trials to an archive under
-// one key, numbering them with its own monotone counter — watch
-// episodes restart session-local trial IDs, so the session step cannot
-// serve as the archive step. The counter resumes from the store's
-// cursor so a resumed watch continues the numbering.
-type watchArchiver struct {
-	store Archive
-	key   string
-	mu    sync.Mutex
-	step  int
-	err   error
-}
-
-// OnEvent implements Observer.
-func (a *watchArchiver) OnEvent(e Event) {
-	tc, ok := e.(TrialCompleted)
-	if !ok {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.err != nil {
-		return
-	}
-	a.step++
-	y := tc.Result.Throughput
-	if tc.Result.Failed {
-		y = 0
-	}
-	a.err = a.store.Append(a.key, archive.TrialRecord{
-		Step: a.step, Config: tc.Trial.Config, Y: y, Failed: tc.Result.Failed,
-	})
-}
-
-func (a *watchArchiver) seal() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.err != nil {
-		return a.err
-	}
-	return a.store.Seal(a.key, nil)
-}
-
-// newWatchArchiver registers (or re-attaches) the watch in the store.
-func newWatchArchiver(store Archive, key string, t *Topology, spec ClusterSpec, set ParamSet, seed int64) (*watchArchiver, error) {
-	meta := core.SessionMetaFor(key, t, spec, "watch", set, seed)
-	if err := store.Begin(meta); err != nil {
-		return nil, fmt.Errorf("stormtune: archive: %w", err)
-	}
-	return &watchArchiver{store: store, key: key, step: store.LastStep(key)}, nil
-}
-
-// watchOptions converts the public options into the controller's.
-func (w *Watcher) watchOptions(o WatchOptions) watch.Options {
-	wo := watch.Options{
-		Plan:          o.WatchPlan,
-		Monitor:       o.Monitor,
-		Retune:        o.Retune,
-		Retry:         o.Retry,
-		Observer:      composeObserver(o.Recorder, o.Observer),
-		SnapshotEvery: o.SnapshotEvery,
-		Throttle:      o.Throttle,
-	}
-	if w.arch != nil {
-		wo.Observer = core.MultiObserver(wo.Observer, w.arch)
-	}
-	if o.Snapshot != nil {
-		hook := o.Snapshot
-		wo.Snapshot = func(st *watch.State) { hook(w.wrapState(st)) }
-	}
-	return wo
+	// arec archives every completed trial at its run index, which
+	// counts up across the watch's sessions.
+	arec *core.ArchiveRecorder
 }
 
 // NewWatcher starts a continuous-tuning session for a topology against
@@ -239,6 +164,14 @@ func (w *Watcher) watchOptions(o WatchOptions) watch.Options {
 // simulated cluster, or any Backend whose measurements honor
 // Trial.SimTime.
 func NewWatcher(t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
+	return newWatcher(t, b, opts, nil)
+}
+
+// newWatcher is the one build path of a Watcher: NewWatcher passes
+// st == nil, ResumeWatcher the snapshot whose fields it folded into
+// opts. Only the controller, the archive backfill and the recorder's
+// priming depend on st.
+func newWatcher(t *Topology, b Backend, opts WatchOptions, st *WatchState) (*Watcher, error) {
 	if t == nil {
 		return nil, fmt.Errorf("stormtune: nil topology")
 	}
@@ -246,21 +179,52 @@ func NewWatcher(t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
 		return nil, fmt.Errorf("stormtune: watch needs a backend")
 	}
 	opts.Seed, opts.Cluster, opts.Template = resolveEnv(t, opts.Seed, opts.Cluster, opts.Template)
-	w := &Watcher{opts: opts, topoName: t.Name, topoN: t.N()}
+	w := &Watcher{topoName: t.Name, topoN: t.N()}
+	observer := composeObserver(opts.Recorder, opts.Observer)
 	if opts.Archive != nil {
-		key := opts.ArchiveKey
-		if key == "" {
-			key = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), "watch", opts.Seed)
+		if opts.ArchiveKey == "" {
+			opts.ArchiveKey = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), "watch", opts.Seed)
 		}
-		arch, err := newWatchArchiver(opts.Archive, key, t, *opts.Cluster, opts.Set, opts.Seed)
-		if err != nil {
-			return nil, err
+		meta := core.SessionMetaFor(opts.ArchiveKey, t, *opts.Cluster, "watch", opts.Set, opts.Seed)
+		var err error
+		if w.arec, err = core.NewArchiveRecorder(opts.Archive, meta); err != nil {
+			return nil, fmt.Errorf("stormtune: archive: %w", err)
 		}
-		w.arch = arch
-		w.opts.ArchiveKey = key
+		observer = core.MultiObserver(observer, w.arec)
 	}
-	w.c = watch.New(t, *opts.Cluster, *opts.Template, b,
-		boOptions(opts.Set, opts.Seed, opts.OptimizerOptions), w.watchOptions(opts))
+	w.opts = opts
+	wo := watch.Options{
+		Plan:          opts.WatchPlan,
+		Monitor:       opts.Monitor,
+		Retune:        opts.Retune,
+		Retry:         opts.Retry,
+		Observer:      observer,
+		SnapshotEvery: opts.SnapshotEvery,
+		Throttle:      opts.Throttle,
+	}
+	if hook := opts.Snapshot; hook != nil {
+		wo.Snapshot = func(st *watch.State) { hook(w.wrapState(st)) }
+	}
+	bopts := boOptions(opts.Set, opts.Seed, opts.OptimizerOptions)
+	if st == nil {
+		w.c = watch.New(t, *opts.Cluster, *opts.Template, b, bopts, wo)
+		return w, nil
+	}
+	var err error
+	if w.c, err = watch.Resume(st.Watch, t, *opts.Cluster, *opts.Template, b, bopts, wo); err != nil {
+		return nil, err
+	}
+	// As in newTuner: replay emits no events, so the in-flight
+	// session's records are backfilled (at their run indices) and the
+	// recorder is primed with them.
+	if sess := st.Watch.Session; sess != nil {
+		if w.arec != nil {
+			w.arec.Backfill(sess)
+		}
+		if opts.Recorder != nil {
+			opts.Recorder.Prime(sess)
+		}
+	}
 	return w, nil
 }
 
@@ -269,20 +233,22 @@ func NewWatcher(t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
 // stays intact: call Snapshot for a resumable WatchState. A clean
 // finish seals the watch's archive record (when one is configured).
 func (w *Watcher) Run(ctx context.Context) error {
-	err := w.c.Run(ctx)
-	if err == nil && w.arch != nil {
-		return w.arch.seal()
+	if err := w.c.Run(ctx); err != nil || w.arec == nil {
+		return err
 	}
-	return err
+	if err := w.arec.Seal(nil); err != nil {
+		return err
+	}
+	return w.arec.Err()
 }
 
 // ArchiveKey returns the key this watch records under, empty without
 // an archive.
 func (w *Watcher) ArchiveKey() string {
-	if w.arch == nil {
+	if w.arec == nil {
 		return ""
 	}
-	return w.arch.key
+	return w.arec.Key()
 }
 
 // Incumbent returns the configuration currently held and its measured
@@ -363,38 +329,18 @@ func (s *WatchState) validate() error {
 func (w *Watcher) Snapshot() *WatchState { return w.wrapState(w.c.Snapshot()) }
 
 // Save writes the snapshot as JSON.
-func (s *WatchState) Save(wr io.Writer) error {
-	enc := json.NewEncoder(wr)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
+func (s *WatchState) Save(wr io.Writer) error { return saveState(wr, s) }
 
 // SaveFile atomically replaces path with the snapshot (the bytes Save
 // writes): a crash mid-save leaves the previous snapshot in place.
-func (s *WatchState) SaveFile(path string) error {
-	return journal.WriteFile(path, s.Save)
-}
+func (s *WatchState) SaveFile(path string) error { return journal.WriteFile(path, s.Save) }
 
 // LoadWatchState reads a snapshot from r.
-func LoadWatchState(r io.Reader) (*WatchState, error) {
-	var s WatchState
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("stormtune: decoding watch state: %w", err)
-	}
-	if err := s.validate(); err != nil {
-		return nil, fmt.Errorf("stormtune: %w", err)
-	}
-	return &s, nil
-}
+func LoadWatchState(r io.Reader) (*WatchState, error) { return loadState[WatchState](r, "watch state") }
 
 // LoadWatchStateFile reads a snapshot from a file.
 func LoadWatchStateFile(path string) (*WatchState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadWatchState(f)
+	return loadStateFile[WatchState](path, "watch state")
 }
 
 // ResumeWatcher rebuilds a watch from a snapshot against the same
@@ -403,22 +349,16 @@ func LoadWatchStateFile(path string) (*WatchState, error) {
 // (fingerprint-checked), so the resumed watch continues bit-identically
 // to one that was never interrupted — mid-retune included. opts carries
 // only the non-serializable pieces: Observer, Recorder, Snapshot hook,
-// Throttle and Retry; everything else comes from the snapshot.
+// Throttle, Retry and the Archive to re-attach; everything else comes
+// from the snapshot.
 func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
 	if err := st.validate(); err != nil {
 		return nil, fmt.Errorf("stormtune: resume: %w", err)
 	}
-	if t == nil {
-		return nil, fmt.Errorf("stormtune: nil topology")
+	if err := checkResumeTopology(t, st.Nodes, st.Topology); err != nil {
+		return nil, err
 	}
-	if t.N() != st.Nodes {
-		return nil, fmt.Errorf("stormtune: topology has %d nodes, snapshot was taken over %d (%s)",
-			t.N(), st.Nodes, st.Topology)
-	}
-	if b == nil {
-		return nil, fmt.Errorf("stormtune: watch needs a backend")
-	}
-	resolved := WatchOptions{
+	return newWatcher(t, b, WatchOptions{
 		WatchPlan:        st.WatchPlan,
 		Set:              st.Set,
 		Seed:             st.Seed,
@@ -433,34 +373,9 @@ func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*
 		Snapshot:         opts.Snapshot,
 		SnapshotEvery:    opts.SnapshotEvery,
 		Throttle:         opts.Throttle,
-	}
-	w := &Watcher{opts: resolved, topoName: st.Topology, topoN: st.Nodes}
-	if opts.Archive != nil {
-		key := st.ArchiveKey
-		if key == "" {
-			key = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), "watch", st.Seed)
-		}
-		arch, aerr := newWatchArchiver(opts.Archive, key, t, st.Cluster, st.Set, st.Seed)
-		if aerr != nil {
-			return nil, aerr
-		}
-		w.arch = arch
-		w.opts.Archive = opts.Archive
-		w.opts.ArchiveKey = key
-	}
-	c, err := watch.Resume(st.Watch, t, st.Cluster, st.Template, b,
-		boOptions(st.Set, st.Seed, st.OptimizerOptions), w.watchOptions(resolved))
-	if err != nil {
-		return nil, err
-	}
-	w.c = c
-	// Prime the recorder with the in-flight session's history so a
-	// dashboard attached to the resumed watch shows the pre-snapshot
-	// trials.
-	if resolved.Recorder != nil && st.Watch.Session != nil {
-		resolved.Recorder.Prime(st.Watch.Session)
-	}
-	return w, nil
+		Archive:          opts.Archive,
+		ArchiveKey:       st.ArchiveKey,
+	}, st)
 }
 
 // Watch is the high-level entry point: build a watcher and run it
