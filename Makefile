@@ -9,15 +9,18 @@ build:
 test:
 	go test -short -race ./...
 
-# The single lint entry point: formatting, go vet, staticcheck and the
-# repo's own stormlint analyzer suite (internal/lint — determinism and
-# concurrency contracts; see README "Static analysis"). staticcheck
-# honors the committed staticcheck.conf. Install it with:
+# The single lint entry point: formatting, go vet (of the root module
+# and of the separate bench module, which calls the public API),
+# staticcheck and the repo's own stormlint analyzer suite (internal/lint
+# — determinism and concurrency contracts; see README "Static
+# analysis"). staticcheck honors the committed staticcheck.conf.
+# Install it with:
 #   go install honnef.co/go/tools/cmd/staticcheck@latest
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 	  echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	go vet ./...
+	go -C bench vet ./...
 	staticcheck ./...
 	go run ./cmd/stormlint ./...
 

@@ -260,13 +260,14 @@
 //
 // WarmStartOptions (off by default) turns the archived evidence into
 // a head start: donors are ranked exact-fingerprint-first, then by
-// weighted distance over the feature vector, and the best donor's
-// incumbent and top-k configs replace part of the LHS budget —
-// mapped through matching parameter spaces only. With Prior set, the
+// weighted distance over the feature vector, and the incumbents and
+// top configs of up to three donors replace up to half the LHS budget
+// — mapped through matching parameter spaces only. With Prior set, the
 // GP additionally fits around a kernel-smoothed prior mean built from
-// the donor's z-scored observations, down-weighted by similarity.
-// Below WarmStartOptions.MinSimilarity the run stays cold, so a
-// dissimilar archive never hurts; for a fixed archive snapshot and
+// the donors' z-scored observations, down-weighted by similarity.
+// Donors below similarity 0.35 (exact fingerprint matches aside) are
+// ignored and with none left the run stays cold, so a dissimilar
+// archive never hurts; for a fixed archive snapshot and
 // seed the warm-started run is bit-identical. Tuner.Transfer reports
 // what was computed, and the Recorder/dashboard surface it as
 // warmStarted, warmDonor and warmSimilarity in /api/state.

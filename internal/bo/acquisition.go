@@ -19,27 +19,23 @@ type Acquisition interface {
 // a good tradeoff between exploration and exploitation and it is the
 // method implemented in Spearmint"):
 //
-//	EI(x) = E[max(0, f(x) − f_max)] = σ (z Φ(z) + φ(z)),  z = (μ−f_max−ξ)/σ
-type EI struct {
-	// Xi is the optional exploration bonus ξ (0 reproduces the classic
-	// formula).
-	Xi float64
-}
+//	EI(x) = E[max(0, f(x) − f_max)] = σ (z Φ(z) + φ(z)),  z = (μ−f_max)/σ
+type EI struct{}
 
 // Score returns the expected improvement over best.
-func (a EI) Score(mu, sigma, best float64) float64 {
+func (EI) Score(mu, sigma, best float64) float64 {
 	if sigma <= 0 {
-		if v := mu - best - a.Xi; v > 0 {
+		if v := mu - best; v > 0 {
 			return v
 		}
 		return 0
 	}
-	z := (mu - best - a.Xi) / sigma
+	z := (mu - best) / sigma
 	return sigma * (z*stats.NormalCDF(z) + stats.NormalPDF(z))
 }
 
 // Name identifies the acquisition in logs.
-func (a EI) Name() string { return "ei" }
+func (EI) Name() string { return "ei" }
 
 // PI is the Probability of Improvement acquisition.
 type PI struct{ Xi float64 }

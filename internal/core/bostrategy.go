@@ -29,17 +29,18 @@ const (
 	InformedHints
 )
 
+// Search-space bounds of the hint-style parameter sets.
+const (
+	// hintMax bounds each per-node hint.
+	hintMax = 64
+	// multiplierMax bounds ibo's per-node weight multiplier.
+	multiplierMax = 16
+)
+
 // BOOptions configure a BO strategy.
 type BOOptions struct {
 	// Set selects the parameter group (default Hints).
 	Set ParamSet
-	// HintMax bounds each per-node hint (default 64).
-	HintMax int
-	// MaxTasksMax bounds the max-tasks dimension (default: cluster task
-	// slots).
-	MaxTasksMax int
-	// MultiplierMax bounds ibo's per-node weight multiplier (default 8).
-	MultiplierMax float64
 	// Seed drives the optimizer's randomness; two passes use different
 	// seeds.
 	Seed int64
@@ -61,7 +62,6 @@ type BOStrategy struct {
 	opt      *bo.Optimizer
 	pending  []pendingTrial
 	lastDur  time.Duration
-	hintMax  int
 }
 
 // pendingTrial is a suggested-but-unmeasured configuration: the
@@ -76,20 +76,10 @@ type pendingTrial struct {
 // NewBO builds a Bayesian-optimization strategy over the given
 // parameter set.
 func NewBO(t *topo.Topology, spec cluster.Spec, template storm.Config, opts BOOptions) *BOStrategy {
-	if opts.HintMax <= 0 {
-		opts.HintMax = 64
-	}
-	if opts.MaxTasksMax <= 0 {
-		opts.MaxTasksMax = spec.TotalTaskSlots()
-	}
-	// The max-tasks dimension needs a non-degenerate range even on
-	// clusters with fewer slots than the topology has nodes.
-	if opts.MaxTasksMax <= t.N() {
-		opts.MaxTasksMax = t.N() + 1
-	}
-	if opts.MultiplierMax <= 0 {
-		opts.MultiplierMax = 16
-	}
+	// max-tasks ranges up to the cluster's task slots, and needs a
+	// non-degenerate range even on clusters with fewer slots than the
+	// topology has nodes.
+	maxTasks := max(spec.TotalTaskSlots(), t.N()+1)
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -99,10 +89,10 @@ func NewBO(t *topo.Topology, spec cluster.Spec, template storm.Config, opts BOOp
 	switch opts.Set {
 	case Hints, HintsBatch:
 		for _, n := range t.Nodes {
-			dims = append(dims, bo.Dim{Name: "hint:" + n.Name, Kind: bo.Int, Min: 1, Max: float64(opts.HintMax)})
+			dims = append(dims, bo.Dim{Name: "hint:" + n.Name, Kind: bo.Int, Min: 1, Max: hintMax})
 		}
 		dims = append(dims, bo.Dim{Name: "max-tasks", Kind: bo.Int,
-			Min: float64(t.N()), Max: float64(opts.MaxTasksMax)})
+			Min: float64(t.N()), Max: float64(maxTasks)})
 		if opts.Set == HintsBatch {
 			dims = append(dims, batchDims()...)
 			name = "bo.h-bs-bp"
@@ -117,10 +107,10 @@ func NewBO(t *topo.Topology, spec cluster.Spec, template storm.Config, opts BOOp
 		name = "bo.bs-bp-cc"
 	case InformedHints:
 		for _, n := range t.Nodes {
-			dims = append(dims, bo.Dim{Name: "mult:" + n.Name, Kind: bo.Float, Min: 0.25, Max: opts.MultiplierMax})
+			dims = append(dims, bo.Dim{Name: "mult:" + n.Name, Kind: bo.Float, Min: 0.25, Max: multiplierMax})
 		}
 		dims = append(dims, bo.Dim{Name: "max-tasks", Kind: bo.Int,
-			Min: float64(t.N()), Max: float64(opts.MaxTasksMax)})
+			Min: float64(t.N()), Max: float64(maxTasks)})
 		name = "ibo"
 	}
 	space := bo.MustSpace(dims...)
@@ -137,7 +127,6 @@ func NewBO(t *topo.Topology, spec cluster.Spec, template storm.Config, opts BOOp
 		set:      opts.Set,
 		space:    space,
 		opt:      bo.NewOptimizer(space, o),
-		hintMax:  opts.HintMax,
 	}
 }
 
@@ -396,8 +385,8 @@ func (s *BOStrategy) decode(u []float64) storm.Config {
 			if h < 1 {
 				h = 1
 			}
-			if h > s.hintMax*4 {
-				h = s.hintMax * 4
+			if h > hintMax*4 {
+				h = hintMax * 4
 			}
 			cfg.Hints[i] = h
 		}

@@ -289,28 +289,6 @@ func TestBOStrategyObserveOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestProtocolConcurrencyShape(t *testing.T) {
-	tp := testTopo()
-	f := testEval(tp)
-	p := Protocol{Steps: 8, Passes: 2, BestReruns: 4, Seed: 1, Concurrency: 2}
-	factory, err := MakeFactory("bo", tp, cluster.Small(), storm.DefaultSyntheticConfig(tp, 1), 1, fastBOOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RunProtocol(AsBackend(f), factory, p)
-	if len(out.Passes) != 2 {
-		t.Fatalf("want 2 passes, got %d", len(out.Passes))
-	}
-	for _, pass := range out.Passes {
-		if len(pass.Records) != 8 {
-			t.Fatalf("concurrent pass ran %d steps, want 8", len(pass.Records))
-		}
-	}
-	if out.Summary.N != 4 {
-		t.Fatalf("summary over %d reruns, want 4", out.Summary.N)
-	}
-}
-
 func TestRunProtocolShape(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)

@@ -352,15 +352,7 @@ func (f *Fleet) shareIncumbent(i int) {
 	f.shareBest[i] = y
 	f.shareCfg[i] = cfg
 
-	order := make([]int, 0, len(f.members))
-	for j := range f.members {
-		if f.shareBest[j] > 0 {
-			order = append(order, j)
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return f.shareBest[order[a]] > f.shareBest[order[b]]
-	})
+	order := f.rankedContributors()
 	for j := range f.members {
 		pool := make([]storm.Config, 0, len(order))
 		for _, k := range order {
@@ -393,6 +385,18 @@ func (f *Fleet) SharedPool(name string) []storm.Config {
 	if idx < 0 {
 		return nil
 	}
+	var pool []storm.Config
+	for _, k := range f.rankedContributors() {
+		if k != idx {
+			pool = append(pool, f.shareCfg[k].Clone())
+		}
+	}
+	return pool
+}
+
+// rankedContributors returns the members that have shared an
+// incumbent, best first (ties keep member order).
+func (f *Fleet) rankedContributors() []int {
 	order := make([]int, 0, len(f.members))
 	for j := range f.members {
 		if f.shareBest[j] > 0 {
@@ -402,13 +406,7 @@ func (f *Fleet) SharedPool(name string) []storm.Config {
 	sort.SliceStable(order, func(a, b int) bool {
 		return f.shareBest[order[a]] > f.shareBest[order[b]]
 	})
-	var pool []storm.Config
-	for _, k := range order {
-		if k != idx {
-			pool = append(pool, f.shareCfg[k].Clone())
-		}
-	}
-	return pool
+	return order
 }
 
 // addInFlight adjusts a member's live slot count (Status reads it).

@@ -64,33 +64,19 @@ func (e *AllMembersDownError) Error() string {
 	return fmt.Sprintf("core: every pool member serving fingerprint %q is unreachable", e.Fingerprint)
 }
 
-// PoolOptions tune the pool's health and shedding behavior. The zero
-// value is ready to use.
-type PoolOptions struct {
-	// UnhealthyAfter is the consecutive transport-failure count that
-	// evicts a member (default 3). Evicted members receive no trials
-	// until a re-probe succeeds.
-	UnhealthyAfter int
-	// ReprobeEvery re-probes evicted members in the background every
-	// this many dispatches (default 16), so recovered workers rejoin
-	// even while healthy members keep the pool serving.
-	ReprobeEvery int
-	// ProbeTimeout bounds one health re-probe (default 2s).
-	ProbeTimeout time.Duration
-}
-
-func (o PoolOptions) withDefaults() PoolOptions {
-	if o.UnhealthyAfter <= 0 {
-		o.UnhealthyAfter = 3
-	}
-	if o.ReprobeEvery <= 0 {
-		o.ReprobeEvery = 16
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	return o
-}
+// The pool's health constants.
+const (
+	// unhealthyAfter is the consecutive transport-failure count that
+	// evicts a member. Evicted members receive no trials until a
+	// re-probe succeeds.
+	unhealthyAfter = 3
+	// reprobeEvery re-probes evicted members in the background every
+	// this many dispatches, so recovered workers rejoin even while
+	// healthy members keep the pool serving.
+	reprobeEvery = 16
+	// probeTimeout bounds one health re-probe.
+	probeTimeout = 2 * time.Second
+)
 
 // WorkerStats is one pool member's live counters.
 type WorkerStats struct {
@@ -108,7 +94,7 @@ type WorkerStats struct {
 	// it declined at capacity that the pool re-routed elsewhere.
 	Shed int64 `json:"shed,omitempty"`
 	// Healthy is false while the member is evicted (consecutive
-	// transport failures reached PoolOptions.UnhealthyAfter) and not yet
+	// transport failures reached unhealthyAfter) and not yet
 	// readmitted by a successful re-probe.
 	Healthy bool `json:"healthy"`
 }
@@ -146,8 +132,6 @@ func (w *poolWorker) serves(fingerprint string) bool {
 // members whose transport keeps failing are evicted until a re-probe
 // succeeds. See NewPoolBackend.
 type PoolBackend struct {
-	opts PoolOptions
-
 	mu        sync.Mutex
 	cond      *sync.Cond
 	workers   []*poolWorker
@@ -170,16 +154,10 @@ var errAllTried = errors.New("core: all serving members refused at capacity")
 // additionally exposes per-worker counters through Stats — the
 // dashboard's "workers" table.
 func NewPoolBackend(members ...Backend) (*PoolBackend, error) {
-	return NewPoolBackendWith(PoolOptions{}, members...)
-}
-
-// NewPoolBackendWith is NewPoolBackend with explicit health/shedding
-// options.
-func NewPoolBackendWith(opts PoolOptions, members ...Backend) (*PoolBackend, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: pool backend needs at least one member")
 	}
-	p := &PoolBackend{opts: opts.withDefaults()}
+	p := &PoolBackend{}
 	p.cond = sync.NewCond(&p.mu)
 	for i, b := range members {
 		if b == nil {
@@ -434,7 +412,7 @@ func (p *PoolBackend) noteHealth(w *poolWorker, err error) {
 	defer p.mu.Unlock()
 	if err != nil && isUnreachableErr(err) {
 		w.consecFail++
-		if w.consecFail >= p.opts.UnhealthyAfter {
+		if w.consecFail >= unhealthyAfter {
 			w.evicted = true
 		}
 		return
@@ -443,12 +421,12 @@ func (p *PoolBackend) noteHealth(w *poolWorker, err error) {
 }
 
 // maybeReprobe kicks off a background re-probe of evicted members every
-// ReprobeEvery dispatches, so recovered workers rejoin a pool that is
+// reprobeEvery dispatches, so recovered workers rejoin a pool that is
 // otherwise healthy enough to never block on them.
 func (p *PoolBackend) maybeReprobe() {
 	p.mu.Lock()
 	p.dispatch++
-	due := p.dispatch%int64(p.opts.ReprobeEvery) == 0
+	due := p.dispatch%reprobeEvery == 0
 	var evicted []*poolWorker
 	if due {
 		for _, w := range p.workers {
@@ -480,7 +458,7 @@ func (p *PoolBackend) reprobe(candidates []*poolWorker) int {
 
 		ok := true
 		if hc, isChecker := w.bk.(healthChecker); isChecker {
-			ctx, cancel := context.WithTimeout(context.Background(), p.opts.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			ok = hc.CheckHealth(ctx) == nil
 			cancel()
 		}

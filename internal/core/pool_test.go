@@ -45,25 +45,29 @@ func (w *crashyWorker) CheckHealth(ctx context.Context) error {
 func TestPoolEvictsAndReadmitsUnreachableMember(t *testing.T) {
 	w := &crashyWorker{}
 	w.down.Store(true)
-	pool, err := NewPoolBackendWith(PoolOptions{UnhealthyAfter: 2}, w)
+	pool, err := NewPoolBackend(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Two transport failures reach UnhealthyAfter and evict the member.
-	for i := 0; i < 2; i++ {
+	// The member stays healthy until the unhealthyAfter-th consecutive
+	// transport failure evicts it.
+	for i := 0; i < unhealthyAfter; i++ {
+		if st := pool.Stats(); !st[0].Healthy {
+			t.Fatalf("evicted after %d failures, want %d", i, unhealthyAfter)
+		}
 		if _, err := pool.Run(context.Background(), Trial{ID: i}); !errors.As(err, &unreachableErr{}) {
 			t.Fatalf("run %d err = %v, want the transport failure", i, err)
 		}
 	}
 	st := pool.Stats()
-	if len(st) != 1 || st[0].Healthy || st[0].Errors != 2 {
-		t.Fatalf("after eviction Stats = %+v, want unhealthy with 2 errors", st)
+	if len(st) != 1 || st[0].Healthy || st[0].Errors != unhealthyAfter {
+		t.Fatalf("after eviction Stats = %+v, want unhealthy with %d errors", st, unhealthyAfter)
 	}
 
 	// Still down: acquire finds nothing healthy, re-probes, and reports
 	// every serving member down — a retryable condition, not permanent.
-	_, err = pool.Run(context.Background(), Trial{ID: 2})
+	_, err = pool.Run(context.Background(), Trial{ID: unhealthyAfter})
 	var allDown *AllMembersDownError
 	if !errors.As(err, &allDown) {
 		t.Fatalf("err = %v, want AllMembersDownError", err)
@@ -75,7 +79,7 @@ func TestPoolEvictsAndReadmitsUnreachableMember(t *testing.T) {
 	// Worker restarts: the next acquire's re-probe readmits it and the
 	// trial runs.
 	w.down.Store(false)
-	if _, err := pool.Run(context.Background(), Trial{ID: 3}); err != nil {
+	if _, err := pool.Run(context.Background(), Trial{ID: unhealthyAfter + 1}); err != nil {
 		t.Fatalf("run after restart: %v", err)
 	}
 	st = pool.Stats()

@@ -17,7 +17,8 @@ import (
 // optimizer for a step budget (twice, keeping the better pass, "given
 // that our approach is probabilistic"), stop pla-style strategies after
 // three consecutive zero-performance runs, then re-run the best
-// configuration 30 times and report min/avg/max.
+// configuration 30 times and report min/avg/max. Each pass evaluates
+// its trials one at a time (Session.Run), as the paper did.
 type Protocol struct {
 	// Steps is the evaluation budget per pass (60 in the paper; 180 for
 	// bo180).
@@ -33,15 +34,6 @@ type Protocol struct {
 	StopAfterZeros int
 	// Seed decorrelates passes and noise.
 	Seed int64
-	// Concurrency > 1 dispatches that many trial deployments per round
-	// (constant-liar batches for BO strategies) and evaluates them in
-	// parallel — the concurrent-trials extension; ≤ 1 reproduces the
-	// paper's strictly sequential procedure.
-	Concurrency int
-	// Async switches the concurrent dispatch from barrier batches to
-	// free-slot refill (a replacement trial starts the moment any
-	// in-flight one completes). Only meaningful with Concurrency > 1.
-	Async bool
 	// Retry governs lost evaluations within each pass (see
 	// SessionOptions.Retry); the zero value never retries.
 	Retry RetryPolicy
@@ -120,13 +112,7 @@ func RunProtocolContext(ctx context.Context, bk Backend, factory StrategyFactory
 			TrialTimeout:   p.TrialTimeout,
 			Observer:       p.Observer,
 		})
-		var tr TuneResult
-		var err error
-		if p.Async && p.Concurrency > 1 {
-			tr, err = sess.RunAsync(ctx, p.Concurrency)
-		} else {
-			tr, err = sess.RunBatch(ctx, p.Concurrency)
-		}
+		tr, err := sess.Run(ctx)
 		out.Passes = append(out.Passes, tr)
 		out.StepsToBest = append(out.StepsToBest, tr.BestStep)
 		out.MeanDecisionSec = append(out.MeanDecisionSec, tr.MeanDecisionSeconds())

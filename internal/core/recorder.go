@@ -77,7 +77,9 @@ type RecordedEvent struct {
 	At time.Time `json:"at"`
 	// ElapsedMS is At relative to the Recorder's start.
 	ElapsedMS int64 `json:"elapsedMs"`
-	// TrialID is set for per-trial events.
+	// TrialID is set for per-trial events: the trial's run index,
+	// unique across a watch's sessions (equal to the trial ID in a
+	// tuner).
 	TrialID int `json:"trialId,omitempty"`
 	// Attempt is the evaluation attempt for failure/retry events.
 	Attempt int `json:"attempt,omitempty"`
@@ -134,6 +136,7 @@ const (
 
 // TrialView is the Recorder's derived per-trial state.
 type TrialView struct {
+	// ID is the trial's run index (see RecordedEvent.TrialID).
 	ID     int          `json:"id"`
 	Config storm.Config `json:"config"`
 	Status TrialStatus  `json:"status"`
@@ -164,7 +167,8 @@ type TrialView struct {
 type IncumbentPoint struct {
 	// Step counts completed trials (1-based completion order).
 	Step int `json:"step"`
-	// TrialID is the trial whose completion produced the point.
+	// TrialID is the run index of the trial whose completion produced
+	// the point.
 	TrialID int `json:"trialId"`
 	// Best is the best throughput after this completion.
 	Best float64 `json:"best"`
@@ -209,8 +213,8 @@ type RecorderSnapshot struct {
 	Trials []TrialView `json:"trials"`
 	// Incumbent is the best-so-far curve, one point per completion.
 	Incumbent []IncumbentPoint `json:"incumbent"`
-	// Best and BestTrial identify the incumbent (zero when every run
-	// failed so far).
+	// Best and BestTrial (a run index) identify the incumbent (zero
+	// when every run failed so far).
 	Best      float64 `json:"best"`
 	BestTrial int     `json:"bestTrial"`
 	// Counters over Trials, precomputed for display.
@@ -276,13 +280,15 @@ func newRecorderAt(now func() time.Time) *Recorder {
 	}
 }
 
-// trial returns (creating if needed) the view for a trial id.
+// trial returns (creating if needed) the view for a trial, keyed on
+// its run index: unlike the session-local ID, it stays unique across
+// the sessions of a watch.
 func (r *Recorder) trial(tr Trial) *TrialView {
-	tv, ok := r.trials[tr.ID]
+	tv, ok := r.trials[tr.RunIndex]
 	if !ok {
-		tv = &TrialView{ID: tr.ID, Config: tr.Config}
-		r.trials[tr.ID] = tv
-		r.order = append(r.order, tr.ID)
+		tv = &TrialView{ID: tr.RunIndex, Config: tr.Config}
+		r.trials[tr.RunIndex] = tv
+		r.order = append(r.order, tr.RunIndex)
 	}
 	return tv
 }
@@ -296,7 +302,7 @@ func (r *Recorder) OnEvent(e Event) {
 	switch ev := e.(type) {
 	case TrialStarted:
 		re.Kind = KindTrialStarted
-		re.TrialID = ev.Trial.ID
+		re.TrialID = ev.Trial.RunIndex
 		tv := r.trial(ev.Trial)
 		tv.Status = StatusRunning
 		tv.StartedAt = at
@@ -308,7 +314,7 @@ func (r *Recorder) OnEvent(e Event) {
 		}
 	case TrialCompleted:
 		re.Kind = KindTrialCompleted
-		re.TrialID = ev.Trial.ID
+		re.TrialID = ev.Trial.RunIndex
 		re.Throughput = ev.Result.Throughput
 		re.Failed = ev.Result.Failed
 		re.Failure = string(ev.Result.Failure)
@@ -330,15 +336,15 @@ func (r *Recorder) OnEvent(e Event) {
 		// improvement. A non-failed zero-throughput run is recorded but
 		// never starred — the session would not call it best either.
 		if !ev.Result.Failed && ev.Result.Throughput > r.best {
-			r.setBest(ev.Trial.ID, ev.Result.Throughput)
+			r.setBest(ev.Trial.RunIndex, ev.Result.Throughput)
 		}
 		r.curve = append(r.curve, IncumbentPoint{
-			Step: len(r.curve) + 1, TrialID: ev.Trial.ID, Best: r.best,
+			Step: len(r.curve) + 1, TrialID: ev.Trial.RunIndex, Best: r.best,
 			ElapsedMS: re.ElapsedMS,
 		})
 	case TrialFailed:
 		re.Kind = KindTrialFailed
-		re.TrialID = ev.Trial.ID
+		re.TrialID = ev.Trial.RunIndex
 		re.Attempt = ev.Attempt
 		re.Permanent = ev.Permanent
 		if ev.Err != nil {
@@ -353,7 +359,7 @@ func (r *Recorder) OnEvent(e Event) {
 		// the pessimistic result; that transition sets StatusFailed.
 	case TrialRetried:
 		re.Kind = KindTrialRetried
-		re.TrialID = ev.Trial.ID
+		re.TrialID = ev.Trial.RunIndex
 		re.Attempt = ev.Attempt
 		re.BackoffMS = ev.Backoff.Milliseconds()
 		if ev.Err != nil {
@@ -365,7 +371,7 @@ func (r *Recorder) OnEvent(e Event) {
 		r.retries++
 	case NewBest:
 		re.Kind = KindNewBest
-		re.TrialID = ev.Trial.ID
+		re.TrialID = ev.Trial.RunIndex
 		re.Throughput = ev.Result.Throughput
 		// Report observed the improvement before emitting; the
 		// TrialCompleted branch above already moved the incumbent.
@@ -491,7 +497,8 @@ func (r *Recorder) Prime(st *SessionState) {
 		}
 	}
 	for _, rec := range st.Records {
-		tv := r.trial(Trial{ID: rec.Step, Config: rec.Config})
+		run := st.RunOffset + rec.Step
+		tv := r.trial(Trial{RunIndex: run, Config: rec.Config})
 		tv.Replayed = true
 		tv.Throughput = rec.Result.Throughput
 		tv.Failed = rec.Result.Failed
@@ -504,28 +511,28 @@ func (r *Recorder) Prime(st *SessionState) {
 			tv.Status = StatusDone
 		}
 		started := stamp(KindTrialStarted)
-		started.TrialID = rec.Step
+		started.TrialID = run
 		r.append(started)
 		completed := stamp(KindTrialCompleted)
-		completed.TrialID = rec.Step
+		completed.TrialID = run
 		completed.Throughput = rec.Result.Throughput
 		completed.Failed = rec.Result.Failed
 		completed.Failure = string(rec.Result.Failure)
 		r.append(completed)
 		if !rec.Result.Failed && rec.Result.Throughput > r.best {
-			r.setBest(rec.Step, rec.Result.Throughput)
+			r.setBest(run, rec.Result.Throughput)
 			nb := stamp(KindNewBest)
-			nb.TrialID = rec.Step
+			nb.TrialID = run
 			nb.Throughput = rec.Result.Throughput
 			r.append(nb)
 		}
 		r.curve = append(r.curve, IncumbentPoint{
-			Step: len(r.curve) + 1, TrialID: rec.Step, Best: r.best,
+			Step: len(r.curve) + 1, TrialID: run, Best: r.best,
 			ElapsedMS: at.Sub(r.start).Milliseconds(),
 		})
 	}
 	for _, p := range st.Pending {
-		tv := r.trial(Trial{ID: p.ID, Config: p.Config})
+		tv := r.trial(Trial{RunIndex: st.RunOffset + p.ID, Config: p.Config})
 		tv.Replayed = true
 		tv.Status = StatusPending
 		tv.Attempts = p.Attempt

@@ -23,9 +23,9 @@ func ok(tput float64) storm.Result { return storm.Result{Throughput: tput} }
 func TestRecorderDerivedState(t *testing.T) {
 	r := NewRecorder()
 
-	t1 := Trial{ID: 1, Config: cfgN(1)}
-	t2 := Trial{ID: 2, Config: cfgN(2)}
-	t3 := Trial{ID: 3, Config: cfgN(3)}
+	t1 := Trial{ID: 1, RunIndex: 1, Config: cfgN(1)}
+	t2 := Trial{ID: 2, RunIndex: 2, Config: cfgN(2)}
+	t3 := Trial{ID: 3, RunIndex: 3, Config: cfgN(3)}
 
 	r.OnEvent(TrialStarted{Trial: t1})
 	if s := r.Snapshot(); s.Running != 1 || len(s.Trials) != 1 || s.Trials[0].Status != StatusRunning {
@@ -123,7 +123,7 @@ func TestRecorderEventsSinceWait(t *testing.T) {
 		t.Fatal("wait channel closed before any event")
 	default:
 	}
-	go r.OnEvent(TrialStarted{Trial: Trial{ID: 1, Config: cfgN(1)}})
+	go r.OnEvent(TrialStarted{Trial: Trial{ID: 1, RunIndex: 1, Config: cfgN(1)}})
 	select {
 	case <-wait:
 	case <-time.After(2 * time.Second):
@@ -154,7 +154,7 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < trialsPerWriter; i++ {
 				id := w*trialsPerWriter + i + 1
-				tr := Trial{ID: id, Config: cfgN(id)}
+				tr := Trial{ID: id, RunIndex: id, Config: cfgN(id)}
 				r.OnEvent(TrialStarted{Trial: tr})
 				r.OnEvent(TrialCompleted{Trial: tr, Result: ok(float64(id))})
 			}

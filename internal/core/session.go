@@ -181,24 +181,7 @@ func (s *Session) Emit(e Event) { s.emit(e) }
 // includes it. Call it before driving the session; it is not safe
 // concurrently with emits.
 func (s *Session) AppendObserver(obs Observer) {
-	if obs == nil {
-		return
-	}
-	prev := s.opts.Observer
-	if prev == nil {
-		s.opts.Observer = obs
-		return
-	}
-	s.opts.Observer = observerChain{prev, obs}
-}
-
-// observerChain delivers each event to both observers, first first.
-type observerChain [2]Observer
-
-// OnEvent implements Observer.
-func (c observerChain) OnEvent(e Event) {
-	c[0].OnEvent(e)
-	c[1].OnEvent(e)
+	s.opts.Observer = MultiObserver(s.opts.Observer, obs)
 }
 
 // Propose asks the strategy for up to n new trials. It returns fewer —

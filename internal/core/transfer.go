@@ -15,49 +15,26 @@ import (
 // WarmStartOptions configure transfer learning from an archive of past
 // tuning runs. The zero value disables transfer entirely; enabling it
 // never changes behavior when the archive holds no sufficiently
-// similar donor (the negative-transfer guard).
+// similar donor (the negative-transfer guard). At most three donor
+// sessions are consulted, donors below similarity 0.35 are ignored
+// (exact fingerprint matches always qualify), and warm-start
+// configurations replace up to half the optimizer's Latin-hypercube
+// design (at least one).
 type WarmStartOptions struct {
 	// Enabled turns transfer on. Off by default.
 	Enabled bool
-	// TopK bounds how many archived donor sessions are consulted
-	// (default 3).
-	TopK int
-	// Configs bounds how many warm-start configurations replace the
-	// optimizer's Latin-hypercube budget (default: half the initial
-	// design, at least one). The cap never exceeds the design size.
-	Configs int
-	// MinSimilarity is the negative-transfer guard: donors below this
-	// similarity are ignored (default 0.35). Exact fingerprint matches
-	// always qualify.
-	MinSimilarity float64
 	// Prior additionally fits an archived-runs prior on the GP mean
 	// from the donors' z-scored observations, down-weighted by
 	// similarity.
 	Prior bool
-	// PriorScale scales the prior's amplitude (default 1).
-	PriorScale float64
 }
 
-func (ws WarmStartOptions) topK() int {
-	if ws.TopK <= 0 {
-		return 3
-	}
-	return ws.TopK
-}
-
-func (ws WarmStartOptions) minSimilarity() float64 {
-	if ws.MinSimilarity <= 0 {
-		return 0.35
-	}
-	return ws.MinSimilarity
-}
-
-func (ws WarmStartOptions) priorScale() float64 {
-	if ws.PriorScale <= 0 {
-		return 1
-	}
-	return ws.PriorScale
-}
+// The warm-start constants: how many donors are consulted and the
+// negative-transfer guard's similarity threshold.
+const (
+	transferDonors        = 3
+	transferMinSimilarity = 0.35
+)
 
 // transferPriorCap bounds how many historical observations feed the
 // prior mean — enough to shape it. Each evaluation is a sum with one
@@ -138,8 +115,7 @@ func ComputeTransfer(s *BOStrategy, store archive.Store, meta archive.SessionMet
 	}
 	// Query extra slots so filtering out the session's own key (resume
 	// re-attach) and mismatched parameter sets cannot starve the pool.
-	ranked := archive.Query(store, meta.Fingerprint, meta.Features, ws.topK()+4)
-	minSim := ws.minSimilarity()
+	ranked := archive.Query(store, meta.Fingerprint, meta.Features, transferDonors+4)
 	var donors []archive.Ranked
 	for _, r := range ranked {
 		if r.Rec.Meta.Key == meta.Key {
@@ -148,11 +124,11 @@ func ComputeTransfer(s *BOStrategy, store archive.Store, meta archive.SessionMet
 		if int(s.set) != r.Rec.Meta.Set {
 			continue
 		}
-		if !r.Exact && r.Sim < minSim {
+		if !r.Exact && r.Sim < transferMinSimilarity {
 			continue
 		}
 		donors = append(donors, r)
-		if len(donors) == ws.topK() {
+		if len(donors) == transferDonors {
 			break
 		}
 	}
@@ -165,19 +141,11 @@ func ComputeTransfer(s *BOStrategy, store archive.Store, meta archive.SessionMet
 		DonorFingerprint: donors[0].Rec.Meta.Fingerprint,
 		Similarity:       donors[0].Sim,
 		Exact:            donors[0].Exact,
-		PriorScale:       ws.priorScale(),
+		PriorScale:       1,
 	}
 
-	maxPts := ws.Configs
-	if maxPts <= 0 {
-		maxPts = (s.opt.Opts.InitialDesign + 1) / 2
-	}
-	if maxPts > s.opt.Opts.InitialDesign {
-		maxPts = s.opt.Opts.InitialDesign
-	}
-	if maxPts < 1 {
-		maxPts = 1
-	}
+	// Half the initial design (rounded up), at least one point.
+	maxPts := max((s.opt.Opts.InitialDesign+1)/2, 1)
 	// Warm points: donors in rank order, each contributing its best
 	// configurations first, dedup across donors.
 	for _, d := range donors {

@@ -44,10 +44,10 @@ type Options struct {
 	// surfaced under "workers" — per-worker in-flight counts when the
 	// session tunes against a backend pool.
 	PoolStats func() []WorkerStats
-	// Heartbeat is the idle interval between SSE keep-alive comments
-	// (default 15s; intervals below 100ms are raised to it).
-	Heartbeat time.Duration
 }
+
+// heartbeat is the idle interval between SSE keep-alive comments.
+const heartbeat = 15 * time.Second
 
 // Handler is the dashboard's HTTP surface:
 //
@@ -66,9 +66,6 @@ type Handler struct {
 func New(rec *core.Recorder, opts Options) *Handler {
 	if opts.Title == "" {
 		opts.Title = "stormtune"
-	}
-	if opts.Heartbeat < 100*time.Millisecond {
-		opts.Heartbeat = 15 * time.Second
 	}
 	h := &Handler{rec: rec, opts: opts, mux: http.NewServeMux()}
 	h.mux.HandleFunc("GET /{$}", h.handlePage)
@@ -156,8 +153,8 @@ func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	ctx := r.Context()
-	heartbeat := time.NewTicker(h.opts.Heartbeat)
-	defer heartbeat.Stop()
+	ticker := time.NewTicker(heartbeat)
+	defer ticker.Stop()
 	for {
 		// Read Done before draining: OnEvent appends pass_completed and
 		// sets done atomically, so "done was already set AND the drain
@@ -194,7 +191,7 @@ func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			return
 		case <-wait:
-		case <-heartbeat.C:
+		case <-ticker.C:
 			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
 				return
 			}

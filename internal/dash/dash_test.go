@@ -16,7 +16,7 @@ import (
 )
 
 func trial(id int) core.Trial {
-	return core.Trial{ID: id, Config: storm.Config{Hints: []int{id}}}
+	return core.Trial{ID: id, RunIndex: id, Config: storm.Config{Hints: []int{id}}}
 }
 
 func feed(r *core.Recorder, n int) {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"stormtune/internal/core"
 )
@@ -28,9 +27,6 @@ type FleetOptions struct {
 	// PoolStats, when set, is sampled on every /api/fleet request and
 	// surfaced under "workers" — the shared pool's per-worker counters.
 	PoolStats func() []WorkerStats
-	// Heartbeat is the idle interval between SSE keep-alive comments on
-	// the per-session event streams (default 15s).
-	Heartbeat time.Duration
 }
 
 // FleetSessionState is one session's entry in the /api/fleet document:
@@ -105,9 +101,8 @@ func NewFleet(f *core.Fleet, opts FleetOptions) *FleetHandler {
 			info[k] = v
 		}
 		h.sessions[m.Name] = New(m.Recorder, Options{
-			Title:     opts.Title + " · " + m.Name,
-			Info:      info,
-			Heartbeat: opts.Heartbeat,
+			Title: opts.Title + " · " + m.Name,
+			Info:  info,
 		})
 	}
 	h.mux.HandleFunc("GET /{$}", h.handlePage)

@@ -25,7 +25,7 @@ type BackendOptions struct {
 	// Auth carries the bearer token sent on /run and /info. Leave zero
 	// for open workers.
 	Auth Credentials
-	// Transport bundles request timeout and transport retry knobs; see
+	// Transport bundles the transport retry knobs; see
 	// the Transport type.
 	Transport Transport
 }
@@ -164,7 +164,7 @@ func (b *Backend) Run(ctx context.Context, tr core.Trial) (storm.Result, error) 
 			case <-t.C:
 			}
 		}
-		res, retryable, err := b.post(ctx, body, tr.Timeout <= 0)
+		res, retryable, err := b.post(ctx, body)
 		if err == nil {
 			return res, nil
 		}
@@ -181,15 +181,8 @@ func (b *Backend) Run(ctx context.Context, tr core.Trial) (storm.Result, error) 
 // post performs one round trip. retryable marks transport-level
 // failures (no HTTP response reached us); a server-reported error is
 // authoritative and returned as-is — mapped to its typed form where the
-// status and code identify one. applyRequestTimeout is false when the
-// trial carries its own deadline (already on ctx) — per the Transport
-// contract, RequestTimeout only fills that gap.
-func (b *Backend) post(ctx context.Context, body []byte, applyRequestTimeout bool) (storm.Result, bool, error) {
-	if applyRequestTimeout && b.opts.Transport.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.opts.Transport.RequestTimeout)
-		defer cancel()
-	}
+// status and code identify one.
+func (b *Backend) post(ctx context.Context, body []byte) (storm.Result, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/run", bytes.NewReader(body))
 	if err != nil {
 		return storm.Result{}, false, err

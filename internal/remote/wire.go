@@ -41,10 +41,6 @@ type Credentials struct {
 // struct shared by single-worker backends and worker pools, so every
 // member of a pool is configured identically.
 type Transport struct {
-	// RequestTimeout bounds one HTTP round trip when the trial carries
-	// no deadline of its own. Zero leaves the request bounded only by
-	// ctx.
-	RequestTimeout time.Duration
 	// Retries re-POSTs a request whose transport failed — connection
 	// refused, reset, broken pipe — up to this many extra times.
 	// Evaluations are pure functions of (config, run index), so

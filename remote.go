@@ -27,15 +27,15 @@ type (
 	// from one session.
 	RemoteBackend = remote.Backend
 	// RemoteBackendOptions configure the client: HTTP client, bearer
-	// token (Auth), and the Transport round-trip knobs (request
-	// timeout, transparent transport-level retries).
+	// token (Auth), and the Transport round-trip knobs (transparent
+	// transport-level retries and their backoff).
 	RemoteBackendOptions = remote.BackendOptions
 	// RemoteCredentials is the bearer-token identity shared by client
 	// and server options; the zero value is an open endpoint.
 	RemoteCredentials = remote.Credentials
-	// RemoteTransport bundles the client round-trip knobs — request
-	// timeout, transport retries, backoff — shared by single backends
-	// and every member of a pool.
+	// RemoteTransport bundles the client round-trip knobs — transport
+	// retries and backoff — shared by single backends and every member
+	// of a pool.
 	RemoteTransport = remote.Transport
 	// RemoteInfo describes a worker: every topology it serves, its live
 	// load, and whether it requires auth.

@@ -75,11 +75,6 @@ func AsBackend(ev Evaluator) Backend { return core.AsBackend(ev) }
 // completed, errors, shed, health) for the dashboard's workers table.
 type BackendPool = core.PoolBackend
 
-// BackendPoolOptions tune a pool's health tracking (eviction after
-// consecutive transport failures, background re-probing of evicted
-// members). The zero value is ready to use.
-type BackendPoolOptions = core.PoolOptions
-
 // NewBackendPool distributes concurrent trials over member backends —
 // e.g. one NewRemoteBackend per worker process — so a single session
 // driving RunAsync(ctx, q) saturates up to q workers, and a fleet of
@@ -94,11 +89,6 @@ type BackendPoolOptions = core.PoolOptions
 // DashboardOptions.PoolStats to watch the pool).
 func NewBackendPool(members ...Backend) (*BackendPool, error) {
 	return core.NewPoolBackend(members...)
-}
-
-// NewBackendPoolWith is NewBackendPool with explicit health options.
-func NewBackendPoolWith(opts BackendPoolOptions, members ...Backend) (*BackendPool, error) {
-	return core.NewPoolBackendWith(opts, members...)
 }
 
 // OptimizerOptions are the built-in Bayesian optimizer's knobs:
@@ -160,11 +150,10 @@ type TunerOptions struct {
 	// propose/report hot path) and the record seals with the final
 	// session state when a driver finishes. Ask/tell callers seal
 	// explicitly via Tuner.SealArchive.
+	// The record's key is derived from the topology fingerprint,
+	// strategy and seed plus a run counter (Tuner.ArchiveKey reports
+	// it); a resumed session reuses the snapshotted key.
 	Archive Archive
-	// ArchiveKey pins the archive record key; empty derives a
-	// deterministic key from topology fingerprint, strategy and seed
-	// plus a run counter. Resume reuses the snapshotted key.
-	ArchiveKey string
 	// WarmStart enables transfer learning from Archive: prior
 	// incumbents and top configurations of sufficiently similar
 	// archived runs replace part of the initial design, optionally
@@ -284,7 +273,9 @@ func newTuner(t *Topology, b Backend, opts TunerOptions, st *TunerState) (*Tuner
 	var arec *core.ArchiveRecorder
 	archiveKey := ""
 	if opts.Archive != nil {
-		archiveKey = opts.ArchiveKey
+		if st != nil {
+			archiveKey = st.ArchiveKey
+		}
 		if archiveKey == "" {
 			archiveKey = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), strat.Name(), opts.Seed)
 		}
@@ -653,7 +644,6 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 		Recorder:         opts.Recorder,
 		Strategy:         opts.Strategy,
 		Archive:          opts.Archive,
-		ArchiveKey:       st.ArchiveKey,
 	}
 	if opts.Steps > 0 {
 		resolved.Steps = opts.Steps

@@ -134,10 +134,9 @@ type WatchOptions struct {
 	// itself (its retunes already seed from the running incumbent).
 	// The record seals when Run finishes cleanly (horizon or episode
 	// budget reached); a cancelled watch stays unsealed for re-attach.
+	// The record's key is derived from the topology fingerprint and
+	// seed; a resumed watch reuses the snapshot's.
 	Archive Archive
-	// ArchiveKey pins the archive record key; empty derives one from
-	// the topology fingerprint and seed. Resume reuses the snapshot's.
-	ArchiveKey string
 
 	// OptimizerOptions are forwarded to every session's Bayesian
 	// strategy, as in TunerOptions.
@@ -155,8 +154,10 @@ type Watcher struct {
 	topoName string
 	topoN    int
 	// arec archives every completed trial at its run index, which
-	// counts up across the watch's sessions.
-	arec *core.ArchiveRecorder
+	// counts up across the watch's sessions; archiveKey is its record
+	// key, kept from the snapshot by a watch resumed without an archive.
+	arec       *core.ArchiveRecorder
+	archiveKey string
 }
 
 // NewWatcher starts a continuous-tuning session for a topology against
@@ -180,12 +181,15 @@ func newWatcher(t *Topology, b Backend, opts WatchOptions, st *WatchState) (*Wat
 	}
 	opts.Seed, opts.Cluster, opts.Template = resolveEnv(t, opts.Seed, opts.Cluster, opts.Template)
 	w := &Watcher{topoName: t.Name, topoN: t.N()}
+	if st != nil {
+		w.archiveKey = st.ArchiveKey
+	}
 	observer := composeObserver(opts.Recorder, opts.Observer)
 	if opts.Archive != nil {
-		if opts.ArchiveKey == "" {
-			opts.ArchiveKey = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), "watch", opts.Seed)
+		if w.archiveKey == "" {
+			w.archiveKey = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), "watch", opts.Seed)
 		}
-		meta := core.SessionMetaFor(opts.ArchiveKey, t, *opts.Cluster, "watch", opts.Set, opts.Seed)
+		meta := core.SessionMetaFor(w.archiveKey, t, *opts.Cluster, "watch", opts.Set, opts.Seed)
 		var err error
 		if w.arec, err = core.NewArchiveRecorder(opts.Archive, meta); err != nil {
 			return nil, fmt.Errorf("stormtune: archive: %w", err)
@@ -282,6 +286,9 @@ type WatchState struct {
 	Cluster  ClusterSpec    `json:"cluster"`
 	Monitor  MonitorOptions `json:"monitor"`
 	Retune   RetuneOptions  `json:"retune"`
+	// Retry is the watch's retry policy, nil when it never retries; a
+	// resume without a policy of its own keeps it.
+	Retry *RetryPolicy `json:"retry,omitempty"`
 	// ArchiveKey is the archive record key the watch appended under;
 	// resume re-attaches it when opts.Archive is passed again.
 	ArchiveKey string       `json:"archiveKey,omitempty"`
@@ -292,6 +299,10 @@ const watchStateVersion = 1
 
 func (w *Watcher) wrapState(st *watch.State) *WatchState {
 	o := w.opts
+	var retry *RetryPolicy
+	if o.Retry != (RetryPolicy{}) {
+		retry = &o.Retry
+	}
 	return &WatchState{
 		Version:          watchStateVersion,
 		Topology:         w.topoName,
@@ -304,7 +315,8 @@ func (w *Watcher) wrapState(st *watch.State) *WatchState {
 		Cluster:          *o.Cluster,
 		Monitor:          o.Monitor,
 		Retune:           o.Retune,
-		ArchiveKey:       o.ArchiveKey,
+		Retry:            retry,
+		ArchiveKey:       w.archiveKey,
 		Watch:            st,
 	}
 }
@@ -349,14 +361,19 @@ func LoadWatchStateFile(path string) (*WatchState, error) {
 // (fingerprint-checked), so the resumed watch continues bit-identically
 // to one that was never interrupted — mid-retune included. opts carries
 // only the non-serializable pieces: Observer, Recorder, Snapshot hook,
-// Throttle, Retry and the Archive to re-attach; everything else comes
-// from the snapshot.
+// Throttle, the Archive to re-attach, and a Retry policy fitting the new
+// backend (a zero one keeps the snapshot's, as in ResumeTuner);
+// everything else comes from the snapshot.
 func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
 	if err := st.validate(); err != nil {
 		return nil, fmt.Errorf("stormtune: resume: %w", err)
 	}
 	if err := checkResumeTopology(t, st.Nodes, st.Topology); err != nil {
 		return nil, err
+	}
+	retry := opts.Retry
+	if retry == (RetryPolicy{}) && st.Retry != nil {
+		retry = *st.Retry
 	}
 	return newWatcher(t, b, WatchOptions{
 		WatchPlan:        st.WatchPlan,
@@ -367,14 +384,13 @@ func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*
 		OptimizerOptions: st.OptimizerOptions,
 		Template:         &st.Template,
 		Cluster:          &st.Cluster,
-		Retry:            opts.Retry,
+		Retry:            retry,
 		Observer:         opts.Observer,
 		Recorder:         opts.Recorder,
 		Snapshot:         opts.Snapshot,
 		SnapshotEvery:    opts.SnapshotEvery,
 		Throttle:         opts.Throttle,
 		Archive:          opts.Archive,
-		ArchiveKey:       st.ArchiveKey,
 	}, st)
 }
 
