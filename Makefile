@@ -32,13 +32,14 @@ bench:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
 # The GP/BO hot-path benchmarks alone: fit, incremental observe,
-# decision steps at small and large history, the four-lane solve behind
-# blocked scoring, and the kernel row (vector and generic). Fast enough
+# decision steps at small and large history, the blocked forward solves
+# behind acquisition scoring (sixteen lanes vs four), and the kernel row
+# (vector and generic). Fast enough
 # to run while iterating on internal/gp, internal/linalg or internal/bo.
 # A kernel row takes about a microsecond, so it runs at the default
 # benchtime rather than three iterations.
 bench-gp:
-	go test -run '^$$' -bench '^Benchmark(GPFit|GPObserveIncremental|BOSuggest.*|ForwardSolve4)$$' -benchtime 3x -count 3 . ./internal/linalg
+	go test -run '^$$' -bench '^Benchmark(GPFit|GPObserveIncremental|BOSuggest.*|ForwardSolveBlock)$$' -benchtime 3x -count 3 . ./internal/linalg
 	go test -run '^$$' -bench '^BenchmarkMaternRow$$' -count 3 ./internal/gp
 
 # The performance gate CI runs: paired A/B runs of the merge base (in a
@@ -58,14 +59,15 @@ bench-smoke:
 	go -C bench test ./...
 
 # The native fuzz targets, 10 s each: journal recovery over arbitrary
-# file bytes, tuner/watch snapshot loading, the kernel row against its
-# scalar oracle, and the serve worker's /run decoder over arbitrary
-# request bodies. go test -fuzz takes one target per run. Each new
+# file bytes, tuner/watch snapshot loading, the kernel row and the
+# sixteen-lane forward solve against their scalar oracles, and the
+# serve worker's /run decoder over arbitrary request bodies. go test -fuzz takes one target per run. Each new
 # interesting input is minimized for at most 2 s: at Go's 60 s default
 # the snapshot loaders spend the whole run minimizing and barely fuzz.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/journal
 	go test -run '^$$' -fuzz '^FuzzMaternRow$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/gp
+	go test -run '^$$' -fuzz '^FuzzForwardSolve16$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
 	go test -run '^$$' -fuzz '^FuzzLoadTunerState$$' -fuzztime 10s -fuzzminimizetime 2s .
 	go test -run '^$$' -fuzz '^FuzzLoadWatchState$$' -fuzztime 10s -fuzzminimizetime 2s .
 	go test -run '^$$' -fuzz '^FuzzServeRun$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/remote

@@ -72,12 +72,12 @@ type scorer struct {
 	bestY  float64
 }
 
-// scoreBuf is one goroutine's scoring scratch: a gp.BlockScratch per
-// model makes every block query allocation-free, m0 holds the block's
-// prior means, and mu/s2 hold its posteriors model-major
-// ([model*gp.Block+lane]).
+// scoreBuf is one goroutine's scoring scratch: one gp.BlockScratch,
+// which the models take in turn, makes every block query
+// allocation-free; m0 holds the block's prior means, and mu/s2 hold its
+// posteriors model-major ([model*gp.Block+lane]).
 type scoreBuf struct {
-	scratch     []gp.BlockScratch
+	scratch     gp.BlockScratch
 	m0          [gp.Block]float64
 	mu, s2      []float64
 	mus, sigmas []float64 // one lane's posteriors across the models
@@ -86,18 +86,18 @@ type scoreBuf struct {
 func (s *scorer) newBuf() *scoreBuf {
 	m := len(s.models)
 	return &scoreBuf{
-		scratch: make([]gp.BlockScratch, m),
-		mu:      make([]float64, m*gp.Block),
-		s2:      make([]float64, m*gp.Block),
-		mus:     make([]float64, m),
-		sigmas:  make([]float64, m),
+		mu:     make([]float64, m*gp.Block),
+		s2:     make([]float64, m*gp.Block),
+		mus:    make([]float64, m),
+		sigmas: make([]float64, m),
 	}
 }
 
 // scoreBlock scores 1..gp.Block points, out[l] for us[l]. The prior
 // mean is evaluated once per point and shared by every model; each
-// model answers the whole block with one shared triangular solve. Each
-// lane is bitwise the score of that point scored alone (gp's lane
+// model answers the whole block against its one factor (a full block
+// in one wide triangular solve where linalg runs the vector kernel).
+// Each lane is bitwise the score of that point scored alone (gp's lane
 // contract), so the block width never changes a decision.
 func (s *scorer) scoreBlock(b *scoreBuf, us [][]float64, out []float64) {
 	m0 := b.m0[:len(us)]
@@ -106,7 +106,7 @@ func (s *scorer) scoreBlock(b *scoreBuf, us [][]float64, out []float64) {
 	}
 	for i, m := range s.models {
 		lo := i * gp.Block
-		m.PredictBlockInto(&b.scratch[i], us, m0, b.mu[lo:lo+len(us)], b.s2[lo:lo+len(us)])
+		m.PredictBlockInto(&b.scratch, us, m0, b.mu[lo:lo+len(us)], b.s2[lo:lo+len(us)])
 	}
 	for l := range us {
 		for i := range s.models {
@@ -117,8 +117,9 @@ func (s *scorer) scoreBlock(b *scoreBuf, us [][]float64, out []float64) {
 	}
 }
 
-// scan scores cands[lo:hi] block by block and returns the first index
-// of the highest score, or -1 when no score exceeds -Inf.
+// scan scores cands[lo:hi] gp.Block candidates at a time and returns
+// the first index of the highest score, or -1 when no score exceeds
+// -Inf.
 func (s *scorer) scan(cands [][]float64, lo, hi int) (int, float64) {
 	b := s.newBuf()
 	var out [gp.Block]float64

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"stormtune/internal/gp"
 	"stormtune/internal/sample"
 )
 
@@ -404,6 +403,11 @@ func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 	return search(opt, &scorer{models: c.models, prior: opt.Opts.PriorMean, acq: opt.Opts.Acq, bestY: bestY}, cands)
 }
 
+// searchBlock is how many local-search moves are scored per block:
+// narrower than the grid scan's gp.Block, because the lanes after the
+// first improving move are scored for nothing.
+const searchBlock = 4
+
 // acqSearch maximizes the acquisition sc scores over the candidate grid
 // cands (non-empty). maximize is the one production search; tests pass
 // a one-candidate-at-a-time oracle in its place.
@@ -412,7 +416,7 @@ type acqSearch func(opt *Optimizer, sc *scorer, cands [][]float64) []float64
 // maximize returns the best grid candidate refined by coordinate local
 // search. A sweep tries 2d moves from the current point — each
 // coordinate up, then down, by the step — taking every move that
-// improves the score. Moves are scored gp.Block at a time,
+// improves the score. Moves are scored searchBlock at a time,
 // speculatively from the current point: the first improving move of a
 // block is taken, the rest of the block (built from a point that is now
 // stale) is dropped, and the sweep resumes at the move after it. A move
@@ -430,9 +434,9 @@ func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
 	seen := make(scoredPoints, 1+opt.Opts.LocalSearchIters*moves)
 	seen.add(cur, bestScore)
 	b := sc.newBuf()
-	var blk [gp.Block][]float64
-	var at [gp.Block]int // blk[l] is move at[l]
-	var out [gp.Block]float64
+	var blk [searchBlock][]float64
+	var at [searchBlock]int // blk[l] is move at[l]
+	var out [searchBlock]float64
 	step := 0.08
 	for it := 0; it < opt.Opts.LocalSearchIters; it++ {
 		improved := false
@@ -444,7 +448,7 @@ func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
 			nb := 0
 			var known []float64
 			var knownScore float64
-			for ; m < moves && nb < gp.Block; m++ {
+			for ; m < moves && nb < searchBlock; m++ {
 				j, dir := m/2, float64(1-2*(m%2))
 				trial := append([]float64(nil), cur...)
 				trial[j] = clamp01(trial[j] + dir*step)

@@ -107,8 +107,8 @@ type RetuneTriggered struct {
 	// Current is the degraded performance estimate that tripped the
 	// monitor.
 	Current float64
-	// Reason distinguishes the trigger path: "degradation" or
-	// "backpressure".
+	// Reason distinguishes the trigger path: "degradation",
+	// "backpressure", or "failure" (the monitoring samples were lost).
 	Reason string
 }
 

@@ -111,8 +111,8 @@ type RecordedEvent struct {
 	// that tripped a retune_triggered.
 	Baseline float64 `json:"baseline,omitempty"`
 	Current  float64 `json:"current,omitempty"`
-	// Reason is the retune_triggered trigger path ("degradation" or
-	// "backpressure").
+	// Reason is the retune_triggered trigger path ("degradation",
+	// "backpressure" or "failure").
 	Reason string `json:"reason,omitempty"`
 	// Replayed marks an event synthesized by Prime from a snapshot
 	// rather than observed live; its timing fields describe the replay,
@@ -187,7 +187,8 @@ type RetunePoint struct {
 	// Baseline and Current are the monitor's estimates at the trigger.
 	Baseline float64 `json:"baseline"`
 	Current  float64 `json:"current"`
-	// Reason is the trigger path: "degradation" or "backpressure".
+	// Reason is the trigger path: "degradation", "backpressure" or
+	// "failure".
 	Reason string `json:"reason"`
 	// Completed marks a finished episode; the fields below are zero
 	// until then.

@@ -4,12 +4,27 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"stormtune/internal/linalg"
 )
 
 // checkBlockMatchesScalar scores every block size 1..Block at several
 // offsets into qs, query i carrying prior mean m0[i], and requires each
-// lane to be bitwise PredictInto.
+// lane to be bitwise PredictInto — with linalg's vector forward solve
+// as the host runs it (full blocks take the wide path) and forced off
+// (every block solves four lanes at a time).
 func checkBlockMatchesScalar(t *testing.T, name string, m *GP, qs [][]float64, m0 []float64) {
+	t.Helper()
+	checkBlockWidths(t, name, m, qs, m0)
+	if !linalg.VectorSolve() {
+		t.Logf("%s: vector forward solve is off on this host: the wide path is not checked", name)
+		return
+	}
+	defer linalg.SetVectorSolve(linalg.SetVectorSolve(false))
+	checkBlockWidths(t, name+"/vector-solve-off", m, qs, m0)
+}
+
+func checkBlockWidths(t *testing.T, name string, m *GP, qs [][]float64, m0 []float64) {
 	t.Helper()
 	var bs BlockScratch
 	var s Scratch
@@ -48,8 +63,8 @@ func TestPredictBlockMatchesPredictInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const d = 3
 	xs, ys := randomData(rng, 37, d)
-	qs := randomQueries(rng, 13, d)
-	qs = append(qs, xs[0]) // a training point: variance near zero
+	qs := randomQueries(rng, 2*Block+5, d)
+	qs[3] = xs[0] // a training point: variance near zero
 	m0 := make([]float64, len(qs))
 	for i, q := range qs {
 		m0[i] = 0.5 * q[0]

@@ -38,12 +38,17 @@
 // association; Predict is PredictInto with m₀ = 0.
 //
 // PredictBlockInto is the form the acquisition scorer uses: it answers
-// up to Block queries against the one cached factor, with a single
-// four-lane triangular solve (linalg.Cholesky.ForwardSolve4Into) in
-// place of four one-lane ones. Its lane contract is bit-identity: lane
-// l of a block returns exactly the bits PredictInto returns for xs[l],
-// whatever the other lanes hold and however many there are, so
-// blocking changes the cost of scoring and never a proposal.
+// up to Block (16) queries against the one cached factor. A full block
+// — the grid scan's 16-wide blocks — is one sixteen-lane triangular
+// solve over the lanes' interleaved k* vectors
+// (linalg.Cholesky.ForwardSolve16Into) where linalg runs its AVX2
+// kernel; a shorter block — local search's blocks of four, a scan's
+// last block — and every block on other hosts is solved four lanes at
+// a time (ForwardSolve4Into) plus one-lane solves for the rest. Its
+// lane contract is bit-identity: lane l of a block returns exactly the
+// bits PredictInto returns for xs[l], whatever the other lanes hold,
+// however many there are and whichever solve ran, so blocking changes
+// the cost of scoring and never a proposal.
 //
 // # Kernel rows
 //
@@ -62,16 +67,16 @@
 // point, storing only the real lanes.
 //
 // The kernel runs only where CPUID reports AVX2 and FMA with YMM state
-// enabled by the OS, and only if, at package init, it reproduces the
-// scalar row bit for bit on a fixed probe row; the probe turns it off
-// when math.Exp has left its FMA branch (GODEBUG=cpu.fma=off), whose
-// results differ in the last bit on about one argument in eleven. A
-// row with some r NaN or above 708, where math.Exp would take its
-// denormal or special-value branches, is declined and recomputed by
-// the scalar loop, as are rows whose slices are too short for the
-// unchecked assembly. Every other GOARCH runs the scalar loop. The
-// reciprocal length scales live in a stack buffer of 32 or 128 slots,
-// so a row allocates nothing up to 128 dimensions.
+// enabled by the OS (linalg.HasAVX2FMA), and only if, at package init,
+// it reproduces the scalar row bit for bit on a fixed probe row; the
+// probe turns it off when math.Exp has left its FMA branch
+// (GODEBUG=cpu.fma=off), whose results differ in the last bit on about
+// one argument in eleven. A row with some r NaN or above 708, where
+// math.Exp would take its denormal or special-value branches, is
+// declined and recomputed by the scalar loop, as are rows whose slices
+// are too short for the unchecked assembly. Every other GOARCH runs
+// the scalar loop. The reciprocal length scales live in a stack buffer
+// of 32 or 128 slots, so a row allocates nothing up to 128 dimensions.
 package gp
 
 import (
@@ -276,30 +281,42 @@ func (s *Scratch) ensure(n int) {
 	s.v = s.v[:n]
 }
 
-// Block is the number of queries PredictBlockInto answers per
-// triangular solve: the width of linalg's interleaved forward solve.
-const Block = 4
+// Block is the most queries PredictBlockInto answers per call: the
+// width of linalg's interleaved vector forward solve.
+const Block = linalg.Lanes
 
-// BlockScratch holds per-caller buffers for PredictBlockInto, one
-// Scratch per lane. Like Scratch, it must not be shared between
-// goroutines.
+// BlockScratch holds per-caller buffers for PredictBlockInto: one
+// Scratch per lane for blocks solved four lanes at a time, and the
+// interleaved right-hand sides of a full block's one wide solve. Like
+// Scratch, it must not be shared between goroutines.
 type BlockScratch struct {
 	lanes [Block]Scratch
+	kstar []float64 // one lane's k*, copied into wide
+	wide  []float64 // Block·n, lane l's entry k at wide[k·Block+l]
 }
 
-// forwardSolve solves L v = kstar for the first m lanes: one
-// interleaved solve for a full block, lane by lane for a short one.
+func (s *BlockScratch) ensureWide(n int) {
+	if cap(s.kstar) < n {
+		s.kstar = make([]float64, n)
+		s.wide = make([]float64, Block*n)
+	}
+	s.kstar = s.kstar[:n]
+	s.wide = s.wide[:Block*n]
+}
+
+// forwardSolve solves L v = kstar for the first m lanes: four lanes
+// per interleaved solve, then the remaining m mod 4 one at a time.
 // Either way each lane's v is bitwise PredictInto's.
 func (s *BlockScratch) forwardSolve(c *linalg.Cholesky, m int) {
-	if m == Block {
-		var dst, b [Block][]float64
-		for l := range s.lanes {
-			dst[l], b[l] = s.lanes[l].v, s.lanes[l].kstar
+	l := 0
+	for ; l+4 <= m; l += 4 {
+		var dst, b [4][]float64
+		for q := range dst {
+			dst[q], b[q] = s.lanes[l+q].v, s.lanes[l+q].kstar
 		}
 		c.ForwardSolve4Into(dst, b)
-		return
 	}
-	for l := range s.lanes[:m] {
+	for ; l < m; l++ {
 		c.ForwardSolveInto(s.lanes[l].v, s.lanes[l].kstar)
 	}
 }
@@ -331,13 +348,17 @@ func (g *GP) PredictInto(s *Scratch, xs []float64, m0 float64) (mu, sigma2 float
 	return mu, sigma2
 }
 
-// PredictBlockInto is PredictInto for 1..Block points sharing one
-// triangular solve; see "Posterior queries" in the package comment.
+// PredictBlockInto is PredictInto for 1..Block points sharing the
+// triangular solves; see "Posterior queries" in the package comment.
 func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64) {
 	if g.chol == nil {
 		for l, x := range xs {
 			mu[l], sigma2[l] = m0[l]+g.Mean, g.Kern.Eval(x, x)
 		}
+		return
+	}
+	if len(xs) == Block && linalg.VectorSolve() {
+		g.predictWide(s, xs, m0, mu, sigma2)
 		return
 	}
 	n := len(g.x)
@@ -351,6 +372,36 @@ func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []
 	for l, x := range xs {
 		v := s.lanes[l].v
 		s2 := g.Kern.Eval(x, x) - linalg.Dot(v, v)
+		if s2 < 0 {
+			s2 = 0
+		}
+		sigma2[l] = s2
+	}
+}
+
+// predictWide answers a full block with one vector forward solve over
+// the lanes' interleaved k* vectors. Each lane's Σ v_k² is summed in k
+// order from zero, linalg.Dot's order, so every lane is bitwise
+// PredictInto's.
+func (g *GP) predictWide(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64) {
+	n := len(g.x)
+	s.ensureWide(n)
+	for l, x := range xs {
+		g.Kern.EvalRow(x, g.x, s.kstar)
+		mu[l] = m0[l] + g.Mean + linalg.Dot(s.kstar, g.alpha)
+		for k, v := range s.kstar {
+			s.wide[k*Block+l] = v
+		}
+	}
+	g.chol.ForwardSolve16Into(s.wide)
+	var vv [Block]float64
+	for k := 0; k < n; k++ {
+		for l, v := range s.wide[k*Block : k*Block+Block] {
+			vv[l] += v * v
+		}
+	}
+	for l, x := range xs {
+		s2 := g.Kern.Eval(x, x) - vv[l]
 		if s2 < 0 {
 			s2 = 0
 		}

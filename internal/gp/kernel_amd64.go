@@ -1,13 +1,18 @@
 package gp
 
-import "math"
+import (
+	"math"
+
+	"stormtune/internal/linalg"
+)
 
 // useVectorRow gates the AVX2+FMA kernel row: the host must have the
-// instructions, with YMM state enabled by the OS, and the kernel must
+// instructions, with YMM state enabled by the OS (linalg's feature
+// check, shared with its vector forward solve), and the kernel must
 // reproduce maternRowGeneric bit for bit on a fixed probe row. The probe
 // catches a math.Exp that has left its FMA path (GODEBUG=cpu.fma=off),
 // whose results the vector exp would no longer match.
-var useVectorRow = hasAVX2FMA() && vectorRowMatchesProbe()
+var useVectorRow = linalg.HasAVX2FMA() && vectorRowMatchesProbe()
 
 // maternRowVector evaluates the row with the four-lane kernel and
 // reports whether it did. It declines when the kernel is off, when a
@@ -35,31 +40,6 @@ func maternRowVector(x []float64, xs [][]float64, inv []float64, amp2 float64, d
 //
 //go:noescape
 func maternRow4(x, inv []float64, xs [][]float64, dst []float64, amp2 float64) bool
-
-// cpuid executes CPUID with the given leaf and subleaf.
-func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads extended control register 0, whose bits 1 and 2 say the
-// OS saves XMM and YMM state.
-func xgetbv() (eax, edx uint32)
-
-// hasAVX2FMA reports whether the CPU has AVX2 and FMA and the OS has
-// enabled the YMM registers.
-func hasAVX2FMA() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}
 
 // vectorRowMatchesProbe compares the vector kernel with
 // maternRowGeneric on a fixed row: 67 points in 7 dimensions (a masked

@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"stormtune/internal/linalg"
 )
 
 // TestVectorRowMatchesGeneric calls the assembly directly: every row
@@ -18,7 +20,7 @@ import (
 // pass shows in the test log.
 func TestVectorRowMatchesGeneric(t *testing.T) {
 	switch {
-	case !hasAVX2FMA():
+	case !linalg.HasAVX2FMA():
 		t.Skip("host lacks AVX2+FMA (or the OS has not enabled YMM state): the vector kernel row is off")
 	case !useVectorRow:
 		t.Skip("vector kernel row disabled by its init probe (GODEBUG=" + os.Getenv("GODEBUG") + ")")
@@ -119,7 +121,7 @@ func mathExpFused() bool {
 // off — unless the build's GOAMD64 level makes FMA baseline, when the
 // runtime ignores the setting and math.Exp stays fused.
 func TestVectorRowFollowsMathExp(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !linalg.HasAVX2FMA() {
 		t.Skip("host lacks AVX2+FMA: the vector kernel row is off regardless")
 	}
 	fused := mathExpFused()

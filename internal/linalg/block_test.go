@@ -150,39 +150,171 @@ func TestForwardSolve4MatchesScalar(t *testing.T) {
 	}
 }
 
+// randomFactor returns an n×n lower-triangular factor with a positive
+// diagonal (the Cholesky factor of some SPD matrix) whose entries are
+// normal draws scaled by 2^e, e uniform in [−spread, spread].
+func randomFactor(rng *rand.Rand, n, spread int) *Cholesky {
+	scale := func() float64 { return math.Ldexp(1, rng.Intn(2*spread+1)-spread) }
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			l.Data[i*n+k] = rng.NormFloat64() * scale()
+		}
+		l.Data[i*n+i] = (0.5 + rng.Float64()) * scale()
+	}
+	return &Cholesky{L: l}
+}
+
+// randomLanes returns Lanes interleaved right-hand sides of length n,
+// scaled like randomFactor's entries.
+func randomLanes(rng *rand.Rand, n, spread int) []float64 {
+	y := make([]float64, Lanes*n)
+	for i := range y {
+		y[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(2*spread+1)-spread)
+	}
+	return y
+}
+
+// checkSolve16 solves the interleaved right-hand sides y against c
+// through ForwardSolve16Into, through forwardSolve16Generic and, on a
+// host with AVX2, through the assembly directly (whether or not the
+// switch has it on), and requires every lane of each to be bitwise
+// ForwardSolveInto on that lane — or, where the solve overflows into
+// NaN, NaN on the same entries (the NaN's payload may differ).
+func checkSolve16(t *testing.T, c *Cholesky, y []float64) {
+	t.Helper()
+	n := c.L.Rows
+	type path struct {
+		name string
+		y    []float64
+	}
+	paths := []path{{"ForwardSolve16Into", append([]float64(nil), y...)}, {"forwardSolve16Generic", append([]float64(nil), y...)}}
+	c.ForwardSolve16Into(paths[0].y)
+	forwardSolve16Generic(c.L.Data, paths[1].y, n)
+	if HasAVX2FMA() {
+		paths = append(paths, path{"forwardSolve16", append([]float64(nil), y...)})
+		forwardSolve16(c.L.Data, paths[2].y, n)
+	}
+	b := make([]float64, n)
+	want := make([]float64, n)
+	for q := 0; q < Lanes; q++ {
+		for k := range b {
+			b[k] = y[k*Lanes+q]
+		}
+		c.ForwardSolveInto(want, b)
+		for k, w := range want {
+			for _, p := range paths {
+				if v := p.y[k*Lanes+q]; math.Float64bits(v) != math.Float64bits(w) && !(math.IsNaN(v) && math.IsNaN(w)) {
+					t.Fatalf("n=%d lane %d entry %d: %s %v (%#x), ForwardSolveInto %v (%#x)",
+						n, q, k, p.name, v, math.Float64bits(v), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
+
+// TestForwardSolve16MatchesScalar pins the sixteen-lane solve's lane
+// contract on Cholesky factors of random SPD matrices at sizes around
+// the exact-GP regime, with the vector kernel on (where the host runs
+// it) and forced off.
+func TestForwardSolve16MatchesScalar(t *testing.T) {
+	if !VectorSolve() {
+		t.Logf("vector forward solve is off on this host (AVX2+FMA %v): only the portable loop is checked", HasAVX2FMA())
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, 2, 3, 5, 16, 64, 257} {
+		ch, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		y := randomLanes(rng, n, 0)
+		checkSolve16(t, ch, y)
+		prev := SetVectorSolve(false)
+		checkSolve16(t, ch, y)
+		SetVectorSolve(prev)
+	}
+}
+
+// TestVectorSolveSwitch: the init probe keeps the vector solve on
+// wherever the host has AVX2+FMA (a kernel that fails it would
+// otherwise switch itself off in silence, GODEBUG=cpu.fma=off
+// included), and SetVectorSolve turns the kernel off and back on only
+// where it passed its init checks.
+func TestVectorSolveSwitch(t *testing.T) {
+	if HasAVX2FMA() && !vectorSolveOK {
+		t.Fatal("the init probe turned the vector forward solve off on an AVX2+FMA host")
+	}
+	on := VectorSolve()
+	if on != vectorSolveOK {
+		t.Fatalf("VectorSolve() = %v at start, init checks passed = %v", on, vectorSolveOK)
+	}
+	if prev := SetVectorSolve(false); prev != on || VectorSolve() {
+		t.Fatalf("SetVectorSolve(false): prev %v (want %v), now %v", prev, on, VectorSolve())
+	}
+	if SetVectorSolve(true); VectorSolve() != vectorSolveOK {
+		t.Fatalf("SetVectorSolve(true) left the kernel on=%v where the init checks passed=%v", VectorSolve(), vectorSolveOK)
+	}
+}
+
+// FuzzForwardSolve16 pins the assembly solve (on AVX2 hosts) and the
+// portable loop lane by lane against ForwardSolveInto on random factors of size
+// 0..300 whose entries and right-hand sides span 2^±spread, so that
+// large spreads overflow into Inf and NaN.
+func FuzzForwardSolve16(f *testing.F) {
+	f.Add(uint16(60), int64(1), uint8(0))
+	f.Add(uint16(257), int64(2), uint8(30))
+	f.Add(uint16(7), int64(3), uint8(255))
+	f.Fuzz(func(t *testing.T, n uint16, seed int64, spread uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomFactor(rng, int(n%301), int(spread))
+		checkSolve16(t, c, randomLanes(rng, c.L.Rows, int(spread)))
+	})
+}
+
 var solveSink float64
 
-// BenchmarkForwardSolve4 times four triangular solves against one
-// factor: interleaved (ForwardSolve4Into) vs one at a time
-// (ForwardSolveInto), at history sizes around the exact-GP regime.
-func BenchmarkForwardSolve4(b *testing.B) {
+// BenchmarkForwardSolveBlock times sixteen triangular solves against
+// one factor, the work of one grid-scan block: as four four-lane
+// ForwardSolve4Into calls (lanes4) and as one ForwardSolve16Into
+// (lanes16, skipped where the vector kernel is off), at history sizes
+// around the exact-GP regime. Both copy their right-hand sides in, so
+// ns/op is per sixteen right-hand sides either way.
+func BenchmarkForwardSolveBlock(b *testing.B) {
 	for _, n := range []int{60, 120, 250} {
 		rng := rand.New(rand.NewSource(1))
 		ch, err := NewCholesky(randomSPD(rng, n))
 		if err != nil {
 			b.Fatal(err)
 		}
-		var rhs, dst [4][]float64
-		for q := range rhs {
-			rhs[q] = make([]float64, n)
-			for i := range rhs[q] {
-				rhs[q][i] = rng.NormFloat64()
-			}
-			dst[q] = make([]float64, n)
-		}
-		b.Run(fmt.Sprintf("blocked/n%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ch.ForwardSolve4Into(dst, rhs)
-			}
-			solveSink = dst[3][n-1]
-		})
-		b.Run(fmt.Sprintf("scalar/n%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for q := range rhs {
-					ch.ForwardSolveInto(dst[q], rhs[q])
+		rhs := randomLanes(rng, n, 0)
+		b.Run(fmt.Sprintf("lanes4/n%d", n), func(b *testing.B) {
+			var in, dst [4][4][]float64
+			for g := range in {
+				for q := range in[g] {
+					in[g][q] = make([]float64, n)
+					for k := range in[g][q] {
+						in[g][q][k] = rhs[k*Lanes+4*g+q]
+					}
+					dst[g][q] = make([]float64, n)
 				}
 			}
-			solveSink = dst[3][n-1]
+			for i := 0; i < b.N; i++ {
+				for g := range in {
+					ch.ForwardSolve4Into(dst[g], in[g])
+				}
+			}
+			solveSink = dst[3][3][n-1]
+		})
+		b.Run(fmt.Sprintf("lanes16/n%d", n), func(b *testing.B) {
+			if !VectorSolve() {
+				b.Skip("vector forward solve is off on this host")
+			}
+			y := make([]float64, len(rhs))
+			for i := 0; i < b.N; i++ {
+				copy(y, rhs)
+				ch.ForwardSolve16Into(y)
+			}
+			solveSink = y[len(y)-1]
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // ErrNotPositiveDefinite is returned when Cholesky factorization fails
@@ -274,6 +275,61 @@ func (c *Cholesky) ForwardSolve4Into(dst, b [4][]float64) {
 		y1[i] = s1 / lii
 		y2[i] = s2 / lii
 		y3[i] = s3 / lii
+	}
+}
+
+// Lanes is the width of ForwardSolve16Into's interleaved solve.
+const Lanes = 16
+
+// vectorSolve is the switch ForwardSolve16Into reads: on where the
+// AVX2 kernel passed its init checks, until SetVectorSolve turns it off.
+var vectorSolve atomic.Bool
+
+func init() { vectorSolve.Store(vectorSolveOK) }
+
+// VectorSolve reports whether ForwardSolve16Into runs the AVX2 kernel.
+// Where it does not, the interleaved solve is a lane-by-lane loop, and
+// callers do better with ForwardSolve4Into.
+func VectorSolve() bool { return vectorSolve.Load() }
+
+// SetVectorSolve turns the AVX2 forward solve off, or back on where it
+// passed its init checks, and returns the previous setting. Results do
+// not depend on it: tests use it to run the portable paths on a vector
+// host.
+func SetVectorSolve(on bool) bool { return vectorSolve.Swap(on && vectorSolveOK) }
+
+// ForwardSolve16Into solves L y = b in place for Lanes right-hand sides
+// stored interleaved: y[k·Lanes+q] holds entry k of lane q, and
+// len(y) must be Lanes·n. On amd64 with AVX2 the solve is one
+// instruction stream over four YMM accumulators (solve_amd64.s); each
+// lane performs ForwardSolveInto's operations in its order, with no
+// fused multiply-add, so lane q is bitwise what ForwardSolveInto
+// returns for that right-hand side. Elsewhere it is
+// forwardSolve16Generic, that lane-by-lane loop.
+func (c *Cholesky) ForwardSolve16Into(y []float64) {
+	n := c.L.Rows
+	if len(y) != Lanes*n || len(c.L.Data) < n*n {
+		panic(fmt.Sprintf("linalg: forward solve len %d vs %d·%d", len(y), Lanes, n))
+	}
+	if vectorSolve.Load() {
+		forwardSolve16(c.L.Data, y, n)
+		return
+	}
+	forwardSolve16Generic(c.L.Data, y, n)
+}
+
+// forwardSolve16Generic is ForwardSolve16Into one lane at a time, each
+// lane ForwardSolveInto's loop over its strided entries: the portable
+// path and the oracle the assembly is pinned against.
+func forwardSolve16Generic(l, y []float64, n int) {
+	for q := 0; q < Lanes; q++ {
+		for i := 0; i < n; i++ {
+			s := y[i*Lanes+q]
+			for k, lik := range l[i*n : i*n+i] {
+				s -= lik * y[k*Lanes+q]
+			}
+			y[i*Lanes+q] = s / l[i*n+i]
+		}
 	}
 }
 

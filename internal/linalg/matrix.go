@@ -12,6 +12,12 @@
 // factorization at the same jitter; the gp package's cache and its
 // pinned parity tests depend on that contract.
 //
+// Forward solves come in one, four and sixteen lanes, each lane
+// bitwise the one-lane solve. On amd64 with AVX2 the sixteen-lane
+// solve is assembly (solve_amd64.s), gated by the module's one
+// CPUID/XGETBV feature check (HasAVX2FMA, which gp's kernel row also
+// reads) and a probe solve at package init.
+//
 // It is deliberately small: the GP code only ever needs symmetric
 // positive-definite systems, so there is no general LU or QR here.
 package linalg

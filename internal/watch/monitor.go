@@ -70,14 +70,15 @@ type Trigger struct {
 	// Current is the sample performance that completed the streak.
 	Baseline float64 `json:"baseline"`
 	Current  float64 `json:"current"`
-	// Reason is "degradation" or "backpressure".
+	// Reason is "degradation", "backpressure", or "failure" when the
+	// sample that completed the streak was lost.
 	Reason string `json:"reason"`
 }
 
 // Monitor watches the incumbent's monitoring samples and decides when
 // sustained degradation or backpressure warrants a retune. It keeps a
 // noise-aware rolling baseline (the mean of the last Window healthy
-// samples — degraded samples feed the trigger streak, not the
+// samples — degraded and lost samples feed the trigger streak, not the
 // baseline, so a real regression cannot drag the reference down with
 // it), requires Sustain consecutive degraded samples before firing
 // (hysteresis), fires at most once per episode (it disarms until
@@ -144,27 +145,21 @@ func (m *Monitor) push(perf float64) {
 
 // Observe feeds one monitoring sample taken at simTime. It returns a
 // Trigger (and true) when this sample completes a sustained
-// degradation or backpressure streak on an armed monitor outside the
-// cooldown; the monitor then disarms until Reset.
+// degradation, failure or backpressure streak on an armed monitor
+// outside the cooldown; the monitor then disarms until Reset.
+//
+// A failed (lost) sample measures nothing, so it never enters the
+// baseline window; it extends the degradation streak instead, and does
+// so before the baseline has filled too. Sustain consecutive failures
+// therefore fire even when no sample has ever succeeded — otherwise a
+// watch whose every sample is lost would hold forever.
 func (m *Monitor) Observe(simTime float64, res storm.Result) (Trigger, bool) {
 	if m.opts.Disabled {
 		return Trigger{}, false
 	}
 	perf := Perf(res)
 	base, ready := m.Baseline()
-	if !ready {
-		// Still establishing the reference; backpressure is tracked so
-		// a watch that starts already drowning fires the moment the
-		// baseline exists.
-		m.push(perf)
-		if res.Backpressured {
-			m.backpressured++
-		} else {
-			m.backpressured = 0
-		}
-		return Trigger{}, false
-	}
-	if perf < base*m.opts.degradeFactor() {
+	if res.Failed || ready && perf < base*m.opts.degradeFactor() {
 		m.degraded++
 	} else {
 		m.degraded = 0
@@ -183,8 +178,15 @@ func (m *Monitor) Observe(simTime float64, res storm.Result) (Trigger, bool) {
 	}
 	var reason string
 	switch {
-	case m.backpressured >= m.opts.backpressureSustain():
+	case !ready && !res.Failed:
+		// Still establishing the reference; backpressure is tracked so
+		// a watch that starts already drowning fires the moment the
+		// baseline exists.
+		return Trigger{}, false
+	case ready && m.backpressured >= m.opts.backpressureSustain():
 		reason = "backpressure"
+	case m.degraded >= m.opts.sustain() && res.Failed:
+		reason = "failure"
 	case m.degraded >= m.opts.sustain():
 		reason = "degradation"
 	default:

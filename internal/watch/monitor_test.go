@@ -109,6 +109,43 @@ func TestMonitorBackpressureTrigger(t *testing.T) {
 	}
 }
 
+// Lost samples never enter the baseline window, and Sustain
+// consecutive losses fire with reason "failure" — before the window
+// has filled as well as after; a healthy sample breaks the streak.
+func TestMonitorFailedSamples(t *testing.T) {
+	lost := storm.FailedResult(storm.FailureEvaluation, "lost")
+	m := NewMonitor(MonitorOptions{Window: 4, Sustain: 3})
+	now := 0.0
+	for _, res := range []storm.Result{lost, lost, healthy(1), lost, lost} {
+		if _, fired := m.Observe(now, res); fired {
+			t.Fatalf("fired at t=%v before three consecutive losses", now)
+		}
+		now += 60
+	}
+	if st := m.State(); len(st.Window) != 1 || st.Window[0] != 1 {
+		t.Fatalf("window %v after one healthy sample among losses, want [1]", st.Window)
+	}
+	tr, fired := m.Observe(now, lost)
+	if !fired || tr.Reason != "failure" || tr.Current != 0 {
+		t.Fatalf("three losses before the baseline filled: fired=%v tr=%+v", fired, tr)
+	}
+
+	m = NewMonitor(MonitorOptions{Window: 4, Sustain: 3})
+	now = fill(m, 0, 4, 1.0)
+	for i := 0; i < 2; i++ {
+		if _, fired := m.Observe(now, lost); fired {
+			t.Fatal("fired before three consecutive losses")
+		}
+		now += 60
+	}
+	if base, ok := m.Baseline(); !ok || base != 1.0 {
+		t.Fatalf("lost samples leaked into the baseline: %v %v", base, ok)
+	}
+	if tr, fired := m.Observe(now, lost); !fired || tr.Reason != "failure" || tr.Baseline != 1.0 {
+		t.Fatalf("three losses after the baseline filled: fired=%v tr=%+v", fired, tr)
+	}
+}
+
 func TestMonitorCooldown(t *testing.T) {
 	m := NewMonitor(MonitorOptions{Window: 2, Sustain: 2, Cooldown: 500})
 	now := fill(m, 0, 2, 1.0)

@@ -138,6 +138,56 @@ func TestResumeWatcherKeepsRetryPolicy(t *testing.T) {
 	}
 }
 
+// holdLoser loses every hold-phase monitoring sample: those carry
+// Attempt 0, while a session's tuning trials carry Attempt 1 and up.
+type holdLoser struct{ Backend }
+
+func (b holdLoser) Run(ctx context.Context, tr Trial) (Result, error) {
+	if tr.Attempt == 0 {
+		return Result{}, errors.New("lost")
+	}
+	return b.Backend.Run(ctx, tr)
+}
+
+// TestWatchRetunesWhenEveryHoldSampleIsLost: a lost sample never
+// enters the monitor's baseline, so a watch whose every hold sample is
+// lost still retunes — with reason "failure", within Window+Sustain
+// hold samples — instead of holding on a baseline of zeros until its
+// horizon.
+func TestWatchRetunesWhenEveryHoldSampleIsLost(t *testing.T) {
+	tp := flashTopology()
+	holds := 0
+	var trig *RetuneTriggered
+	opts := flashWatchOptions(ObserverFunc(func(e Event) {
+		switch ev := e.(type) {
+		case HoldSampled:
+			if trig == nil {
+				holds++
+			}
+		case RetuneTriggered:
+			if trig == nil {
+				trig = &ev
+			}
+		}
+	}))
+	opts.Horizon = 4000
+	w, err := NewWatcher(tp, holdLoser{flashBackend(tp)}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if trig == nil {
+		t.Fatalf("no retune after %d lost hold samples (horizon %v)", holds, opts.Horizon)
+	}
+	const window, sustain = 6, 3 // flashWatchOptions' Window, the default Sustain
+	if holds > window+sustain || trig.Reason != "failure" || w.Episodes() != 1 {
+		t.Fatalf("retuned after %d lost hold samples (reason %q, %d episodes); want at most %d, \"failure\", 1",
+			holds, trig.Reason, w.Episodes(), window+sustain)
+	}
+}
+
 // TestWatcherRecorderKeepsEveryTrial: a watch's sessions each number
 // their trials from 1, so a Recorder keyed on the session-local trial
 // ID lets the retune episode's trials overwrite the initial tune's. The
