@@ -10,15 +10,26 @@ import (
 
 // checkBlockMatchesScalar scores every block size 1..Block at several
 // offsets into qs, query i carrying prior mean m0[i], and requires each
-// lane to be bitwise PredictInto — with linalg's vector forward solve
-// as the host runs it (full blocks take the wide path) and forced off
-// (every block solves four lanes at a time).
+// lane to be bitwise PredictInto — with the vector kernels and linalg's
+// vector forward solve as the host runs them (full blocks take the wide
+// path, their kernel rows the sixteen-candidate block kernel), with the
+// vector kernels forced off (the wide path evaluates each lane's row
+// and scatters it), and with the vector solve forced off (every block
+// solves four lanes at a time).
 func checkBlockMatchesScalar(t *testing.T, name string, m *GP, qs [][]float64, m0 []float64) {
 	t.Helper()
 	checkBlockWidths(t, name, m, qs, m0)
 	if !linalg.VectorSolve() {
 		t.Logf("%s: vector forward solve is off on this host: the wide path is not checked", name)
 		return
+	}
+	if setVectorRow(false) {
+		func() {
+			defer setVectorRow(true)
+			checkBlockWidths(t, name+"/vector-row-off", m, qs, m0)
+		}()
+	} else {
+		t.Logf("%s: vector kernels are off on this host: the block kernel is not checked", name)
 	}
 	defer linalg.SetVectorSolve(linalg.SetVectorSolve(false))
 	checkBlockWidths(t, name+"/vector-solve-off", m, qs, m0)
@@ -78,6 +89,20 @@ func TestPredictBlockMatchesPredictInto(t *testing.T) {
 
 	unfitted := New(NewMatern52(d, 0.4), 1e-3)
 	checkBlockMatchesScalar(t, "unfitted", unfitted, qs, m0)
+
+	// Short length scales put most kernel entries in exp's subnormal
+	// and underflow tails.
+	short := New(&Matern52{Amp2: 1.7, Lengths: []float64{2e-3, 3e-3, 2.5e-3}}, 1e-3)
+	if err := short.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	checkBlockMatchesScalar(t, "short-lengths", short, qs, m0)
+
+	// A zero length scale installed after the fit makes r NaN or +Inf
+	// for every query: the block kernel declines, the lanes take the
+	// per-lane rows, and every lane is still PredictInto's (NaN) bits.
+	g.Kern.Lengths[1] = 0
+	checkBlockMatchesScalar(t, "zero-length", g, qs, m0)
 }
 
 // TestRefitReusesFactorBitIdentically refits one GP at a fixed n under

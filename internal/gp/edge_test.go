@@ -70,3 +70,52 @@ func TestHyperPriorPrefersModerateValues(t *testing.T) {
 		t.Fatal("prior should prefer moderate hyperparameters")
 	}
 }
+
+// TestSelfCovMatchesEval pins the prior-variance shortcut the block
+// queries take to Eval(x, x) bit for bit: finite and non-finite points
+// under regular, zero, negative-zero, NaN, infinite, denormal and
+// negative length scales.
+func TestSelfCovMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	points := [][]float64{{0.2, 0.9, 0.4}, {0, 1, 0.5}, {math.Inf(1), 0.1, 0.2}, {0.3, math.NaN(), 0.1}, {-2, 3e300, -1e-310}}
+	for i := 0; i < 20; i++ {
+		points = append(points, []float64{rng.Float64(), rng.NormFloat64(), rng.Float64()})
+	}
+	for _, l := range append([]float64{0.3, 7}, specialLengths...) {
+		k := &Matern52{Amp2: math.Exp(rng.NormFloat64()), Lengths: []float64{0.5, l, 0.2}}
+		regular := regularLengths(k.Lengths)
+		for _, x := range points {
+			got, want := k.selfCov(x, regular), k.Eval(x, x)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("lengths %v, x %v: selfCov %v (%#x), Eval %v (%#x)",
+					k.Lengths, x, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestRefitMatrixMatchesEval pins the kernel matrix refit builds with
+// its once-per-refit reciprocal length scales: every off-diagonal entry
+// is bitwise the EvalRow entry and every diagonal entry Eval(x, x) plus
+// the noise variance.
+func TestRefitMatrixMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	xs, ys := randomData(rng, 19, 4)
+	g := New(&Matern52{Amp2: 1.4, Lengths: []float64{0.3, 0.05, 2, 0.7}}, 1e-3)
+	if err := g.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	n := len(xs)
+	row := make([]float64, n)
+	for i, x := range xs {
+		g.Kern.EvalRow(x, xs, row)
+		for j, w := range row {
+			if i == j {
+				w = g.Kern.Eval(x, x) + g.Noise
+			}
+			if got := g.kmat.Data[i*n+j]; math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("K[%d][%d] = %v, want %v", i, j, got, w)
+			}
+		}
+	}
+}

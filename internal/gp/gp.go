@@ -38,45 +38,64 @@
 // association; Predict is PredictInto with m₀ = 0.
 //
 // PredictBlockInto is the form the acquisition scorer uses: it answers
-// up to Block (16) queries against the one cached factor. A full block
-// — the grid scan's 16-wide blocks — is one sixteen-lane triangular
-// solve over the lanes' interleaved k* vectors
-// (linalg.Cholesky.ForwardSolve16Into) where linalg runs its AVX2
-// kernel; a shorter block — local search's blocks of four, a scan's
-// last block — and every block on other hosts is solved four lanes at
-// a time (ForwardSolve4Into) plus one-lane solves for the rest. Its
-// lane contract is bit-identity: lane l of a block returns exactly the
-// bits PredictInto returns for xs[l], whatever the other lanes hold,
-// however many there are and whichever solve ran, so blocking changes
-// the cost of scoring and never a proposal.
+// up to Block (16) queries against the one cached factor, with the
+// model's reciprocal length scales computed once per block. A full
+// block — the grid scan's 16-wide blocks — builds the lanes' k*
+// vectors interleaved, one sixteen-candidate kernel block where the
+// vector kernel runs (see "Kernel rows"), and solves them in one
+// sixteen-lane triangular solve (linalg.Cholesky.ForwardSolve16Into)
+// where linalg runs its AVX2 kernel; each lane's k·α and Σ v² are then
+// summed in k order from zero by four-accumulator AVX2 loops over the
+// interleaved buffer, each lane bitwise linalg.Dot. A shorter block —
+// local search's blocks of four, a scan's last block — and every
+// block on other hosts evaluates one kernel row per lane and is solved
+// four lanes at a time (ForwardSolve4Into) plus one-lane solves for
+// the rest. The prior variance k(x, x) is Amp2 exactly when x is
+// finite and no length scale is zero or NaN, which the block forms use
+// instead of evaluating the kernel. The lane contract is bit-identity:
+// lane l of a block returns exactly the bits PredictInto returns for
+// xs[l], whatever the other lanes hold, however many there are and
+// whichever kernel and solve ran, so blocking changes the cost of
+// scoring and never a proposal.
 //
 // # Kernel rows
 //
 // Every kernel matrix row and k* vector — refit, Observe/Extend,
-// PredictInto and PredictBlockInto — goes through Matern52.EvalRow. On
-// amd64 the Matérn-5/2 row is evaluated four training points per
-// instruction by an AVX2+FMA kernel (kernel_amd64.s) whose contract is
-// bit-identity: each lane performs exactly the scalar loop's
-// operations in its order (r² summed dimension by dimension with a
-// separate multiply and add, √(5r²), amp2·((1+r) + r·r/3)) and
-// computes exp(−r) with the instruction sequence of the FMA branch of
-// math.Exp. The row is therefore bitwise what maternRowGeneric — the
-// unchanged scalar loop — returns, and no proposal, snapshot or log
-// byte depends on which one ran. A last group of fewer than four
-// points runs the same code with its spare lanes repeating the last
-// point, storing only the real lanes.
+// PredictInto and PredictBlockInto — is the Matérn-5/2 row of
+// maternRow, with 1/ℓ computed once per refit, block or EvalRow call.
+// On amd64 two AVX2+FMA kernels (kernel_amd64.s) evaluate it: the
+// four-lane row, four training points per instruction, and the
+// sixteen-candidate block, which takes a full scan block's candidates
+// as its lanes (transposed once per call), broadcasts each training
+// point's coordinates against them in four independent chains and
+// stores lane l at k·16+l, straight into the wide solve's layout.
+// Their contract is bit-identity: each lane performs exactly the
+// scalar loop's operations in its order (r² summed dimension by
+// dimension with a separate multiply and add, √(5r²),
+// amp2·((1+r) + r·r/3)) and computes exp(−r) with the instruction
+// sequence of the FMA branch of math.Exp, its ldexp tail included for
+// every r ≥ 0: a normal result, a subnormal one (r above about 708.4)
+// and the underflow to +0 (above about 745.1). Both kernels share that
+// code (one assembler macro), take the tail's subnormal and underflow
+// branches only for a group with some r above 708, and are therefore
+// bitwise what maternRowGeneric — the unchanged scalar loop — returns;
+// no proposal, snapshot or log byte depends on which one ran. A last
+// group of fewer than four points runs the row kernel with its spare
+// lanes repeating the last point, storing only the real lanes.
 //
-// The kernel runs only where CPUID reports AVX2 and FMA with YMM state
+// The kernels run only where CPUID reports AVX2 and FMA with YMM state
 // enabled by the OS (linalg.HasAVX2FMA), and only if, at package init,
-// it reproduces the scalar row bit for bit on a fixed probe row; the
-// probe turns it off when math.Exp has left its FMA branch
+// each reproduces the scalar row bit for bit on a fixed probe; the
+// probe turns both off when math.Exp has left its FMA branch
 // (GODEBUG=cpu.fma=off), whose results differ in the last bit on about
-// one argument in eleven. A row with some r NaN or above 708, where
-// math.Exp would take its denormal or special-value branches, is
-// declined and recomputed by the scalar loop, as are rows whose slices
-// are too short for the unchecked assembly. Every other GOARCH runs
-// the scalar loop. The reciprocal length scales live in a stack buffer
-// of 32 or 128 slots, so a row allocates nothing up to 128 dimensions.
+// one argument in eleven. A row or block with some r NaN or +Inf —
+// only a degenerate length scale (zero, NaN, or so small its
+// reciprocal overflows) or a non-finite coordinate leads there — is
+// declined and recomputed by the scalar loop per lane, as are rows
+// whose slices are too short for the unchecked assembly. Every other
+// GOARCH runs the scalar loop. EvalRow keeps its reciprocal length
+// scales in a stack buffer of 32 or 128 slots, so a row allocates
+// nothing up to 128 dimensions.
 package gp
 
 import (
@@ -146,9 +165,11 @@ func (g *GP) refit() error {
 		g.kmat = linalg.NewMatrix(n, n)
 	}
 	k := g.kmat
+	var buf [bigStackDims]float64
+	inv := invLengths(buf[:0], g.Kern.Lengths)
 	for i := 0; i < n; i++ {
 		row := k.Data[i*n : i*n+i+1]
-		g.Kern.EvalRow(g.x[i], g.x[:i+1], row)
+		maternRow(g.x[i], g.x[:i+1], inv, g.Kern.Amp2, row)
 		for j := 0; j < i; j++ {
 			k.Data[j*n+i] = row[j]
 		}
@@ -286,22 +307,29 @@ func (s *Scratch) ensure(n int) {
 const Block = linalg.Lanes
 
 // BlockScratch holds per-caller buffers for PredictBlockInto: one
-// Scratch per lane for blocks solved four lanes at a time, and the
-// interleaved right-hand sides of a full block's one wide solve. Like
-// Scratch, it must not be shared between goroutines.
+// Scratch per lane for blocks solved four lanes at a time, the
+// interleaved right-hand sides of a full block's one wide solve, and
+// the model's reciprocal length scales and the block's transposed
+// candidates. Like Scratch, it must not be shared between goroutines.
 type BlockScratch struct {
 	lanes [Block]Scratch
 	kstar []float64 // one lane's k*, copied into wide
 	wide  []float64 // Block·n, lane l's entry k at wide[k·Block+l]
+	inv   []float64 // 1/ℓ of the model answering the block
+	xt    []float64 // Block·d, dimension j of lane l at xt[j·Block+l]
 }
 
-func (s *BlockScratch) ensureWide(n int) {
+func (s *BlockScratch) ensureWide(n, d int) {
 	if cap(s.kstar) < n {
 		s.kstar = make([]float64, n)
 		s.wide = make([]float64, Block*n)
 	}
 	s.kstar = s.kstar[:n]
 	s.wide = s.wide[:Block*n]
+	if cap(s.xt) < Block*d {
+		s.xt = make([]float64, Block*d)
+	}
+	s.xt = s.xt[:Block*d]
 }
 
 // forwardSolve solves L v = kstar for the first m lanes: four lanes
@@ -357,21 +385,23 @@ func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []
 		}
 		return
 	}
+	s.inv = invLengths(s.inv, g.Kern.Lengths)
+	regular := regularLengths(g.Kern.Lengths)
 	if len(xs) == Block && linalg.VectorSolve() {
-		g.predictWide(s, xs, m0, mu, sigma2)
+		g.predictWide(s, xs, m0, mu, sigma2, regular)
 		return
 	}
 	n := len(g.x)
 	for l, x := range xs {
 		ls := &s.lanes[l]
 		ls.ensure(n)
-		g.Kern.EvalRow(x, g.x, ls.kstar)
+		maternRow(x, g.x, s.inv, g.Kern.Amp2, ls.kstar)
 		mu[l] = m0[l] + g.Mean + linalg.Dot(ls.kstar, g.alpha)
 	}
 	s.forwardSolve(g.chol, len(xs))
 	for l, x := range xs {
 		v := s.lanes[l].v
-		s2 := g.Kern.Eval(x, x) - linalg.Dot(v, v)
+		s2 := g.Kern.selfCov(x, regular) - linalg.Dot(v, v)
 		if s2 < 0 {
 			s2 = 0
 		}
@@ -379,29 +409,34 @@ func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []
 	}
 }
 
-// predictWide answers a full block with one vector forward solve over
-// the lanes' interleaved k* vectors. Each lane's Σ v_k² is summed in k
-// order from zero, linalg.Dot's order, so every lane is bitwise
-// PredictInto's.
-func (g *GP) predictWide(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64) {
+// predictWide answers a full block with interleaved k* vectors: the
+// sixteen-candidate kernel block writes them in place where the vector
+// kernel runs (else each lane's row is evaluated and scattered), one
+// vector forward solve runs over them, and each lane's k·α and Σ v_k²
+// are summed in k order from zero, linalg.Dot's order, so every lane is
+// bitwise PredictInto's. It runs only where linalg's vector solve is
+// on, so the AVX2 lane sums are available. s.inv holds the model's
+// reciprocal length scales.
+func (g *GP) predictWide(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64, regular bool) {
 	n := len(g.x)
-	s.ensureWide(n)
-	for l, x := range xs {
-		g.Kern.EvalRow(x, g.x, s.kstar)
-		mu[l] = m0[l] + g.Mean + linalg.Dot(s.kstar, g.alpha)
-		for k, v := range s.kstar {
-			s.wide[k*Block+l] = v
+	s.ensureWide(n, len(g.Kern.Lengths))
+	if !maternBlockVector((*[Block][]float64)(xs), g.x, s.inv, g.Kern.Amp2, s.xt, s.wide) {
+		for l, x := range xs {
+			maternRow(x, g.x, s.inv, g.Kern.Amp2, s.kstar)
+			for k, v := range s.kstar {
+				s.wide[k*Block+l] = v
+			}
 		}
+	}
+	var sum [Block]float64
+	laneDot16(s.wide, g.alpha, &sum)
+	for l := range xs {
+		mu[l] = m0[l] + g.Mean + sum[l]
 	}
 	g.chol.ForwardSolve16Into(s.wide)
-	var vv [Block]float64
-	for k := 0; k < n; k++ {
-		for l, v := range s.wide[k*Block : k*Block+Block] {
-			vv[l] += v * v
-		}
-	}
+	laneSquares16(s.wide, &sum)
 	for l, x := range xs {
-		s2 := g.Kern.Eval(x, x) - vv[l]
+		s2 := g.Kern.selfCov(x, regular) - sum[l]
 		if s2 < 0 {
 			s2 = 0
 		}

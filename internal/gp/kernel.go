@@ -36,6 +36,38 @@ func (k *Matern52) Eval(a, b []float64) float64 {
 	return k.Amp2 * (1 + r + r*r/3) * math.Exp(-r)
 }
 
+// regularLengths reports whether every length scale is non-zero and
+// not NaN: the condition under which selfCov of a finite point is
+// exactly Amp2.
+func regularLengths(lengths []float64) bool {
+	for _, l := range lengths {
+		if l == 0 || math.IsNaN(l) {
+			return false
+		}
+	}
+	return true
+}
+
+// selfCov returns Eval(x, x), the prior variance at x. When x is finite
+// and regular reports regularLengths of k.Lengths, every term
+// (x_i − x_i)/ℓ_i is ±0, so r = 0 and Eval returns Amp2·(1+0+0)·exp(−0)
+// = Amp2 exactly: selfCov returns Amp2 without evaluating the kernel.
+// Any other case takes Eval.
+func (k *Matern52) selfCov(x []float64, regular bool) float64 {
+	if !regular {
+		return k.Eval(x, x)
+	}
+	// v − v is +0 for finite v and NaN for ±Inf or NaN.
+	s := 0.0
+	for _, v := range x {
+		s += v - v
+	}
+	if s != 0 {
+		return k.Eval(x, x)
+	}
+	return k.Amp2
+}
+
 // maxStackDims is the small size class of the stack-allocated
 // reciprocal-length buffer in EvalRow, and bigStackDims the large one:
 // a row zeroes the smallest class that fits its dimension, so the
@@ -61,18 +93,19 @@ func invLengths(buf, lengths []float64) []float64 {
 }
 
 // EvalRow evaluates one input against many in a single call:
-// dst[i] = k(x, xs[i]). The GP hot path (kernel-matrix rows in
-// Fit/Observe, k* vectors in Predict) goes through EvalRow, so the
-// per-dimension inverse length scales are computed once per row instead
-// of once per pair.
+// dst[i] = k(x, xs[i]). The per-dimension inverse length scales are
+// computed once per row instead of once per pair; the GP's refit and
+// block queries compute them once per refit or block and call
+// maternRow, the row EvalRow runs, directly.
 //
 // EvalRow multiplies by precomputed reciprocals where Eval divides, so
-// the two may differ in the last ulp. The GP uses EvalRow consistently
-// on every internal path, which is what makes the incremental factor
-// updates bit-identical to batch refactorization. Where the host
-// supports it the row is evaluated four training points at a time (see
-// "Kernel rows" in the package comment), and it must return the bits
-// its scalar loop, maternRowGeneric, returns on the same host.
+// the two may differ in the last ulp. The GP uses this one row
+// consistently on every internal path, which is what makes the
+// incremental factor updates bit-identical to batch refactorization.
+// Where the host supports it the row is evaluated four training points
+// at a time (see "Kernel rows" in the package comment), and it must
+// return the bits its scalar loop, maternRowGeneric, returns on the
+// same host.
 func (k *Matern52) EvalRow(x []float64, xs [][]float64, dst []float64) {
 	switch d := len(k.Lengths); {
 	case d <= maxStackDims:
@@ -88,7 +121,7 @@ func (k *Matern52) EvalRow(x []float64, xs [][]float64, dst []float64) {
 
 // maternRow evaluates a Matérn-5/2 row with the vector kernel when it
 // can, and with maternRowGeneric otherwise — including every row the
-// vector kernel declines (a lane outside its exp range).
+// vector kernel declines (some r NaN or +Inf).
 func maternRow(x []float64, xs [][]float64, inv []float64, amp2 float64, dst []float64) {
 	if !maternRowVector(x, xs, inv, amp2, dst) {
 		maternRowGeneric(x, xs, inv, amp2, dst)

@@ -150,3 +150,75 @@ func BenchmarkMaternRow(b *testing.B) {
 		})
 	}
 }
+
+// blockCase is one kernel block: Block candidates against a row of
+// training points, with the row's length scales and amplitude.
+type blockCase struct {
+	cands   [Block][]float64
+	xs      [][]float64
+	lengths []float64
+	amp2    float64
+}
+
+// randomBlock draws Block candidates in d dimensions, n training points
+// and log-normal length scales as randomRow does; some candidates
+// duplicate a training point (r = 0).
+func randomBlock(rng *rand.Rand, d, n int) blockCase {
+	r := randomRow(rng, d, n, 0)
+	c := blockCase{xs: r.xs, lengths: r.lengths, amp2: r.amp2}
+	for l := range c.cands {
+		if n > 0 && rng.Intn(8) == 0 {
+			c.cands[l] = append([]float64(nil), c.xs[rng.Intn(n)]...)
+			continue
+		}
+		c.cands[l] = make([]float64, d)
+		for j := range c.cands[l] {
+			c.cands[l][j] = rng.Float64()
+		}
+	}
+	return c
+}
+
+// BenchmarkMaternBlock times the kernel rows of one full scan block,
+// Block candidates against n training points laid out interleaved for
+// the wide solve: sixteen EvalRow calls each scattered into the
+// interleaved buffer (the per-lane path) against the sixteen-candidate
+// block kernel (skipped where the vector kernels are off), at the
+// small topology's dimension with 60- and 120-point histories and at
+// the medium topology's with 12 points.
+func BenchmarkMaternBlock(b *testing.B) {
+	for _, s := range []struct {
+		name string
+		d, n int
+	}{{"d11n60", 11, 60}, {"d11n120", 11, 120}, {"d51n12", 51, 12}} {
+		c := randomBlock(rand.New(rand.NewSource(1)), s.d, s.n)
+		for j := range c.lengths {
+			c.lengths[j] = 0.3
+		}
+		k := &Matern52{Amp2: 1, Lengths: c.lengths}
+		kstar := make([]float64, s.n)
+		wide := make([]float64, Block*s.n)
+		b.Run("lanes/"+s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for l, x := range c.cands {
+					k.EvalRow(x, c.xs, kstar)
+					for j, v := range kstar {
+						wide[j*Block+l] = v
+					}
+				}
+			}
+		})
+		b.Run("block/"+s.name, func(b *testing.B) {
+			if !useVectorRow {
+				b.Skip("vector kernels are off on this host")
+			}
+			b.ReportAllocs()
+			inv := invLengths(nil, k.Lengths)
+			xt := make([]float64, Block*s.d)
+			for i := 0; i < b.N; i++ {
+				maternBlockVector(&c.cands, c.xs, inv, k.Amp2, xt, wide)
+			}
+		})
+	}
+}
