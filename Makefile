@@ -33,14 +33,18 @@ bench:
 
 # The GP/BO hot-path benchmarks alone: fit, incremental observe,
 # decision steps at small and large history, the blocked forward solves
-# behind acquisition scoring (sixteen lanes vs four), the kernel row
-# (vector and generic) and a scan block's kernel rows (sixteen per-lane
-# rows vs the sixteen-candidate block). Fast enough to run while
-# iterating on internal/gp, internal/linalg or internal/bo. A kernel
+# behind acquisition scoring (four lanes portable and vector, sixteen
+# lanes), a cold slice-sampling epoch (scalar and vector), the
+# Cholesky refactorization (scalar and vector), the kernel row (vector
+# and generic) and a scan block's kernel rows (sixteen per-lane rows vs
+# the sixteen-candidate block). Fast enough to run while iterating on
+# internal/gp, internal/linalg or internal/bo. A factorization, kernel
 # row or block takes microseconds, so those run at the default
 # benchtime rather than three iterations.
 bench-gp:
 	go test -run '^$$' -bench '^Benchmark(GPFit|GPObserveIncremental|BOSuggest.*|ForwardSolveBlock)$$' -benchtime 3x -count 3 . ./internal/linalg
+	go test -run '^$$' -bench '^BenchmarkSliceSampleEpoch$$' -benchtime 3x -count 3 ./internal/gp
+	go test -run '^$$' -bench '^BenchmarkCholeskyRefactor$$' -count 3 ./internal/linalg
 	go test -run '^$$' -bench '^BenchmarkMatern(Row|Block)$$' -count 3 ./internal/gp
 
 # The performance gate CI runs: paired A/B runs of the merge base (in a
@@ -61,9 +65,10 @@ bench-smoke:
 
 # The native fuzz targets, 10 s each: journal recovery over arbitrary
 # file bytes, tuner/watch snapshot loading, the kernel row, the
-# sixteen-candidate kernel block and the sixteen-lane forward solve
-# against their scalar oracles, and the
-# serve worker's /run decoder over arbitrary request bodies. go test -fuzz takes one target per run. Each new
+# sixteen-candidate kernel block, the sixteen- and four-lane forward
+# solves and the Cholesky column kernel against their scalar oracles,
+# and the serve worker's /run decoder over arbitrary request bodies.
+# go test -fuzz takes one target per run. Each new
 # interesting input is minimized for at most 2 s: at Go's 60 s default
 # the snapshot loaders spend the whole run minimizing and barely fuzz.
 fuzz-smoke:
@@ -71,6 +76,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzMaternRow$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/gp
 	go test -run '^$$' -fuzz '^FuzzMaternBlock$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/gp
 	go test -run '^$$' -fuzz '^FuzzForwardSolve16$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
+	go test -run '^$$' -fuzz '^FuzzForwardSolve4$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
+	go test -run '^$$' -fuzz '^FuzzCholesky$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
 	go test -run '^$$' -fuzz '^FuzzLoadTunerState$$' -fuzztime 10s -fuzzminimizetime 2s .
 	go test -run '^$$' -fuzz '^FuzzLoadWatchState$$' -fuzztime 10s -fuzzminimizetime 2s .
 	go test -run '^$$' -fuzz '^FuzzServeRun$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/remote

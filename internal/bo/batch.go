@@ -37,6 +37,7 @@ func (opt *Optimizer) SuggestBatch(q int) [][]float64 {
 	start := time.Now()
 	//lint:wallclock telemetry: decision-time accounting, never a proposal input
 	defer func() { opt.LastStepDuration = time.Since(start) }()
+	opt.resetScores()
 	if q <= 0 {
 		return nil
 	}
@@ -70,6 +71,7 @@ type scorer struct {
 	prior  func([]float64) float64 // Options.PriorMean; nil is the zero prior
 	acq    Acquisition
 	bestY  float64
+	found  Score // the scores behind the search's choice, set by maximize
 }
 
 // scoreBuf is one goroutine's scoring scratch: one gp.BlockScratch,
@@ -104,10 +106,7 @@ func (s *scorer) scoreBlock(b *scoreBuf, us [][]float64, out []float64) {
 	for l, u := range us {
 		m0[l] = priorAt(s.prior, u)
 	}
-	for i, m := range s.models {
-		lo := i * gp.Block
-		m.PredictBlockInto(&b.scratch, us, m0, b.mu[lo:lo+len(us)], b.s2[lo:lo+len(us)])
-	}
+	gp.PredictBlockInto(s.models, &b.scratch, us, m0, b.mu, b.s2)
 	for l := range us {
 		for i := range s.models {
 			b.mus[i] = b.mu[i*gp.Block+l]

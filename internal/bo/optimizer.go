@@ -160,6 +160,19 @@ type Optimizer struct {
 	// LastStepDuration records how long the most recent Suggest call
 	// took; the scalability experiment (Figure 7) reads it.
 	LastStepDuration time.Duration
+
+	// scores, once RecordScores has set it, holds the acquisition
+	// values behind each point of the most recent Suggest or
+	// SuggestBatch. It is nil by default, so an optimizer nobody
+	// inspects keeps no scores.
+	scores *[]Score
+}
+
+// Score is the acquisition value behind one suggested point: the best
+// of the candidate grid, and where local search from it ended (the
+// point's own score). Both are NaN for a point no acquisition chose.
+type Score struct {
+	Grid, Search float64
 }
 
 // NewOptimizer creates an optimizer over space.
@@ -199,17 +212,54 @@ func (opt *Optimizer) Suggest() []float64 {
 	start := time.Now()
 	//lint:wallclock telemetry: decision-time accounting, never a proposal input
 	defer func() { opt.LastStepDuration = time.Since(start) }()
+	opt.resetScores()
 	return opt.suggestOne((*Optimizer).maximize)
 }
 
+// RecordScores makes every later Suggest and SuggestBatch keep the
+// acquisition values behind its points for LastScores.
+func (opt *Optimizer) RecordScores() {
+	if opt.scores == nil {
+		opt.scores = new([]Score)
+	}
+}
+
+// LastScores returns the acquisition values behind each point the most
+// recent Suggest or SuggestBatch returned, in order, NaN for a point no
+// acquisition chose (initial design, trust-region center, random
+// fallback); nil unless RecordScores was called. The slice is reused
+// by the next call.
+func (opt *Optimizer) LastScores() []Score {
+	if opt.scores == nil {
+		return nil
+	}
+	return *opt.scores
+}
+
+// resetScores empties the recorded scores at the start of a call.
+func (opt *Optimizer) resetScores() {
+	if opt.scores != nil {
+		*opt.scores = (*opt.scores)[:0]
+	}
+}
+
+// suggestOne proposes one point, marks it pending and records its
+// acquisition values.
 func (opt *Optimizer) suggestOne(search acqSearch) []float64 {
+	u, score := opt.propose(search)
+	opt.pending = append(opt.pending, u)
+	if opt.scores != nil {
+		*opt.scores = append(*opt.scores, score)
+	}
+	return u
+}
+
+func (opt *Optimizer) propose(search acqSearch) ([]float64, Score) {
 	// Conservative mode: with no data at all, the first proposal is the
 	// trust region's center — the incumbent re-measured under current
 	// conditions before the search moves anywhere.
 	if t := opt.Opts.Trust; t != nil && len(opt.obs)+len(opt.pending) == 0 && len(t.Center) == opt.Space.D() {
-		u := t.Clamp(t.Center)
-		opt.pending = append(opt.pending, u)
-		return u
+		return t.Clamp(t.Center), unscored
 	}
 	if len(opt.obs)+len(opt.pending) < opt.Opts.InitialDesign && opt.initNext < opt.Opts.InitialDesign {
 		// The whole design is drawn in one LHS so points are stratified
@@ -220,12 +270,9 @@ func (opt *Optimizer) suggestOne(search acqSearch) []float64 {
 		}
 		u := opt.confine(opt.initQueue[opt.initNext])
 		opt.initNext++
-		opt.pending = append(opt.pending, u)
-		return u
+		return u, unscored
 	}
-	u := opt.suggestGP(search)
-	opt.pending = append(opt.pending, u)
-	return u
+	return opt.suggestGP(search)
 }
 
 // initialDesign builds the initial-design queue: warm-start points
@@ -309,8 +356,16 @@ func (opt *Optimizer) confine(u []float64) []float64 {
 	return opt.Opts.Trust.Clamp(u)
 }
 
-func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
+// unscored is the Score of a point no acquisition chose.
+var unscored = Score{math.NaN(), math.NaN()}
+
+// suggestGP maximizes the acquisition and returns the point and its
+// scores; a degenerate surrogate falls back to a random point.
+func (opt *Optimizer) suggestGP(search acqSearch) ([]float64, Score) {
 	d := opt.Space.D()
+	random := func() ([]float64, Score) {
+		return opt.confine(sample.Uniform(opt.rng, 1, d)[0]), unscored
+	}
 
 	// Epoch maintenance: slice sampling (the only RNG consumer on the
 	// model side) runs only when the refit schedule demands it; between
@@ -319,7 +374,7 @@ func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 	if opt.needRefit() {
 		if err := opt.refitEpoch(); err != nil {
 			// Degenerate surrogate: fall back to random exploration.
-			return opt.confine(sample.Uniform(opt.rng, 1, d)[0])
+			return random()
 		}
 	}
 	c := &opt.cache
@@ -354,7 +409,7 @@ func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 		err = opt.syncModels(fant)
 	}
 	if err != nil {
-		return opt.confine(sample.Uniform(opt.rng, 1, d)[0])
+		return random()
 	}
 
 	_, bestY, _ := opt.bestStandardized(c.my, c.sy)
@@ -398,9 +453,10 @@ func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 	}
 
 	if len(cands) == 0 {
-		return opt.confine(sample.Uniform(opt.rng, 1, d)[0])
+		return random()
 	}
-	return search(opt, &scorer{models: c.models, prior: opt.Opts.PriorMean, acq: opt.Opts.Acq, bestY: bestY}, cands)
+	sc := &scorer{models: c.models, prior: opt.Opts.PriorMean, acq: opt.Opts.Acq, bestY: bestY, found: unscored}
+	return search(opt, sc, cands), sc.found
 }
 
 // searchBlock is how many local-search moves are scored per block:
@@ -409,8 +465,9 @@ func (opt *Optimizer) suggestGP(search acqSearch) []float64 {
 const searchBlock = 4
 
 // acqSearch maximizes the acquisition sc scores over the candidate grid
-// cands (non-empty). maximize is the one production search; tests pass
-// a one-candidate-at-a-time oracle in its place.
+// cands (non-empty), leaving the scores behind its choice in sc.found.
+// maximize is the one production search; tests pass a
+// one-candidate-at-a-time oracle in its place.
 type acqSearch func(opt *Optimizer, sc *scorer, cands [][]float64) []float64
 
 // maximize returns the best grid candidate refined by coordinate local
@@ -427,6 +484,7 @@ type acqSearch func(opt *Optimizer, sc *scorer, cands [][]float64) []float64
 // the moves one by one.
 func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
 	bi, bestScore := sc.argmax(cands, opt.Opts.Workers)
+	sc.found.Grid = bestScore
 	cur := append([]float64(nil), cands[bi]...)
 	moves := 2 * len(cur)
 	// Sized for the start point and every move of every sweep, which a
@@ -484,6 +542,7 @@ func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
 			}
 		}
 	}
+	sc.found.Search = bestScore
 	return cur
 }
 

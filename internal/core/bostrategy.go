@@ -246,6 +246,16 @@ func (s *BOStrategy) DecisionTime() time.Duration { return s.lastDur }
 // burn.
 func (s *BOStrategy) HyperState() *bo.HyperState { return s.opt.HyperState() }
 
+// RecordScores makes every later Next and NextBatch keep the
+// acquisition values behind its configurations for LastScores (see
+// bo.Optimizer.RecordScores).
+func (s *BOStrategy) RecordScores() { s.opt.RecordScores() }
+
+// LastScores returns a copy of the acquisition values behind each
+// configuration of the most recent Next or NextBatch, nil unless
+// RecordScores was called (see bo.Optimizer.LastScores).
+func (s *BOStrategy) LastScores() []bo.Score { return append([]bo.Score(nil), s.opt.LastScores()...) }
+
 // BestConfig returns the configuration of the incumbent.
 func (s *BOStrategy) BestConfig() (storm.Config, bool) {
 	u, _, ok := s.opt.Best()

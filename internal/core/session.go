@@ -409,15 +409,17 @@ func (s *Session) RunBatch(ctx context.Context, q int) (TuneResult, error) {
 			break
 		}
 		outs := make([]dispatchOutcome, len(trials))
-		var wg sync.WaitGroup
+		done := make(chan struct{}, len(trials))
 		for i, tr := range trials {
-			wg.Add(1)
 			go func(i int, tr Trial) {
-				defer wg.Done()
 				outs[i] = d.run(ctx, tr)
+				done <- struct{}{}
 			}(i, tr)
 		}
-		wg.Wait()
+		for left := len(trials); left > 0; left-- {
+			d.wait(left)
+			<-done
+		}
 		// Report in trial order for deterministic records; cancelled
 		// evaluations stay pending.
 		for i, tr := range trials {
@@ -516,6 +518,15 @@ func (d *dispatchSource) report(tr Trial, o dispatchOutcome) bool {
 	return true
 }
 
+// wait tells a simulated-time backend that the driver is about to
+// block for its next completion with inflight trials out (see
+// SimBackend); other backends need no such notice.
+func (d *dispatchSource) wait(inflight int) {
+	if sb, ok := d.s.bk.(*SimBackend); ok {
+		sb.driverWaits(inflight)
+	}
+}
+
 // firstErr returns the first report error, if any; call it from the
 // driver goroutine, or after the dispatch loop has returned.
 func (d *dispatchSource) firstErr() error { return d.err }
@@ -532,7 +543,7 @@ func (s *Session) RunAsync(ctx context.Context, q int) (TuneResult, error) {
 	}
 	d := s.newDispatch()
 	err := scheduler.Shared(ctx, q, []scheduler.SharedSource[Trial, dispatchOutcome]{
-		{Next: d.nextOne, Run: d.run, Done: d.report},
+		{Next: d.nextOne, Run: d.run, Done: d.report, Wait: d.wait},
 	})
 	if err == nil {
 		err = d.firstErr()

@@ -43,7 +43,7 @@ func checkBlockWidths(t *testing.T, name string, m *GP, qs [][]float64, m0 []flo
 	for w := 1; w <= Block; w++ {
 		for off := 0; off+w <= len(qs); off += w {
 			blk := qs[off : off+w]
-			m.PredictBlockInto(&bs, blk, m0[off:off+w], mu[:w], s2[:w])
+			PredictBlockInto([]*GP{m}, &bs, blk, m0[off:off+w], mu[:w], s2[:w])
 			for l, q := range blk {
 				wm, ws := m.PredictInto(&s, q, m0[off+l])
 				if math.Float64bits(mu[l]) != math.Float64bits(wm) ||
@@ -103,6 +103,52 @@ func TestPredictBlockMatchesPredictInto(t *testing.T) {
 	// per-lane rows, and every lane is still PredictInto's (NaN) bits.
 	g.Kern.Lengths[1] = 0
 	checkBlockMatchesScalar(t, "zero-length", g, qs, m0)
+}
+
+// TestPredictEnsembleBlockMatchesPredictInto runs blocks of every width
+// through PredictBlockInto on an ensemble whose models differ
+// in length scales, one of them zero (its blocks decline the kernel
+// block), and requires each model's lanes to be bitwise its
+// PredictInto: the block's candidates, transposed once for the
+// ensemble, serve every model.
+func TestPredictEnsembleBlockMatchesPredictInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const d = 3
+	xs, ys := randomData(rng, 29, d)
+	qs := randomQueries(rng, 2*Block+3, d)
+	m0 := make([]float64, len(qs))
+	for i, q := range qs {
+		m0[i] = 0.3*q[1] - 0.1
+	}
+	var models []*GP
+	for _, ls := range [][]float64{{0.4, 0.4, 0.4}, {0.2, 0.7, 0.3}, {0.5, 0, 0.5}, {2e-3, 3e-3, 2.5e-3}} {
+		g := New(&Matern52{Amp2: 1.2, Lengths: []float64{0.3, 0.3, 0.3}}, 1e-3)
+		if err := g.Fit(xs, ys); err != nil {
+			t.Fatal(err)
+		}
+		copy(g.Kern.Lengths, ls)
+		models = append(models, g)
+	}
+	var bs BlockScratch
+	var s Scratch
+	mu := make([]float64, len(models)*Block)
+	s2 := make([]float64, len(models)*Block)
+	for w := 1; w <= Block; w++ {
+		for off := 0; off+w <= len(qs); off += w {
+			blk := qs[off : off+w]
+			PredictBlockInto(models, &bs, blk, m0[off:off+w], mu, s2)
+			for i, m := range models {
+				for l, q := range blk {
+					wm, ws := m.PredictInto(&s, q, m0[off+l])
+					if math.Float64bits(mu[i*Block+l]) != math.Float64bits(wm) ||
+						math.Float64bits(s2[i*Block+l]) != math.Float64bits(ws) {
+						t.Fatalf("width %d model %d lane %d: ensemble (%v, %v) vs scalar (%v, %v)",
+							w, i, l, mu[i*Block+l], s2[i*Block+l], wm, ws)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestRefitReusesFactorBitIdentically refits one GP at a fixed n under

@@ -38,8 +38,8 @@
 // association; Predict is PredictInto with m₀ = 0.
 //
 // PredictBlockInto is the form the acquisition scorer uses: it answers
-// up to Block (16) queries against the one cached factor, with the
-// model's reciprocal length scales computed once per block. A full
+// up to Block (16) queries against each model's one cached factor,
+// with the model's reciprocal length scales computed once per block. A full
 // block — the grid scan's 16-wide blocks — builds the lanes' k*
 // vectors interleaved, one sixteen-candidate kernel block where the
 // vector kernel runs (see "Kernel rows"), and solves them in one
@@ -48,15 +48,20 @@
 // summed in k order from zero by four-accumulator AVX2 loops over the
 // interleaved buffer, each lane bitwise linalg.Dot. A shorter block —
 // local search's blocks of four, a scan's last block — and every
-// block on other hosts evaluates one kernel row per lane and is solved
-// four lanes at a time (ForwardSolve4Into) plus one-lane solves for
-// the rest. The prior variance k(x, x) is Amp2 exactly when x is
-// finite and no length scale is zero or NaN, which the block forms use
-// instead of evaluating the kernel. The lane contract is bit-identity:
-// lane l of a block returns exactly the bits PredictInto returns for
-// xs[l], whatever the other lanes hold, however many there are and
-// whichever kernel and solve ran, so blocking changes the cost of
-// scoring and never a proposal.
+// block on other hosts evaluates one kernel row per lane, scatters it
+// into a four-lane interleaved buffer and is solved four lanes at a
+// time (ForwardSolve4Into, AVX2 assembly where linalg runs its
+// kernels), a group of fewer than four lanes repeating its last lane
+// in the spare ones; each lane's Σ v² is then summed in k order from
+// zero. PredictBlockInto answers one block on every model of an
+// ensemble in turn, transposing a full block's candidates for the
+// kernel block once for all of them. The prior variance k(x, x) is
+// Amp2 exactly when x is finite and no length scale is zero or NaN,
+// which the block forms use instead of evaluating the kernel. The lane
+// contract is bit-identity: lane l of a block returns exactly the bits
+// PredictInto returns for xs[l], whatever the other lanes hold, however
+// many there are and whichever kernel and solve ran, so blocking
+// changes the cost of scoring and never a proposal.
 //
 // # Kernel rows
 //
@@ -66,7 +71,7 @@
 // On amd64 two AVX2+FMA kernels (kernel_amd64.s) evaluate it: the
 // four-lane row, four training points per instruction, and the
 // sixteen-candidate block, which takes a full scan block's candidates
-// as its lanes (transposed once per call), broadcasts each training
+// as its lanes (transposed once per block), broadcasts each training
 // point's coordinates against them in four independent chains and
 // stores lane l at k·16+l, straight into the wide solve's layout.
 // Their contract is bit-identity: each lane performs exactly the
@@ -307,46 +312,57 @@ func (s *Scratch) ensure(n int) {
 const Block = linalg.Lanes
 
 // BlockScratch holds per-caller buffers for PredictBlockInto: one
-// Scratch per lane for blocks solved four lanes at a time, the
-// interleaved right-hand sides of a full block's one wide solve, and
-// the model's reciprocal length scales and the block's transposed
-// candidates. Like Scratch, it must not be shared between goroutines.
+// lane's k* row, the interleaved right-hand sides of a four-lane solve
+// and of a full block's one wide solve, the model's reciprocal length
+// scales and the block's transposed candidates. Like Scratch, it must
+// not be shared between goroutines.
 type BlockScratch struct {
-	lanes [Block]Scratch
-	kstar []float64 // one lane's k*, copied into wide
-	wide  []float64 // Block·n, lane l's entry k at wide[k·Block+l]
-	inv   []float64 // 1/ℓ of the model answering the block
-	xt    []float64 // Block·d, dimension j of lane l at xt[j·Block+l]
+	kstar []float64    // one lane's k*, copied into four or wide
+	four  [][4]float64 // n, lane q's entry k at four[k][q]
+	wide  []float64    // Block·n, lane l's entry k at wide[k·Block+l]
+	inv   []float64    // 1/ℓ of the model answering the block
+	xt    []float64    // Block·d, dimension j of lane l at xt[j·Block+l]
 }
 
-func (s *BlockScratch) ensureWide(n, d int) {
+func (s *BlockScratch) ensureFour(n int) {
 	if cap(s.kstar) < n {
 		s.kstar = make([]float64, n)
-		s.wide = make([]float64, Block*n)
 	}
 	s.kstar = s.kstar[:n]
+	if cap(s.four) < n {
+		s.four = make([][4]float64, n)
+	}
+	s.four = s.four[:n]
+}
+
+func (s *BlockScratch) ensureWide(n int) {
+	if cap(s.kstar) < n {
+		s.kstar = make([]float64, n)
+	}
+	s.kstar = s.kstar[:n]
+	if cap(s.wide) < Block*n {
+		s.wide = make([]float64, Block*n)
+	}
 	s.wide = s.wide[:Block*n]
+}
+
+// transpose writes a full block's candidates dimension-major into s.xt
+// for the sixteen-candidate kernel block and returns them, or nil where
+// the kernel block cannot run: a short block, the vector kernels off,
+// or candidates of unequal dimension.
+func (s *BlockScratch) transpose(xs [][]float64) []float64 {
+	if len(xs) != Block || !useVectorRow || !linalg.VectorSolve() {
+		return nil
+	}
+	d := len(xs[0])
 	if cap(s.xt) < Block*d {
 		s.xt = make([]float64, Block*d)
 	}
 	s.xt = s.xt[:Block*d]
-}
-
-// forwardSolve solves L v = kstar for the first m lanes: four lanes
-// per interleaved solve, then the remaining m mod 4 one at a time.
-// Either way each lane's v is bitwise PredictInto's.
-func (s *BlockScratch) forwardSolve(c *linalg.Cholesky, m int) {
-	l := 0
-	for ; l+4 <= m; l += 4 {
-		var dst, b [4][]float64
-		for q := range dst {
-			dst[q], b[q] = s.lanes[l+q].v, s.lanes[l+q].kstar
-		}
-		c.ForwardSolve4Into(dst, b)
+	if !transposeBlock((*[Block][]float64)(xs), s.xt) {
+		return nil
 	}
-	for ; l < m; l++ {
-		c.ForwardSolveInto(s.lanes[l].v, s.lanes[l].kstar)
-	}
+	return s.xt
 }
 
 // Predict returns the posterior mean and variance of the latent
@@ -377,8 +393,21 @@ func (g *GP) PredictInto(s *Scratch, xs []float64, m0 float64) (mu, sigma2 float
 }
 
 // PredictBlockInto is PredictInto for 1..Block points sharing the
-// triangular solves; see "Posterior queries" in the package comment.
-func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64) {
+// triangular solves, on each of models in turn: model i's posteriors
+// land in mu[i·Block:] and sigma2[i·Block:], each lane bitwise
+// PredictInto's. A full block's candidates are transposed for the
+// kernel block once for all the models. See "Posterior queries" in the
+// package comment.
+func PredictBlockInto(models []*GP, s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64) {
+	xt := s.transpose(xs)
+	for i, g := range models {
+		lo := i * Block
+		g.predictBlock(s, xs, xt, m0, mu[lo:lo+len(xs)], sigma2[lo:lo+len(xs)])
+	}
+}
+
+// predictBlock answers xs on g; xt is the block transposed, or nil.
+func (g *GP) predictBlock(s *BlockScratch, xs [][]float64, xt, m0, mu, sigma2 []float64) {
 	if g.chol == nil {
 		for l, x := range xs {
 			mu[l], sigma2[l] = m0[l]+g.Mean, g.Kern.Eval(x, x)
@@ -388,24 +417,44 @@ func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []
 	s.inv = invLengths(s.inv, g.Kern.Lengths)
 	regular := regularLengths(g.Kern.Lengths)
 	if len(xs) == Block && linalg.VectorSolve() {
-		g.predictWide(s, xs, m0, mu, sigma2, regular)
+		g.predictWide(s, xs, xt, m0, mu, sigma2, regular)
 		return
 	}
 	n := len(g.x)
-	for l, x := range xs {
-		ls := &s.lanes[l]
-		ls.ensure(n)
-		maternRow(x, g.x, s.inv, g.Kern.Amp2, ls.kstar)
-		mu[l] = m0[l] + g.Mean + linalg.Dot(ls.kstar, g.alpha)
-	}
-	s.forwardSolve(g.chol, len(xs))
-	for l, x := range xs {
-		v := s.lanes[l].v
-		s2 := g.Kern.selfCov(x, regular) - linalg.Dot(v, v)
-		if s2 < 0 {
-			s2 = 0
+	s.ensureFour(n)
+	for l0 := 0; l0 < len(xs); l0 += 4 {
+		m := min(4, len(xs)-l0)
+		for q, x := range xs[l0 : l0+m] {
+			maternRow(x, g.x, s.inv, g.Kern.Amp2, s.kstar)
+			mu[l0+q] = m0[l0+q] + g.Mean + linalg.Dot(s.kstar, g.alpha)
+			for k, v := range s.kstar {
+				s.four[k][q] = v
+			}
 		}
-		sigma2[l] = s2
+		// A short group's spare lanes repeat its last lane: the solve
+		// runs four lanes whatever m is.
+		if m < 4 {
+			for k := range s.four {
+				f := &s.four[k]
+				for q := m; q < 4; q++ {
+					f[q] = f[m-1]
+				}
+			}
+		}
+		g.chol.ForwardSolve4Into(s.four)
+		for q, x := range xs[l0 : l0+m] {
+			// Σ v_k² in k order from zero: linalg.Dot(v, v)'s order.
+			ss := 0.0
+			for k := range s.four {
+				v := s.four[k][q]
+				ss += v * v
+			}
+			s2 := g.Kern.selfCov(x, regular) - ss
+			if s2 < 0 {
+				s2 = 0
+			}
+			sigma2[l0+q] = s2
+		}
 	}
 }
 
@@ -415,12 +464,12 @@ func (g *GP) PredictBlockInto(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []
 // vector forward solve runs over them, and each lane's k·α and Σ v_k²
 // are summed in k order from zero, linalg.Dot's order, so every lane is
 // bitwise PredictInto's. It runs only where linalg's vector solve is
-// on, so the AVX2 lane sums are available. s.inv holds the model's
-// reciprocal length scales.
-func (g *GP) predictWide(s *BlockScratch, xs [][]float64, m0, mu, sigma2 []float64, regular bool) {
-	n := len(g.x)
-	s.ensureWide(n, len(g.Kern.Lengths))
-	if !maternBlockVector((*[Block][]float64)(xs), g.x, s.inv, g.Kern.Amp2, s.xt, s.wide) {
+// on, so the AVX2 lane sums are available. xt is the block as
+// BlockScratch.transpose wrote it (nil evaluates row by row), and s.inv
+// holds the model's reciprocal length scales.
+func (g *GP) predictWide(s *BlockScratch, xs [][]float64, xt, m0, mu, sigma2 []float64, regular bool) {
+	s.ensureWide(len(g.x))
+	if xt == nil || !maternBlockVector(xt, g.x, s.inv, g.Kern.Amp2, s.wide) {
 		for l, x := range xs {
 			maternRow(x, g.x, s.inv, g.Kern.Amp2, s.kstar)
 			for k, v := range s.kstar {
@@ -450,12 +499,9 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	if g.chol == nil {
 		return math.Inf(-1)
 	}
-	n := float64(len(g.y))
-	resid := make([]float64, len(g.y))
-	for i, r := range g.y {
-		resid[i] = r - g.Mean
-	}
-	return -0.5*linalg.Dot(resid, g.alpha) - 0.5*g.chol.LogDet() - 0.5*n*math.Log(2*math.Pi)
+	// refreshAlpha left the centered targets y − Mean in g.centered.
+	n := len(g.y)
+	return -0.5*linalg.Dot(g.centered[:n], g.alpha) - 0.5*g.chol.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
 }
 
 // HyperVector returns the current full log-space hyperparameter vector
@@ -473,7 +519,7 @@ func (g *GP) hypers() []float64 {
 // setHypers installs a full log-space parameter vector and refits on
 // the cached points and targets.
 func (g *GP) setHypers(h []float64) error {
-	nk := len(g.Kern.Hypers())
+	nk := 1 + len(g.Kern.Lengths) // log σ², then log ℓ per dimension
 	g.Kern.SetHypers(h[:nk])
 	g.Noise = math.Exp(h[nk])
 	if g.x == nil {

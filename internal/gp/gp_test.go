@@ -1,10 +1,13 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"stormtune/internal/linalg"
 )
 
 func TestKernelBasics(t *testing.T) {
@@ -241,5 +244,38 @@ func TestQuickGPVarianceBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkSliceSampleEpoch times one cold refit epoch as bo runs it at
+// its defaults: a fresh member fitted at n points in 11 dimensions (the
+// small topology's space), then six slice samples after one burn-in
+// sweep — about 775 posterior evaluations, each a kernel matrix and a
+// factorization. linalg's vector kernels are off (scalar) or as the
+// host runs them (vector, skipped where they are off).
+func BenchmarkSliceSampleEpoch(b *testing.B) {
+	const d = 11
+	for _, n := range []int{12, 60, 120, 250} {
+		xs, ys := randomData(rand.New(rand.NewSource(8)), n, d)
+		for _, vec := range []bool{false, true} {
+			name := "scalar"
+			if vec {
+				name = "vector"
+			}
+			b.Run(fmt.Sprintf("%s/n%d", name, n), func(b *testing.B) {
+				if vec && !linalg.VectorSolve() {
+					b.Skip("vector kernels are off on this host")
+				}
+				defer linalg.SetVectorSolve(linalg.SetVectorSolve(vec))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g := New(NewMatern52(d, 0.3), 1e-3)
+					if err := g.Fit(xs, ys); err != nil {
+						b.Fatal(err)
+					}
+					g.SliceSampleHypers(rand.New(rand.NewSource(1)), 6, 1)
+				}
+			})
+		}
 	}
 }

@@ -68,6 +68,22 @@ func (k *Matern52) selfCov(x []float64, regular bool) float64 {
 	return k.Amp2
 }
 
+// transposeBlock writes a block's candidates dimension-major into xt,
+// xt[j·Block+l] = cands[l][j], and reports whether it could: every
+// candidate must hold d = len(xt)/Block values.
+func transposeBlock(cands *[Block][]float64, xt []float64) bool {
+	d := len(xt) / Block
+	for l, c := range cands {
+		if len(c) != d {
+			return false
+		}
+		for j, v := range c {
+			xt[j*Block+l] = v
+		}
+	}
+	return true
+}
+
 // maxStackDims is the small size class of the stack-allocated
 // reciprocal-length buffer in EvalRow, and bigStackDims the large one:
 // a row zeroes the smallest class that fits its dimension, so the

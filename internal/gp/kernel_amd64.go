@@ -44,23 +44,16 @@ func maternRowVector(x []float64, xs [][]float64, inv []float64, amp2 float64, d
 func maternRow4(x, inv []float64, xs [][]float64, dst []float64, amp2 float64) bool
 
 // maternBlockVector evaluates the kernel rows of Block candidates at
-// once, candidate-major: dst[k·Block+l] = k(cands[l], xs[k]), bitwise
-// what maternRowGeneric returns for each candidate. xt is a caller
-// buffer for the transposed candidates. It reports false, leaving dst
-// partly written, where maternRowVector would decline: the kernel is
-// off, a slice is too short, or some r is NaN or +Inf.
-func maternBlockVector(cands *[Block][]float64, xs [][]float64, inv []float64, amp2 float64, xt, dst []float64) bool {
-	d := len(cands[0])
-	if !useVectorRow || len(inv) < d || len(xt) < Block*d || len(dst) < Block*len(xs) {
+// once, candidate-major: dst[k·Block+l] = k(cand l, xs[k]), bitwise
+// what maternRowGeneric returns for each candidate. xt holds the
+// candidates dimension-major, as transposeBlock writes them. It
+// reports false, leaving dst partly written, where maternRowVector
+// would decline: the kernel is off, a slice is too short, or some r is
+// NaN or +Inf.
+func maternBlockVector(xt []float64, xs [][]float64, inv []float64, amp2 float64, dst []float64) bool {
+	d := len(xt) / Block
+	if !useVectorRow || len(inv) < d || len(dst) < Block*len(xs) {
 		return false
-	}
-	for l, c := range cands {
-		if len(c) != d {
-			return false
-		}
-		for j, v := range c {
-			xt[j*Block+l] = v
-		}
 	}
 	for _, xi := range xs {
 		if len(xi) < d {

@@ -154,7 +154,7 @@ func checkBlock(t *testing.T, c blockCase) bool {
 	for i := range dst {
 		dst[i] = -7
 	}
-	ok := maternBlockVector(&c.cands, c.xs, inv, c.amp2, xt, dst[:Block*n])
+	ok := transposeBlock(&c.cands, xt) && maternBlockVector(xt, c.xs, inv, c.amp2, dst[:Block*n])
 	if ok != finite {
 		t.Fatalf("d=%d n=%d lengths=%v: accepted=%v, every r finite=%v", d, n, c.lengths, ok, finite)
 	}

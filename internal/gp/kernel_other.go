@@ -13,7 +13,7 @@ func maternRowVector(x []float64, xs [][]float64, inv []float64, amp2 float64, d
 
 // maternBlockVector reports false: off amd64 a block's rows are
 // evaluated one candidate at a time.
-func maternBlockVector(cands *[Block][]float64, xs [][]float64, inv []float64, amp2 float64, xt, dst []float64) bool {
+func maternBlockVector(xt []float64, xs [][]float64, inv []float64, amp2 float64, dst []float64) bool {
 	return false
 }
 

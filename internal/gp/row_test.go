@@ -217,7 +217,8 @@ func BenchmarkMaternBlock(b *testing.B) {
 			inv := invLengths(nil, k.Lengths)
 			xt := make([]float64, Block*s.d)
 			for i := 0; i < b.N; i++ {
-				maternBlockVector(&c.cands, c.xs, inv, k.Amp2, xt, wide)
+				transposeBlock(&c.cands, xt)
+				maternBlockVector(xt, c.xs, inv, k.Amp2, wide)
 			}
 		})
 	}

@@ -54,13 +54,16 @@ func (g *GP) SliceSampleHypers(rng *rand.Rand, nSamples, burn int) [][]float64 {
 		width    = 1.0
 		maxSteps = 20
 	)
+	// One trial vector serves every coordinate's step-out and shrink:
+	// each coordinate starts it from the current state.
+	trial := make([]float64, len(cur))
 	for s := 0; s < total; s++ {
 		for d := 0; d < len(cur); d++ {
 			logU := curLP + math.Log(rng.Float64()+1e-300)
 			lo := cur[d] - width*rng.Float64()
 			hi := lo + width
 			// Step out.
-			trial := append([]float64(nil), cur...)
+			copy(trial, cur)
 			for i := 0; i < maxSteps; i++ {
 				trial[d] = lo
 				if g.logPosterior(trial) <= logU {

@@ -56,7 +56,7 @@ func sameBits(a, b []float64) bool {
 // contents (upper triangle included) are garbage.
 func TestBlockedCholeskyMatchesOneRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 33, 64, 101} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64, 101} {
 		a := randomSPD(rng, n)
 		for _, jitter := range []float64{0, 1e-6} {
 			want, ok := oneRowCholesky(a, jitter)
@@ -88,6 +88,163 @@ func TestBlockedCholeskyMatchesOneRowOracle(t *testing.T) {
 			t.Fatalf("n=%d: reused factor differs from the oracle (jitter %g)", n, reused.Jitter)
 		}
 	}
+}
+
+// choleskyCase builds an n×n test matrix of one of five kinds, each
+// with garbage in its upper triangle, which a factorization must never
+// read: 0 SPD; 1 singular PSD (a rank-n/2 Gram matrix), which needs
+// jitter escalation; 2 indefinite (SPD less a multiple of the identity),
+// failing at some pivot at every jitter; 3 SPD with one NaN in its lower
+// triangle or diagonal; 4 SPD with entries scaled by 2^±spread, so that
+// products overflow or become subnormal.
+func choleskyCase(rng *rand.Rand, n int, kind uint8, spread int) *Matrix {
+	var a *Matrix
+	switch kind % 5 {
+	case 1:
+		r := n / 2
+		b := make([]float64, r*n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		a = NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				s := 0.0
+				for k := 0; k < r; k++ {
+					s += b[k*n+i] * b[k*n+j]
+				}
+				a.Data[i*n+j] = s
+			}
+		}
+	default:
+		a = randomSPD(rng, n)
+	}
+	switch kind % 5 {
+	case 2:
+		c := float64(n) * (0.2 + 0.8*rng.Float64())
+		for i := 0; i < n; i++ {
+			a.Data[i*n+i] -= c
+		}
+	case 3:
+		if n > 0 {
+			i := rng.Intn(n)
+			a.Data[i*n+rng.Intn(i+1)] = math.NaN()
+		}
+	case 4:
+		for i := range a.Data {
+			a.Data[i] *= math.Ldexp(1, rng.Intn(2*spread+1)-spread)
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			a.Data[i*n+j] = rng.NormFloat64() * 1e3
+		}
+	}
+	return a
+}
+
+// garbage returns n values of mixed magnitude and sign, NaN among
+// them: the prior contents of a reused factor.
+func garbage(rng *rand.Rand, n int) []float64 {
+	g := make([]float64, n)
+	for i := range g {
+		g[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(61)-30)
+	}
+	if n > 0 {
+		g[rng.Intn(n)] = math.NaN()
+	}
+	return g
+}
+
+// checkCholesky factorizes a with the column kernel (on a host with
+// AVX2 and n ≥ 15) and with the scalar loop, into garbage-filled
+// storage, at zero and non-zero jitter, and requires the same
+// accept/decline decision and, on accept, bitwise the same factor. It
+// then runs Refactor, jitter escalation included, with the vector
+// kernels on and off, and requires the same error, jitter and factor
+// bits.
+func checkCholesky(t *testing.T, rng *rand.Rand, a *Matrix) {
+	t.Helper()
+	n := a.Rows
+	for _, jitter := range []float64{0, 1e-3} {
+		lr := garbage(rng, n*n)
+		ok := tryCholeskyRows(a.Data, lr, n, jitter)
+		if !HasAVX2FMA() || n < 15 {
+			continue
+		}
+		lc := garbage(rng, n*n)
+		if okc := tryCholeskyColumns(a.Data, lc, n, jitter); okc != ok {
+			t.Fatalf("n=%d jitter=%g: column kernel accepted=%v, scalar loop %v", n, jitter, okc, ok)
+		}
+		if ok && !sameBits(lc, lr) {
+			for i := range lc {
+				if math.Float64bits(lc[i]) != math.Float64bits(lr[i]) {
+					t.Fatalf("n=%d jitter=%g: entry (%d,%d) column kernel %v (%#x), scalar %v (%#x)",
+						n, jitter, i/max(n, 1), i%max(n, 1), lc[i], math.Float64bits(lc[i]), lr[i], math.Float64bits(lr[i]))
+				}
+			}
+		}
+	}
+	var fact [2]*Cholesky
+	var errs [2]error
+	for i, vec := range []bool{true, false} {
+		prev := SetVectorSolve(vec)
+		fact[i] = &Cholesky{L: &Matrix{Rows: n, Cols: n, Data: garbage(rng, n*n)}}
+		errs[i] = fact[i].Refactor(a)
+		SetVectorSolve(prev)
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("n=%d: Refactor with the vector kernels: %v, without: %v", n, errs[0], errs[1])
+	}
+	if errs[0] != nil {
+		if fact[0].L != nil || fact[1].L != nil {
+			t.Fatalf("n=%d: a failed Refactor left a factor behind", n)
+		}
+		return
+	}
+	if fact[0].Jitter != fact[1].Jitter || !sameBits(fact[0].L.Data, fact[1].L.Data) {
+		t.Fatalf("n=%d: Refactor with the vector kernels (jitter %g) differs from without (jitter %g)",
+			n, fact[0].Jitter, fact[1].Jitter)
+	}
+}
+
+// TestCholeskyColumnsMatchRows pins the column kernel's factorization
+// to the scalar loop's across sizes on either side of its sixteen-row
+// passes and the crossover, for every kind of choleskyCase.
+func TestCholeskyColumnsMatchRows(t *testing.T) {
+	if !VectorSolve() {
+		t.Logf("vector kernels are off on this host (AVX2+FMA %v): only the scalar loop runs", HasAVX2FMA())
+	}
+	rng := rand.New(rand.NewSource(29))
+	var accepted, declined int
+	for _, n := range []int{0, 1, 5, 14, 15, 16, 17, 18, 31, 32, 33, 34, 47, 48, 49, 64, 101, 130} {
+		for kind := uint8(0); kind < 5; kind++ {
+			a := choleskyCase(rng, n, kind, 40)
+			checkCholesky(t, rng, a)
+			if _, err := NewCholesky(a); err == nil {
+				accepted++
+			} else {
+				declined++
+			}
+		}
+	}
+	if accepted == 0 || declined == 0 {
+		t.Fatalf("cases must both factor and fail: %d accepted, %d declined", accepted, declined)
+	}
+}
+
+// FuzzCholesky is TestCholeskyColumnsMatchRows over random sizes
+// 0..160, seeds, kinds and exponent spreads.
+func FuzzCholesky(f *testing.F) {
+	f.Add(uint8(60), int64(1), uint8(0), uint8(0))
+	f.Add(uint8(33), int64(2), uint8(1), uint8(0))
+	f.Add(uint8(48), int64(3), uint8(2), uint8(0))
+	f.Add(uint8(17), int64(4), uint8(3), uint8(0))
+	f.Add(uint8(40), int64(5), uint8(4), uint8(200))
+	f.Fuzz(func(t *testing.T, n uint8, seed int64, kind, spread uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		checkCholesky(t, rng, choleskyCase(rng, int(n)%161, kind, int(spread)))
+	})
 }
 
 // TestRefactorMatchesNewCholesky checks Refactor's jitter escalation and
@@ -123,30 +280,22 @@ func TestRefactorMatchesNewCholesky(t *testing.T) {
 	}
 }
 
-// TestForwardSolve4MatchesScalar pins the lane contract: each column of
-// a four-wide solve is bitwise a separate ForwardSolveInto.
+// TestForwardSolve4MatchesScalar pins the four-lane solve's lane
+// contract on Cholesky factors of random SPD matrices, at sizes on
+// either side of its four-row panel, with the vector kernel on (where
+// the host runs it) and forced off.
 func TestForwardSolve4MatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{0, 1, 2, 3, 5, 64, 257} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 257} {
 		ch, err := NewCholesky(randomSPD(rng, n))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		var b, dst [4][]float64
-		for q := range b {
-			b[q] = make([]float64, n)
-			for i := range b[q] {
-				b[q][i] = rng.NormFloat64()
-			}
-			dst[q] = make([]float64, n)
-		}
-		ch.ForwardSolve4Into(dst, b)
-		for q := range b {
-			want := ch.ForwardSolveInto(make([]float64, n), b[q])
-			if !sameBits(dst[q], want) {
-				t.Fatalf("n=%d lane %d: blocked solve differs from the scalar solve", n, q)
-			}
-		}
+		y := randomLanesOf(rng, 4, n, 0)
+		checkSolve(t, ch, y, 4)
+		prev := SetVectorSolve(false)
+		checkSolve(t, ch, y, 4)
+		SetVectorSolve(prev)
 	}
 }
 
@@ -168,43 +317,74 @@ func randomFactor(rng *rand.Rand, n, spread int) *Cholesky {
 // randomLanes returns Lanes interleaved right-hand sides of length n,
 // scaled like randomFactor's entries.
 func randomLanes(rng *rand.Rand, n, spread int) []float64 {
-	y := make([]float64, Lanes*n)
+	return randomLanesOf(rng, Lanes, n, spread)
+}
+
+// randomLanesOf is randomLanes for any number of lanes.
+func randomLanesOf(rng *rand.Rand, lanes, n, spread int) []float64 {
+	y := make([]float64, lanes*n)
 	for i := range y {
 		y[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(2*spread+1)-spread)
 	}
 	return y
 }
 
-// checkSolve16 solves the interleaved right-hand sides y against c
-// through ForwardSolve16Into, through forwardSolve16Generic and, on a
-// host with AVX2, through the assembly directly (whether or not the
-// switch has it on), and requires every lane of each to be bitwise
-// ForwardSolveInto on that lane — or, where the solve overflows into
-// NaN, NaN on the same entries (the NaN's payload may differ).
-func checkSolve16(t *testing.T, c *Cholesky, y []float64) {
+// checkSolve solves the interleaved right-hand sides y (lanes 4 or
+// Lanes wide) against c through the public solve of that width, through
+// its portable loop and, on a host with AVX2, through the assembly
+// directly (whether or not the switch has it on), and requires every
+// lane of each to be bitwise ForwardSolveInto on that lane — or, where
+// the solve overflows into NaN, NaN on the same entries (the NaN's
+// payload may differ).
+func checkSolve(t *testing.T, c *Cholesky, y []float64, lanes int) {
 	t.Helper()
 	n := c.L.Rows
 	type path struct {
-		name string
-		y    []float64
+		name  string
+		solve func(y []float64)
 	}
-	paths := []path{{"ForwardSolve16Into", append([]float64(nil), y...)}, {"forwardSolve16Generic", append([]float64(nil), y...)}}
-	c.ForwardSolve16Into(paths[0].y)
-	forwardSolve16Generic(c.L.Data, paths[1].y, n)
-	if HasAVX2FMA() {
-		paths = append(paths, path{"forwardSolve16", append([]float64(nil), y...)})
-		forwardSolve16(c.L.Data, paths[2].y, n)
+	paths := []path{
+		{"ForwardSolve16Into", c.ForwardSolve16Into},
+		{"forwardSolve16Generic", func(y []float64) { forwardSolve16Generic(c.L.Data, y, n) }},
+		{"forwardSolve16", func(y []float64) { forwardSolve16(c.L.Data, y, n) }},
+	}
+	if lanes == 4 {
+		quads := func(solve func([][4]float64)) func([]float64) {
+			return func(y []float64) {
+				q := make([][4]float64, n)
+				for k := range q {
+					copy(q[k][:], y[4*k:])
+				}
+				solve(q)
+				for k := range q {
+					copy(y[4*k:], q[k][:])
+				}
+			}
+		}
+		paths = []path{
+			{"ForwardSolve4Into", quads(c.ForwardSolve4Into)},
+			{"forwardSolve4Generic", quads(func(y [][4]float64) { forwardSolve4Generic(c.L.Data, y, n) })},
+			{"forwardSolve4", quads(func(y [][4]float64) { forwardSolve4(c.L.Data, y, n) })},
+		}
+	}
+	if !HasAVX2FMA() {
+		paths = paths[:2]
+	}
+	got := make([][]float64, len(paths))
+	for i, p := range paths {
+		got[i] = append([]float64(nil), y...)
+		p.solve(got[i])
 	}
 	b := make([]float64, n)
 	want := make([]float64, n)
-	for q := 0; q < Lanes; q++ {
+	for q := 0; q < lanes; q++ {
 		for k := range b {
-			b[k] = y[k*Lanes+q]
+			b[k] = y[k*lanes+q]
 		}
 		c.ForwardSolveInto(want, b)
 		for k, w := range want {
-			for _, p := range paths {
-				if v := p.y[k*Lanes+q]; math.Float64bits(v) != math.Float64bits(w) && !(math.IsNaN(v) && math.IsNaN(w)) {
+			for i, p := range paths {
+				if v := got[i][k*lanes+q]; math.Float64bits(v) != math.Float64bits(w) && !(math.IsNaN(v) && math.IsNaN(w)) {
 					t.Fatalf("n=%d lane %d entry %d: %s %v (%#x), ForwardSolveInto %v (%#x)",
 						n, q, k, p.name, v, math.Float64bits(v), w, math.Float64bits(w))
 				}
@@ -228,9 +408,9 @@ func TestForwardSolve16MatchesScalar(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		y := randomLanes(rng, n, 0)
-		checkSolve16(t, ch, y)
+		checkSolve(t, ch, y, Lanes)
 		prev := SetVectorSolve(false)
-		checkSolve16(t, ch, y)
+		checkSolve(t, ch, y, Lanes)
 		SetVectorSolve(prev)
 	}
 }
@@ -267,18 +447,33 @@ func FuzzForwardSolve16(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint16, seed int64, spread uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomFactor(rng, int(n%301), int(spread))
-		checkSolve16(t, c, randomLanes(rng, c.L.Rows, int(spread)))
+		checkSolve(t, c, randomLanes(rng, c.L.Rows, int(spread)), Lanes)
+	})
+}
+
+// FuzzForwardSolve4 is FuzzForwardSolve16 for the four-lane solve: the
+// assembly's four-row panels, its single-row tail and the portable loop,
+// lane by lane against ForwardSolveInto.
+func FuzzForwardSolve4(f *testing.F) {
+	f.Add(uint16(60), int64(1), uint8(0))
+	f.Add(uint16(122), int64(2), uint8(30))
+	f.Add(uint16(7), int64(3), uint8(255))
+	f.Fuzz(func(t *testing.T, n uint16, seed int64, spread uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomFactor(rng, int(n%301), int(spread))
+		checkSolve(t, c, randomLanesOf(rng, 4, c.L.Rows, int(spread)), 4)
 	})
 }
 
 var solveSink float64
 
 // BenchmarkForwardSolveBlock times sixteen triangular solves against
-// one factor, the work of one grid-scan block: as four four-lane
-// ForwardSolve4Into calls (lanes4) and as one ForwardSolve16Into
-// (lanes16, skipped where the vector kernel is off), at history sizes
-// around the exact-GP regime. Both copy their right-hand sides in, so
-// ns/op is per sixteen right-hand sides either way.
+// one factor, the work of one grid-scan block, at history sizes around
+// the exact-GP regime: as four ForwardSolve4Into calls with the vector
+// kernels off (lanes4, the portable loop), as the same four calls with
+// them on (lanes4vec) and as one ForwardSolve16Into (lanes16). The
+// vector cases skip where the kernels are off. Each copies its
+// right-hand sides in, so ns/op is per sixteen right-hand sides.
 func BenchmarkForwardSolveBlock(b *testing.B) {
 	for _, n := range []int{60, 120, 250} {
 		rng := rand.New(rand.NewSource(1))
@@ -287,23 +482,32 @@ func BenchmarkForwardSolveBlock(b *testing.B) {
 			b.Fatal(err)
 		}
 		rhs := randomLanes(rng, n, 0)
-		b.Run(fmt.Sprintf("lanes4/n%d", n), func(b *testing.B) {
-			var in, dst [4][4][]float64
-			for g := range in {
-				for q := range in[g] {
-					in[g][q] = make([]float64, n)
-					for k := range in[g][q] {
-						in[g][q][k] = rhs[k*Lanes+4*g+q]
-					}
-					dst[g][q] = make([]float64, n)
-				}
+		var four [4][][4]float64
+		for g := range four {
+			four[g] = make([][4]float64, n)
+			for k := range four[g] {
+				copy(four[g][k][:], rhs[k*Lanes+4*g:])
 			}
+		}
+		lanes4 := func(b *testing.B) {
+			y := make([][4]float64, n)
 			for i := 0; i < b.N; i++ {
-				for g := range in {
-					ch.ForwardSolve4Into(dst[g], in[g])
+				for g := range four {
+					copy(y, four[g])
+					ch.ForwardSolve4Into(y)
 				}
 			}
-			solveSink = dst[3][3][n-1]
+			solveSink = y[n-1][3]
+		}
+		b.Run(fmt.Sprintf("lanes4/n%d", n), func(b *testing.B) {
+			defer SetVectorSolve(SetVectorSolve(false))
+			lanes4(b)
+		})
+		b.Run(fmt.Sprintf("lanes4vec/n%d", n), func(b *testing.B) {
+			if !VectorSolve() {
+				b.Skip("vector kernels are off on this host")
+			}
+			lanes4(b)
 		})
 		b.Run(fmt.Sprintf("lanes16/n%d", n), func(b *testing.B) {
 			if !VectorSolve() {
@@ -316,5 +520,34 @@ func BenchmarkForwardSolveBlock(b *testing.B) {
 			}
 			solveSink = y[len(y)-1]
 		})
+	}
+}
+
+// BenchmarkCholeskyRefactor times one same-size Refactor — a slice
+// sampling refit's factorization — with the vector kernels off
+// (scalar) and on (vector), at sizes on both sides of
+// choleskyCrossover and through the exact-GP regime. Below the
+// crossover both run the scalar loop.
+func BenchmarkCholeskyRefactor(b *testing.B) {
+	for _, n := range []int{6, 10, 16, 24, 30, 60, 120, 250} {
+		a := randomSPD(rand.New(rand.NewSource(5)), n)
+		for _, vec := range []bool{false, true} {
+			name := "scalar"
+			if vec {
+				name = "vector"
+			}
+			b.Run(fmt.Sprintf("%s/n%d", name, n), func(b *testing.B) {
+				if vec && !VectorSolve() {
+					b.Skip("vector kernels are off on this host")
+				}
+				defer SetVectorSolve(SetVectorSolve(vec))
+				c := &Cholesky{}
+				for i := 0; i < b.N; i++ {
+					if err := c.Refactor(a); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -161,15 +161,32 @@ func (c *Cholesky) Shrink(m int) error {
 	return nil
 }
 
+// choleskyCrossover is the smallest n at which tryCholesky runs the
+// AVX2 column kernel. Below it the working copy's two passes and one
+// kernel call per column cost about what the kernel saves: the two tie
+// at n = 16 and the kernel wins from 18 (BenchmarkCholeskyRefactor).
+const choleskyCrossover = 18
+
 // tryCholesky factorizes a + jitter·I into l (n×n, any prior
-// contents), reporting false when a pivot is not positive. Column j's
-// sub-diagonal rows are computed four per pass: the rows share row j
-// of L, and each keeps its own left-to-right subtraction chain, so the
-// result is bitwise that of computing one row at a time while four
-// independent chains hide the subtraction latency.
+// contents), reporting false when a pivot is not positive: with
+// tryCholeskyColumns where the vector kernels are on and n reaches
+// choleskyCrossover, else with tryCholeskyRows. Both read only a's
+// lower triangle and diagonal, write bitwise the same factor and fail
+// at the same pivot.
 func tryCholesky(a *Matrix, jitter float64, l *Matrix) bool {
-	n := a.Rows
-	ad, ld := a.Data, l.Data
+	if a.Rows >= choleskyCrossover && vectorSolve.Load() {
+		return tryCholeskyColumns(a.Data, l.Data, a.Rows, jitter)
+	}
+	return tryCholeskyRows(a.Data, l.Data, a.Rows, jitter)
+}
+
+// tryCholeskyRows is the scalar factorization, the portable path and
+// the oracle. Column j's sub-diagonal rows are computed four per pass:
+// the rows share row j of L, and each keeps its own left-to-right
+// subtraction chain, so the result is bitwise that of computing one
+// row at a time while four independent chains hide the subtraction
+// latency.
+func tryCholeskyRows(ad, ld []float64, n int, jitter float64) bool {
 	for j := 0; j < n; j++ {
 		lj := ld[j*n : j*n+j]
 		d := ad[j*n+j] + jitter
@@ -212,6 +229,56 @@ func tryCholesky(a *Matrix, jitter float64, l *Matrix) bool {
 	return true
 }
 
+// tryCholeskyColumns is tryCholesky with the rows below each pivot as
+// the lanes of the AVX2 column kernel (choleskyColumn). The kernel
+// needs L[i..i+15, k] contiguous, so the factorization runs on a
+// column-major working copy kept in l's own upper triangle: A's lower
+// triangle is copied up, column j is computed in place at l[j·n+i]
+// (i > j), and on success the finished factor is transposed down and
+// the upper triangle cleared. Each pivot's chain
+// d_i = A[i,i] + jitter − L[i,0]² − L[i,1]² − … is kept running in d,
+// one step per column as the kernel finishes L[i,j], on the stack up
+// to n = 256. Every entry and pivot is thus computed with the scalar
+// loop's operations in its order, so the factor, and the pivot that
+// fails, are bitwise the scalar loop's. n must be at least 15.
+func tryCholeskyColumns(ad, ld []float64, n int, jitter float64) bool {
+	if n <= 256 {
+		var d [256 + 15]float64
+		return choleskyColumns(ad, ld, n, jitter, d[:n+15])
+	}
+	return choleskyColumns(ad, ld, n, jitter, make([]float64, n+15))
+}
+
+// choleskyColumns is tryCholeskyColumns with its pivot buffer d, n+15
+// entries (the kernel's last pass reads and writes up to 15 past n).
+func choleskyColumns(ad, ld []float64, n int, jitter float64, d []float64) bool {
+	for j := 0; j < n; j++ {
+		d[j] = ad[j*n+j] + jitter
+		col := ld[j*n+j+1 : (j+1)*n]
+		for t := range col {
+			col[t] = ad[(j+1+t)*n+j]
+		}
+	}
+	for j := 0; j < n; j++ {
+		if d[j] <= 0 || math.IsNaN(d[j]) {
+			return false
+		}
+		ljj := math.Sqrt(d[j])
+		ld[j*n+j] = ljj
+		choleskyColumn(ld, d, n, j, ljj)
+	}
+	for i := 1; i < n; i++ {
+		row := ld[i*n : i*n+i]
+		for k := range row {
+			row[k] = ld[k*n+i]
+		}
+	}
+	for k := 0; k < n; k++ {
+		clear(ld[k*n+k+1 : (k+1)*n])
+	}
+	return true
+}
+
 // SolveVec solves A x = b given the factorization, returning x.
 func (c *Cholesky) SolveVec(b []float64) []float64 {
 	y := c.ForwardSolve(b)
@@ -242,60 +309,71 @@ func (c *Cholesky) ForwardSolveInto(dst, b []float64) []float64 {
 	return dst
 }
 
-// ForwardSolve4Into solves L y = b for four right-hand sides at once,
-// y_c into dst[c] (no dst[c] may alias any b[c'] or another dst). The
-// four recurrences share each row of L and run interleaved, which
-// hides the latency of the dependent subtraction chain a single solve
-// is bound by. Each column keeps ForwardSolveInto's operation order, so
-// dst[c] is bitwise what ForwardSolveInto(dst[c], b[c]) produces — the
-// lane contract the blocked acquisition scorer relies on.
-func (c *Cholesky) ForwardSolve4Into(dst, b [4][]float64) {
+// ForwardSolve4Into solves L y = b in place for four right-hand sides
+// stored interleaved: y[k][q] holds entry k of lane q, and len(y) must
+// be n. Where VectorSolve reports true it is assembly that solves four
+// rows of L per pass (solve_amd64.s); elsewhere it is
+// forwardSolve4Generic, four interleaved scalar chains. Either way each
+// lane performs ForwardSolveInto's operations in its order, with no
+// fused multiply-add, so lane q is bitwise what ForwardSolveInto
+// returns for that right-hand side — the lane contract the blocked
+// acquisition scorer relies on.
+func (c *Cholesky) ForwardSolve4Into(y [][4]float64) {
 	n := c.L.Rows
-	for q := range dst {
-		if len(b[q]) != n || len(dst[q]) != n {
-			panic(fmt.Sprintf("linalg: forward solve lane %d len %d/%d vs %d", q, len(dst[q]), len(b[q]), n))
-		}
+	if len(y) != n || len(c.L.Data) < n*n {
+		panic(fmt.Sprintf("linalg: forward solve len %d vs %d", len(y), n))
 	}
-	for q := range dst {
-		copy(dst[q], b[q])
+	if vectorSolve.Load() {
+		forwardSolve4(c.L.Data, y, n)
+		return
 	}
-	d0, d1, d2, d3 := dst[0], dst[1], dst[2], dst[3]
+	forwardSolve4Generic(c.L.Data, y, n)
+}
+
+// forwardSolve4Generic is ForwardSolve4Into's portable loop: the four
+// lanes' recurrences share each row of L and run interleaved, which
+// hides the latency of the dependent subtraction chain a single solve
+// is bound by.
+func forwardSolve4Generic(l []float64, y [][4]float64, n int) {
 	for i := 0; i < n; i++ {
-		row := c.L.Data[i*n : i*n+i+1]
-		y0, y1, y2, y3 := d0[:len(row)], d1[:len(row)], d2[:len(row)], d3[:len(row)]
-		s0, s1, s2, s3 := y0[i], y1[i], y2[i], y3[i]
+		row := l[i*n : i*n+i+1]
+		ys := y[:len(row)]
+		yi := &ys[i]
+		s0, s1, s2, s3 := yi[0], yi[1], yi[2], yi[3]
 		for k, lik := range row[:i] {
-			s0 -= lik * y0[k]
-			s1 -= lik * y1[k]
-			s2 -= lik * y2[k]
-			s3 -= lik * y3[k]
+			yk := &ys[k]
+			s0 -= lik * yk[0]
+			s1 -= lik * yk[1]
+			s2 -= lik * yk[2]
+			s3 -= lik * yk[3]
 		}
 		lii := row[i]
-		y0[i] = s0 / lii
-		y1[i] = s1 / lii
-		y2[i] = s2 / lii
-		y3[i] = s3 / lii
+		yi[0] = s0 / lii
+		yi[1] = s1 / lii
+		yi[2] = s2 / lii
+		yi[3] = s3 / lii
 	}
 }
 
 // Lanes is the width of ForwardSolve16Into's interleaved solve.
 const Lanes = 16
 
-// vectorSolve is the switch ForwardSolve16Into reads: on where the
-// AVX2 kernel passed its init checks, until SetVectorSolve turns it off.
+// vectorSolve is the switch the AVX2 kernels — ForwardSolve4Into,
+// ForwardSolve16Into and tryCholesky's column kernel — read: on where
+// they passed their init checks, until SetVectorSolve turns it off.
 var vectorSolve atomic.Bool
 
 func init() { vectorSolve.Store(vectorSolveOK) }
 
-// VectorSolve reports whether ForwardSolve16Into runs the AVX2 kernel.
-// Where it does not, the interleaved solve is a lane-by-lane loop, and
-// callers do better with ForwardSolve4Into.
+// VectorSolve reports whether the triangular kernels run as AVX2
+// assembly. Where they do not, ForwardSolve16Into is a lane-by-lane
+// loop, and callers do better with ForwardSolve4Into.
 func VectorSolve() bool { return vectorSolve.Load() }
 
-// SetVectorSolve turns the AVX2 forward solve off, or back on where it
-// passed its init checks, and returns the previous setting. Results do
-// not depend on it: tests use it to run the portable paths on a vector
-// host.
+// SetVectorSolve turns the AVX2 kernels off, or back on where they
+// passed their init checks, and returns the previous setting. Results
+// do not depend on it: tests use it to run the portable paths on a
+// vector host.
 func SetVectorSolve(on bool) bool { return vectorSolve.Swap(on && vectorSolveOK) }
 
 // ForwardSolve16Into solves L y = b in place for Lanes right-hand sides

@@ -13,10 +13,16 @@
 // pinned parity tests depend on that contract.
 //
 // Forward solves come in one, four and sixteen lanes, each lane
-// bitwise the one-lane solve. On amd64 with AVX2 the sixteen-lane
-// solve is assembly (solve_amd64.s), gated by the module's one
-// CPUID/XGETBV feature check (HasAVX2FMA, which gp's kernel row also
-// reads) and a probe solve at package init.
+// bitwise the one-lane solve. On amd64 with AVX2 the four- and
+// sixteen-lane solves are assembly (solve_amd64.s), and so is the
+// factorization's column kernel from n = 18 (cholesky_amd64.s), bitwise
+// the scalar factorization, failing pivot and jitter escalation
+// included. Every kernel keeps its scalar loop's operation order with a
+// separate multiply and subtract, never a fused multiply-add. They are
+// gated by the module's one CPUID/XGETBV feature check (HasAVX2FMA,
+// which gp's kernel row also reads), by a probe at package init that
+// runs each against its scalar loop, and by SetVectorSolve; the scalar
+// loops stay as the portable path and the oracle.
 //
 // It is deliberately small: the GP code only ever needs symmetric
 // positive-definite systems, so there is no general LU or QR here.

@@ -99,6 +99,13 @@ type SharedSource[J, R any] struct {
 	// returning false stops the loop from issuing further jobs to this
 	// source (in-flight ones still complete and are reported).
 	Done func(J, R) bool
+	// Wait, when non-nil, is called from the loop goroutine with the
+	// source's in-flight count each time the loop is about to block for
+	// the next completion while the source has jobs in flight (at one
+	// slot, just before the inline Run): every job the loop will issue
+	// before that completion has been issued. A simulated-time backend
+	// releases its next result on it (core.SimBackend).
+	Wait func(inflight int)
 	// Drained, when non-nil, is called exactly once — serially, from the
 	// loop goroutine — when the source will produce no further
 	// completions: it stopped issuing (exhausted, Done returned false,
@@ -188,6 +195,9 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 			inflight[i]++
 			total++
 			if slots == 1 {
+				if sources[i].Wait != nil {
+					sources[i].Wait(inflight[i])
+				}
 				ch <- completion{src: i, job: job, res: sources[i].Run(ctx, job)}
 				continue
 			}
@@ -202,6 +212,13 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 	}
 	fill()
 	for total > 0 {
+		if slots > 1 {
+			for i, src := range sources {
+				if src.Wait != nil && inflight[i] > 0 {
+					src.Wait(inflight[i])
+				}
+			}
+		}
 		c := <-ch
 		inflight[c.src]--
 		total--

@@ -2,26 +2,33 @@ package stormtune
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 )
 
 // warmPriorTrial is one trial of the warm-prior fixture: the proposed
-// configuration's fingerprint and what the simulator measured for it.
+// configuration's fingerprint, the bits of the acquisition values
+// behind it (the candidate grid's best and local search's end, NaN for
+// the initial design) and what the simulator measured for it.
 type warmPriorTrial struct {
 	Config     uint64  `json:"config"`
+	GridBits   uint64  `json:"gridBits"`
+	AcqBits    uint64  `json:"acqBits"`
 	Throughput float64 `json:"throughput"`
 	Failed     bool    `json:"failed"`
 }
 
-// warmPriorFixture is testdata/warm_prior_records.json: the trials of
-// two warm-started sessions with the archived-runs prior switched on.
+// warmPriorSession is one session of the warm-prior fixture: its
+// trials and refit epochs.
+type warmPriorSession struct {
+	Trials []warmPriorTrial `json:"trials"`
+	Epochs []hyperEpoch     `json:"epochs"`
+}
+
+// warmPriorFixture is testdata/warm_prior_records.json: two
+// warm-started sessions with the archived-runs prior switched on.
 type warmPriorFixture struct {
-	Run   []warmPriorTrial `json:"run"`
-	Batch []warmPriorTrial `json:"batch"`
+	Run   warmPriorSession `json:"run"`
+	Batch warmPriorSession `json:"batch"`
 }
 
 // warmPriorSessions archives two cold donor sessions of the small
@@ -33,8 +40,10 @@ func warmPriorSessions(t *testing.T) warmPriorFixture {
 	t.Helper()
 	top := BuildSynthetic("small", Condition{}, 1)
 	arch := NewMemArchive()
-	run := func(seed int64, steps int, warm bool, drive func(*Tuner) (TuneResult, error)) []warmPriorTrial {
+	run := func(seed int64, steps int, warm bool, drive func(*Tuner) (TuneResult, error)) warmPriorSession {
+		rec := &askRecorder{}
 		opts := fastTunerOpts(seed, steps)
+		opts.Observer = rec
 		opts.Cluster = ptrCluster(SmallCluster())
 		opts.Archive = arch
 		if warm {
@@ -47,13 +56,18 @@ func warmPriorSessions(t *testing.T) warmPriorFixture {
 		if warm && (tn.Transfer() == nil || len(tn.Transfer().PriorU) == 0) {
 			t.Fatalf("seed %d: warm session has no transfer prior: %+v", seed, tn.Transfer())
 		}
+		rec.attach(t, tn)
 		res, err := drive(tn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]warmPriorTrial, len(res.Records))
+		out := warmPriorSession{Trials: make([]warmPriorTrial, len(res.Records)), Epochs: rec.epochs}
 		for i, r := range res.Records {
-			out[i] = warmPriorTrial{Config: r.Config.Fingerprint(), Throughput: r.Result.Throughput, Failed: r.Result.Failed}
+			sc := rec.score(t, r.Step)
+			out.Trials[i] = warmPriorTrial{
+				Config: r.Config.Fingerprint(), GridBits: sc.grid, AcqBits: sc.search,
+				Throughput: r.Result.Throughput, Failed: r.Result.Failed,
+			}
 		}
 		return out
 	}
@@ -69,41 +83,41 @@ func warmPriorSessions(t *testing.T) warmPriorFixture {
 }
 
 // TestWarmPriorSessionsMatchFixture pins warm-started sessions with a
-// transfer prior to the trials recorded in
-// testdata/warm_prior_records.json by the implementation that still
-// evaluated the prior inside every GP: where the prior mean is
-// evaluated must never change a proposal or a measurement.
+// transfer prior to testdata/warm_prior_records.json: each trial's
+// configuration, measurement and best acquisition value, and each
+// refit epoch's hyperparameter samples, bit for bit. Where the prior
+// mean is evaluated, and how the GP arithmetic is computed, must never
+// change a proposal or the posterior behind it.
 //
-// The fixture was recorded on amd64 and holds only there: Go may fuse
-// x*y+z into one rounding on other architectures (arm64, ppc64le,
-// s390x), which moves the kernel and Cholesky arithmetic by an ulp and
-// so the proposals. TestCachedMatchesDenseRebuild and
+// The fixture holds in full only where it was recorded (fixtureBits). TestCachedMatchesDenseRebuild and
 // TestBlockedScoringMatchesScalarOracle in internal/bo, both run with a
 // prior mean, are the portable guards of the same property.
 func TestWarmPriorSessionsMatchFixture(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("fixture recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
-	}
-	raw, err := os.ReadFile(filepath.Join("testdata", "warm_prior_records.json"))
-	if err != nil {
-		t.Fatal(err)
+	bits := fixtureBits(t)
+	const file = "warm_prior_records.json"
+	got := warmPriorSessions(t)
+	if *updateFixtures {
+		writeFixture(t, file, got)
+		return
 	}
 	var want warmPriorFixture
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	got := warmPriorSessions(t)
+	decodeFixture(t, file, &want)
 	for _, c := range []struct {
 		name      string
-		got, want []warmPriorTrial
+		got, want warmPriorSession
 	}{{"run", got.Run, want.Run}, {"batch", got.Batch, want.Batch}} {
-		if len(c.got) != len(c.want) {
-			t.Fatalf("%s: %d trials, fixture has %d", c.name, len(c.got), len(c.want))
+		if len(c.got.Trials) != len(c.want.Trials) {
+			t.Fatalf("%s: %d trials, fixture has %d", c.name, len(c.got.Trials), len(c.want.Trials))
 		}
-		for i := range c.got {
-			if c.got[i] != c.want[i] {
-				t.Fatalf("%s: trial %d = %+v, fixture %+v", c.name, i+1, c.got[i], c.want[i])
+		for i, g := range c.got.Trials {
+			w := c.want.Trials[i]
+			if !bits {
+				g.GridBits, g.AcqBits = w.GridBits, w.AcqBits
+			}
+			if g != w {
+				t.Fatalf("%s: trial %d = %+v, fixture %+v", c.name, i+1, c.got.Trials[i], w)
 			}
 		}
+		checkEpochs(t, c.name, bits, c.got.Epochs, c.want.Epochs)
 	}
 }
