@@ -280,7 +280,7 @@
 //
 // A Fleet can share one archive: FleetOptions.ShareIncumbents makes a
 // NewBest in one member re-rank its siblings' warm-start pools at
-// their next pass boundary, and SealFleetArchives seals every
+// the start of their next ask, and SealFleetArchives seals every
 // member's record after a clean fleet run. The CLI wires all of this
 // behind `-archive DIR` on tune, fleet and watch, and `stormtune
 // archive list|show|gc|export|import` inspects and manages the store

@@ -61,7 +61,11 @@ type FleetMember struct {
 	// sequential members — the setting that makes a member's record
 	// sequence deterministic regardless of fleet scheduling, which the
 	// crash-safe resume path (FleetOptions.Log) relies on for
-	// bit-identical restarts.
+	// bit-identical restarts. With more than one slot such a member
+	// also asks for its trials in its own slot, concurrently with its
+	// siblings' asks and the fleet's reports, so no member's ask holds
+	// up a finished sibling's report; its Trial.Decision then includes
+	// any time its ask spent sharing a core with theirs.
 	MaxInFlight int
 }
 
@@ -73,7 +77,8 @@ type FleetOptions struct {
 	Slots int
 	// ShareIncumbents propagates each member's new-best configuration
 	// to every sibling at report boundaries, re-ranking their
-	// warm-start pools mid-run. Give every member's Tuner the same
+	// warm-start pools mid-run; a sibling takes the re-ranked pool at
+	// the start of its next ask. Give every member's Tuner the same
 	// TunerOptions.Archive and the fleet's evidence also accumulates in
 	// one shared archive for future warm starts.
 	ShareIncumbents bool

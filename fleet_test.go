@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPublicFleetRun drives a three-session fleet over one shared
@@ -115,5 +117,67 @@ func TestPublicFleetRejectsAskTellTuner(t *testing.T) {
 	}
 	if _, err := NewFleet(FleetOptions{Slots: 1}, FleetMember{Name: "x"}); err == nil {
 		t.Fatal("fleet accepted a nil tuner")
+	}
+}
+
+// TestFleetOneTrialMembersMatchAcrossSlots pins the in-slot ask: members
+// capped at one trial ask in their own slots at more than one slot and
+// on the scheduler loop at one, and with sharing off each member's
+// records are bit-identical at 1, 2 and 4 slots. A Status poller
+// running throughout never sees more slots in flight than there are.
+func TestFleetOneTrialMembersMatchAcrossSlots(t *testing.T) {
+	top := BuildSynthetic("small", Condition{}, 1)
+	backend := AsBackend(NewFluidSim(top, SmallCluster(), SinkTuples, 1))
+	names := []string{"m1", "m2", "m3"}
+	run := func(slots int) map[string]TuneResult {
+		members := make([]FleetMember, len(names))
+		for i, name := range names {
+			opts := fastTunerOpts(int64(11+i), 6+i)
+			opts.Cluster = ptrCluster(SmallCluster())
+			tn, err := NewTuner(top, backend, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members[i] = FleetMember{Name: name, Tuner: tn, MaxInFlight: 1}
+		}
+		fleet, err := NewFleet(FleetOptions{Slots: slots}, members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var over atomic.Int32
+		stop, polled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(polled)
+			for {
+				if st := fleet.Status(); st.InFlight > st.Slots {
+					over.Store(int32(st.InFlight))
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(50 * time.Microsecond):
+				}
+			}
+		}()
+		results, err := fleet.Run(context.Background())
+		close(stop)
+		<-polled
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := over.Load(); n > 0 {
+			t.Fatalf("slots %d: Status reported %d in flight", slots, n)
+		}
+		return results
+	}
+	want := run(1)
+	for _, slots := range []int{2, 4} {
+		got := run(slots)
+		for i, name := range names {
+			if len(got[name].Records) != 6+i {
+				t.Fatalf("slots %d: %s ran %d trials, want %d", slots, name, len(got[name].Records), 6+i)
+			}
+			recordsEqual(t, want[name].Records, got[name].Records)
+		}
 	}
 }

@@ -29,7 +29,11 @@ type FleetMember struct {
 	Weight float64
 	// MaxInFlight caps the member's own concurrent trials — the
 	// cluster's concurrent-trial capacity for its template
-	// configuration; 0 means bounded only by the fleet's slots.
+	// configuration; 0 means bounded only by the fleet's slots. At 1,
+	// with more than one slot, the member asks for each trial in its
+	// own slot rather than on the fleet's scheduler loop, so its ask
+	// never delays a sibling's report or ask; its records still depend
+	// only on its own reports (and on the shared pool, when sharing).
 	MaxInFlight int
 	// Recorder, when set, is the session's Recorder (already wired into
 	// its observer chain); the fleet aggregates its derived state into
@@ -45,12 +49,12 @@ type FleetOptions struct {
 	Slots int
 	// ShareIncumbents propagates each member's new-best configuration
 	// to every sibling at report boundaries: the fleet keeps a ranked
-	// pool of member incumbents (best throughput first) and pushes it
-	// into each sibling's BO strategy as shared candidate seeds — a
-	// NewBest in one member re-ranks the others' warm-start pools
-	// mid-run. Members whose strategy is not BO-based, or whose
-	// parameter space cannot represent a sibling's configuration,
-	// ignore the pool.
+	// pool of member incumbents (best throughput first), and each
+	// sibling installs every pool change into its BO strategy as shared
+	// candidate seeds at the start of its next ask — a NewBest in one
+	// member re-ranks the others' warm-start pools mid-run. Members
+	// whose strategy is not BO-based, or whose parameter space cannot
+	// represent a sibling's configuration, ignore the pool.
 	ShareIncumbents bool
 }
 
@@ -81,7 +85,8 @@ type FleetSessionStatus struct {
 // FleetStatus is the cross-session state of a fleet at one instant.
 type FleetStatus struct {
 	// Slots and InFlight are the shared capacity and its current
-	// occupancy; InFlight never exceeds Slots.
+	// occupancy, counting a slot from its grant (the member's ask
+	// included) to the end of its trial; InFlight never exceeds Slots.
 	Slots    int `json:"slots"`
 	InFlight int `json:"inFlight"`
 	// Sessions holds one entry per member, in construction order.
@@ -104,7 +109,12 @@ type FleetStatus struct {
 //
 // Each member keeps its own Session (and usually its own Recorder);
 // the fleet only owns slot allocation and cross-session aggregation
-// (Status). Run may be called once.
+// (Status). A member capped at one trial (MaxInFlight 1) asks in its
+// slot's goroutine, so with several such members their asks run
+// concurrently with each other and with the loop's reports; every
+// other member asks on the scheduler loop. Trial.Decision measures an
+// ask's wall time, so it includes any time the ask spent sharing a
+// core with sibling asks. Run may be called once.
 type Fleet struct {
 	mu       sync.Mutex
 	members  []FleetMember
@@ -114,11 +124,13 @@ type Fleet struct {
 	results  map[string]TuneResult
 	started  bool
 
-	// Incumbent-sharing state; confined to the scheduler loop
-	// goroutine (Done hooks run serialized there), so unlocked.
-	share     bool
-	shareBest []float64
-	shareCfg  []storm.Config
+	// Incumbent-sharing state, under mu: each member's shared best and
+	// its configuration, and per member the pools not yet installed in
+	// its strategy, oldest first.
+	share      bool
+	shareBest  []float64
+	shareCfg   []storm.Config
+	sharePools [][][]storm.Config
 }
 
 // NewFleet validates the members and builds a fleet. Member names must
@@ -151,14 +163,15 @@ func NewFleet(opts FleetOptions, members ...FleetMember) (*Fleet, error) {
 		slots = 1
 	}
 	return &Fleet{
-		members:   append([]FleetMember(nil), members...),
-		slots:     slots,
-		inflight:  make([]int, len(members)),
-		finished:  make([]bool, len(members)),
-		results:   make(map[string]TuneResult, len(members)),
-		share:     opts.ShareIncumbents,
-		shareBest: make([]float64, len(members)),
-		shareCfg:  make([]storm.Config, len(members)),
+		members:    append([]FleetMember(nil), members...),
+		slots:      slots,
+		inflight:   make([]int, len(members)),
+		finished:   make([]bool, len(members)),
+		results:    make(map[string]TuneResult, len(members)),
+		share:      opts.ShareIncumbents,
+		shareBest:  make([]float64, len(members)),
+		shareCfg:   make([]storm.Config, len(members)),
+		sharePools: make([][][]storm.Config, len(members)),
 	}, nil
 }
 
@@ -288,8 +301,11 @@ func (f *Fleet) Run(ctx context.Context) (map[string]TuneResult, error) {
 	// dispatchSource — the loop and plumbing Session.Run and RunAsync
 	// use with a single source (carry-over hand-out, propose-on-demand,
 	// retrying evaluate, report); the fleet adds only the weights, the
-	// per-member caps, slot accounting around Run and the drain
-	// notification.
+	// per-member caps, the shared pool's installation, slot accounting
+	// and the drain notification. A member's slot counts in Status from
+	// the start of its ask to the end of its trial, inside the
+	// scheduler's own grant-to-report window, so InFlight never exceeds
+	// Slots.
 	dispatches := make([]*dispatchSource, len(f.members))
 	sources := make([]scheduler.SharedSource[Trial, dispatchOutcome], len(f.members))
 	for i := range f.members {
@@ -300,9 +316,18 @@ func (f *Fleet) Run(ctx context.Context) (map[string]TuneResult, error) {
 		sources[i] = scheduler.SharedSource[Trial, dispatchOutcome]{
 			Weight: m.Weight,
 			Max:    m.MaxInFlight,
-			Next:   d.nextOne,
-			Run: func(ctx context.Context, tr Trial) dispatchOutcome {
+			Next: func(ctx context.Context) (Trial, bool) {
 				f.addInFlight(i, 1)
+				if f.share {
+					f.installShared(i)
+				}
+				tr, ok := d.nextOne(ctx)
+				if !ok {
+					f.addInFlight(i, -1)
+				}
+				return tr, ok
+			},
+			Run: func(ctx context.Context, tr Trial) dispatchOutcome {
 				defer f.addInFlight(i, -1)
 				return d.run(ctx, tr)
 			},
@@ -329,14 +354,20 @@ func (f *Fleet) Run(ctx context.Context) (map[string]TuneResult, error) {
 }
 
 // shareIncumbent runs after member i reported a trial: if the member's
-// best improved, its incumbent configuration joins the fleet pool and
-// every sibling's warm-start seeds are re-ranked (best contributor
-// first, own incumbent excluded — the member's model already holds
-// it). Runs only on the scheduler loop goroutine, after d.report
-// released the session lock, so UpdateStrategy cannot deadlock.
+// best improved, its incumbent configuration joins the fleet pool, and
+// every unfinished sibling gets the re-ranked pool (best contributor
+// first, its own incumbent excluded — its model already holds it)
+// queued for installShared. Only member i's own session lock is taken:
+// a sibling may be in the middle of an ask, holding its lock.
 func (f *Fleet) shareIncumbent(i int) {
 	y, _, ok := f.members[i].Session.BestSoFar()
-	if !ok || y <= f.shareBest[i] {
+	if !ok {
+		return
+	}
+	f.mu.Lock()
+	improved := y > f.shareBest[i]
+	f.mu.Unlock()
+	if !improved {
 		return
 	}
 	var cfg storm.Config
@@ -349,26 +380,46 @@ func (f *Fleet) shareIncumbent(i int) {
 	if !have {
 		return
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.shareBest[i] = y
 	f.shareCfg[i] = cfg
-
 	order := f.rankedContributors()
 	for j := range f.members {
+		if f.finished[j] {
+			continue
+		}
 		pool := make([]storm.Config, 0, len(order))
 		for _, k := range order {
 			if k != j {
 				pool = append(pool, f.shareCfg[k])
 			}
 		}
-		if len(pool) == 0 {
-			continue
+		if len(pool) > 0 {
+			f.sharePools[j] = append(f.sharePools[j], pool)
 		}
-		f.members[j].Session.UpdateStrategy(func(st Strategy) {
-			if b, isBO := st.(*BOStrategy); isBO {
+	}
+}
+
+// installShared hands member j's strategy the pools queued for it since
+// its last ask, in order, exactly as if each had been pushed when it
+// was queued: seeds are read only by asks. Called at the start of j's
+// Next, before it proposes.
+func (f *Fleet) installShared(j int) {
+	f.mu.Lock()
+	pools := f.sharePools[j]
+	f.sharePools[j] = nil
+	f.mu.Unlock()
+	if len(pools) == 0 {
+		return
+	}
+	f.members[j].Session.UpdateStrategy(func(st Strategy) {
+		if b, isBO := st.(*BOStrategy); isBO {
+			for _, pool := range pools {
 				b.SetSharedSeeds(pool)
 			}
-		})
-	}
+		}
+	})
 }
 
 // SharedPool returns the current ranked incumbent pool as seen by
@@ -385,6 +436,8 @@ func (f *Fleet) SharedPool(name string) []storm.Config {
 	if idx < 0 {
 		return nil
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var pool []storm.Config
 	for _, k := range f.rankedContributors() {
 		if k != idx {
@@ -395,7 +448,7 @@ func (f *Fleet) SharedPool(name string) []storm.Config {
 }
 
 // rankedContributors returns the members that have shared an
-// incumbent, best first (ties keep member order).
+// incumbent, best first (ties keep member order). Callers hold f.mu.
 func (f *Fleet) rankedContributors() []int {
 	order := make([]int, 0, len(f.members))
 	for j := range f.members {

@@ -31,7 +31,9 @@ type Trial struct {
 	// remote backends forward it so the server abandons the run too.
 	Timeout time.Duration
 	// Decision is the optimizer decision time attributed to this trial
-	// (a batch's decision time amortized over the batch).
+	// (a batch's decision time amortized over the batch). It is wall
+	// time: a fleet member that asks in its own slot (Fleet) counts the
+	// time its ask spent sharing a core with sibling asks.
 	Decision time.Duration
 	// SimTime is the simulated timestamp (seconds) the trial is
 	// measured at, stamped from SessionOptions.Clock at proposal time.

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"stormtune/internal/archive"
 	"stormtune/internal/cluster"
@@ -221,7 +222,9 @@ func TestComputeTransferSkipsOwnKeyAndOtherParamSets(t *testing.T) {
 
 // TestFleetIncumbentSharing pins the cross-member mechanism: member
 // A's NewBest re-ranks member B's warm-start pool — B's optimizer
-// receives A's incumbent as a shared seed and proposes it next.
+// receives A's incumbent as a shared seed and proposes it next. Sharing
+// never takes a sibling's session lock: B installs the pool at the
+// start of its next ask.
 func TestFleetIncumbentSharing(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
@@ -256,7 +259,21 @@ func TestFleetIncumbentSharing(t *testing.T) {
 	if !succeeded {
 		t.Fatal("no successful trial for member A")
 	}
-	fl.shareIncumbent(0)
+	// Share A's incumbent while B's session lock is held, as it is
+	// during B's ask: the report-boundary hook must not wait for it.
+	held, release := make(chan struct{}), make(chan struct{})
+	go b.UpdateStrategy(func(Strategy) { close(held); <-release })
+	<-held
+	shared := make(chan struct{})
+	go func() { fl.shareIncumbent(0); close(shared) }()
+	select {
+	case <-shared:
+	case <-time.After(5 * time.Second):
+		t.Error("shareIncumbent waited 5 s for the sibling's session lock")
+	}
+	close(release)
+	<-shared
+	fl.installShared(1) // what B's next ask does first
 
 	pool := fl.SharedPool("B")
 	if len(pool) != 1 {
@@ -301,8 +318,8 @@ func TestFleetIncumbentSharing(t *testing.T) {
 }
 
 // TestFleetShareIncumbentsRuns smoke-tests a full concurrent fleet run
-// with sharing enabled: no deadlock between the scheduler loop's
-// UpdateStrategy calls and the drivers, and results for every member.
+// with sharing enabled: no deadlock between the fleet's UpdateStrategy
+// calls and the drivers, and results for every member.
 func TestFleetShareIncumbentsRuns(t *testing.T) {
 	tp := testTopo()
 	f := testEval(tp)
@@ -312,19 +329,24 @@ func TestFleetShareIncumbentsRuns(t *testing.T) {
 		return NewSession(NewBO(tp, cluster.Small(), storm.DefaultSyntheticConfig(tp, 1), o),
 			AsBackend(f), SessionOptions{MaxSteps: 6})
 	}
-	fl, err := NewFleet(FleetOptions{Slots: 2, ShareIncumbents: true},
-		FleetMember{Name: "A", Session: mk(71)}, FleetMember{Name: "B", Session: mk(72)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := fl.Run(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"A", "B"} {
-		res, ok := results[name]
-		if !ok || len(res.Records) != 6 {
-			t.Fatalf("member %s: ok=%v records=%d", name, ok, len(res.Records))
+	// Uncapped members ask on the scheduler loop, one-trial members in
+	// their slots.
+	for _, maxInFlight := range []int{0, 1} {
+		fl, err := NewFleet(FleetOptions{Slots: 2, ShareIncumbents: true},
+			FleetMember{Name: "A", Session: mk(71), MaxInFlight: maxInFlight},
+			FleetMember{Name: "B", Session: mk(72), MaxInFlight: maxInFlight})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := fl.Run(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"A", "B"} {
+			res, ok := results[name]
+			if !ok || len(res.Records) != 6 {
+				t.Fatalf("MaxInFlight %d, member %s: ok=%v records=%d", maxInFlight, name, ok, len(res.Records))
+			}
 		}
 	}
 }

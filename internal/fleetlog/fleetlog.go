@@ -11,7 +11,9 @@
 //     every event up to Seq. The last durable snapshot per member is
 //     what resume restores from.
 //
-// The file is an internal/journal log. Appends are buffered and a
+// The file is an internal/journal log. Each line is the record's
+// json.Marshal encoding, though a payload already in that form is
+// spliced in rather than encoded again. Appends are buffered and a
 // snapshot flushes and fsyncs (a snapshot that cannot be trusted is
 // worthless). Open truncates a torn tail — a partial last line from a
 // crash mid-write — back to the last intact record, and refuses a log
@@ -27,6 +29,7 @@
 package fleetlog
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -134,10 +137,49 @@ func (l *Log) append(rec Record) error {
 	if rec.Member == "" {
 		return fmt.Errorf("fleetlog: %s record names no member", rec.Kind)
 	}
-	if err := l.j.Append(rec); err != nil {
+	if err := l.write(rec); err != nil {
 		return fmt.Errorf("fleetlog: appending to %s: %w", l.path, err)
 	}
 	return l.fold(rec)
+}
+
+// write buffers rec's line, the bytes json.Marshal gives it. When the
+// record's payload is already in the form json.Marshal gives an
+// embedded RawMessage, the line is the marshaled header with the
+// payload spliced in verbatim: a snapshot's tens of kilobytes are then
+// copied instead of being compacted and escaped again. The payload is
+// trusted to be valid JSON there (the callers marshal it); any other
+// record is marshaled whole.
+func (l *Log) write(rec Record) error {
+	key, payload := `,"event":`, rec.Event
+	if rec.Kind == KindSnapshot {
+		key, payload = `,"state":`, rec.State
+	}
+	if !marshaledForm(payload) {
+		return l.j.Append(rec)
+	}
+	head, err := json.Marshal(Record{Kind: rec.Kind, Member: rec.Member, Seq: rec.Seq})
+	if err != nil {
+		return err
+	}
+	return l.j.AppendEncoded(head[:len(head)-1], []byte(key), payload, []byte("}"))
+}
+
+// marshaledForm reports whether p, a valid JSON text, is byte for byte
+// what json.Marshal makes of it as a RawMessage: it holds no
+// whitespace byte at all and nothing json.Marshal escapes ('<', '>',
+// '&', U+2028, U+2029). A space inside a string also fails the check,
+// which only sends that payload down the slower, equal path.
+func marshaledForm(p []byte) bool {
+	if len(p) == 0 {
+		return false
+	}
+	for _, c := range []byte(" \t\n\r<>&") {
+		if bytes.IndexByte(p, c) >= 0 {
+			return false
+		}
+	}
+	return !bytes.Contains(p, []byte("\u2028")) && !bytes.Contains(p, []byte("\u2029"))
 }
 
 // AppendEvent appends one member event (buffered; durable at the next

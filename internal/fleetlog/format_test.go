@@ -75,3 +75,52 @@ func TestFormatFixtureWrittenByteForByte(t *testing.T) {
 		t.Fatalf("log differs from the fixture:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestLinesMatchMarshal pins that every line is json.Marshal of its
+// Record, whether the payload is spliced in as it is (already compact
+// and escaped) or has to be re-encoded.
+func TestLinesMatchMarshal(t *testing.T) {
+	payloads := []string{
+		`{"state":"a","n":[1,2.5e-3,null,true]}`,
+		`{"nested":{"s":"tab\tquote\"back\\slash"}}`,
+		`"just a string"`,
+		`{"a": 1}`,
+		`{"html":"<&>"}`,
+		"{\"sep\":\"\u2028\u2029\"}",
+		"[\n1,\r\n2\t]",
+		`7`,
+	}
+	path := filepath.Join(t.TempDir(), "fleet.log")
+	l, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for i, p := range payloads {
+		for _, member := range []string{"alpha", "b<&>"} {
+			seq := int64(i)
+			mustAppend(t, l.AppendEvent(member, seq, json.RawMessage(p)))
+			mustAppend(t, l.Snapshot(member, seq, json.RawMessage(p)))
+			for _, rec := range []Record{
+				{Kind: KindEvent, Member: member, Seq: seq, Event: json.RawMessage(p)},
+				{Kind: KindSnapshot, Member: member, Seq: seq, State: json.RawMessage(p)},
+			} {
+				line, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Write(append(line, '\n'))
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("log differs from json.Marshal:\n got %s\nwant %s", got, want.Bytes())
+	}
+}

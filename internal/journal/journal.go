@@ -123,6 +123,18 @@ func (l *Log) Append(v any) error {
 	return l.w.WriteByte('\n') // bufio errors are sticky: this reports both writes
 }
 
+// AppendEncoded buffers one record its caller encoded: parts
+// concatenate to the value exactly as json.Marshal would encode it
+// (compact, HTML-escaped, no newline), and a newline ends it. It lets a
+// caller splice an already-encoded payload into a record without
+// json.Marshal compacting and escaping it a second time.
+func (l *Log) AppendEncoded(parts ...[]byte) error {
+	for _, p := range parts {
+		l.w.Write(p)
+	}
+	return l.w.WriteByte('\n')
+}
+
 // Flush hands the buffered records to the OS: they survive a process
 // crash, not a machine crash.
 func (l *Log) Flush() error { return l.w.Flush() }

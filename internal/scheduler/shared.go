@@ -12,6 +12,12 @@
 // it — is deterministic. At one slot the job itself runs on that
 // goroutine too: nothing else can be in flight, so the order is the
 // same and each job saves a goroutine hand-off.
+//
+// At more than one slot, a source capped at one job (Max == 1) asks in
+// its slot: the granted slot's goroutine calls Next and then Run, so
+// one member's ask never holds up a sibling's completion or ask. Such
+// a source's next Next always follows its previous Done, so its own
+// Next/Done sequence does not depend on timing either.
 package scheduler
 
 import "context"
@@ -78,19 +84,25 @@ func (f *FairShare) Pick(eligible []bool) int {
 }
 
 // SharedSource is one job source competing for the slots of a Shared
-// dispatch loop. The loop calls Next and Done from a single goroutine;
-// only Run executes concurrently.
+// dispatch loop. The loop calls Done, Wait and Drained from a single
+// goroutine. It calls Next there too, except for a source that asks in
+// its slot (Max == 1 at more than one slot), whose Next runs on the
+// slot's goroutine just before Run; a source's Next and Done calls
+// never overlap each other either way. Run executes concurrently.
 type SharedSource[J, R any] struct {
 	// Weight scales the source's share of slot grants (≤ 0 means 1).
 	Weight float64
 	// Max caps the source's own in-flight jobs; 0 means no cap beyond
 	// the shared slot count. A session whose cluster can only host k
 	// concurrent trials sets Max=k so the fleet never oversubscribes it.
+	// At more than one slot, Max == 1 also moves Next off the loop
+	// goroutine into the slot (see the package doc).
 	Max int
 	// Next returns the source's next job; ok=false means the source is
 	// exhausted and will not be asked again. The loop forwards its own
 	// ctx so proposal work observes cancellation without the source
-	// having to capture a context.
+	// having to capture a context. A slot is held from its grant, so a
+	// Next running in its slot counts against the slot limit.
 	Next func(ctx context.Context) (job J, ok bool)
 	// Run evaluates one job; one goroutine per in-flight job, except
 	// at one slot, where it runs on the loop goroutine.
@@ -104,7 +116,9 @@ type SharedSource[J, R any] struct {
 	// the next completion while the source has jobs in flight (at one
 	// slot, just before the inline Run): every job the loop will issue
 	// before that completion has been issued. A simulated-time backend
-	// releases its next result on it (core.SimBackend).
+	// releases its next result on it (core.SimBackend). It is not
+	// called for a source that asks in its slot, which issues its jobs
+	// from the slot's goroutine.
 	Wait func(inflight int)
 	// Drained, when non-nil, is called exactly once — serially, from the
 	// loop goroutine — when the source will produce no further
@@ -122,7 +136,9 @@ type SharedSource[J, R any] struct {
 // processed strictly one at a time on the caller's goroutine, so given
 // the same completion order the sequence of Next/Done/Drained calls is
 // deterministic. With slots == 1 each job runs inline on the caller's
-// goroutine.
+// goroutine; with more, a source with Max == 1 asks in its slot, and
+// a Next that returns no job hands the slot back through the same
+// completion channel.
 //
 // The loop returns when every source has drained — all are exhausted
 // (or stopped) and nothing is in flight. On cancellation it stops
@@ -138,10 +154,13 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 		weights[i] = sources[i].Weight
 	}
 	share := NewFairShare(weights)
+	// A completion with none set is a slot whose in-slot Next had no
+	// job to give.
 	type completion struct {
-		src int
-		job J
-		res R
+		src  int
+		job  J
+		res  R
+		none bool
 	}
 	// Buffered to the slot count, so a finished job never waits for the
 	// loop and an inline job can hand in its own completion.
@@ -172,9 +191,11 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 			}
 		}
 	}
+	inSlot := func(i int) bool { return slots > 1 && sources[i].Max == 1 }
 	eligible := make([]bool, n)
 	// fill grants free slots until none are left or no source is
-	// eligible. Next and the grant bookkeeping run on this goroutine.
+	// eligible. The grant bookkeeping runs on this goroutine, and so
+	// does Next unless the source asks in its slot.
 	fill := func() {
 		for total < slots {
 			for i := range eligible {
@@ -183,6 +204,19 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 			i := share.Pick(eligible)
 			if i < 0 {
 				return
+			}
+			if inSlot(i) {
+				inflight[i]++
+				total++
+				go func(i int) {
+					job, ok := sources[i].Next(ctx)
+					if !ok {
+						ch <- completion{src: i, none: true}
+						return
+					}
+					ch <- completion{src: i, job: job, res: sources[i].Run(ctx, job)}
+				}(i)
+				continue
 			}
 			job, ok := sources[i].Next(ctx)
 			if !ok {
@@ -214,7 +248,7 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 	for total > 0 {
 		if slots > 1 {
 			for i, src := range sources {
-				if src.Wait != nil && inflight[i] > 0 {
+				if src.Wait != nil && inflight[i] > 0 && !inSlot(i) {
 					src.Wait(inflight[i])
 				}
 			}
@@ -222,7 +256,7 @@ func Shared[J, R any](ctx context.Context, slots int, sources []SharedSource[J, 
 		c := <-ch
 		inflight[c.src]--
 		total--
-		if !sources[c.src].Done(c.job, c.res) {
+		if c.none || !sources[c.src].Done(c.job, c.res) {
 			alive[c.src] = false
 		}
 		if ctx.Err() != nil {

@@ -327,6 +327,58 @@ func TestSharedHonorsPerSourceMax(t *testing.T) {
 	}
 }
 
+// TestSharedAsksInSlot pins where a one-job source asks at more than
+// one slot: in its slot, off the loop goroutine. Source B's Next blocks
+// until source A's Done has run; were B asking on the loop, A's Done
+// could never run and B's ask would time out.
+func TestSharedAsksInSlot(t *testing.T) {
+	aReported := make(chan struct{})
+	aIssued, bIssued := 0, 0
+	var bAsked atomic.Bool
+	a := SharedSource[int, int]{
+		Max: 1,
+		Next: func(context.Context) (int, bool) {
+			if aIssued >= 2 {
+				return 0, false
+			}
+			aIssued++
+			return aIssued, true
+		},
+		Run: func(_ context.Context, j int) int { return j },
+		Done: func(j, _ int) bool {
+			if j == 1 {
+				close(aReported)
+			}
+			return true
+		},
+	}
+	b := SharedSource[int, int]{
+		Max: 1,
+		Next: func(context.Context) (int, bool) {
+			if bIssued >= 1 {
+				return 0, false
+			}
+			select {
+			case <-aReported:
+			case <-time.After(5 * time.Second):
+				t.Error("B's ask waited 5 s for A's report: it blocked the loop")
+				return 0, false
+			}
+			bIssued++
+			bAsked.Store(true)
+			return bIssued, true
+		},
+		Run:  func(_ context.Context, j int) int { return j },
+		Done: func(_, _ int) bool { return true },
+	}
+	if err := Shared(context.Background(), 2, []SharedSource[int, int]{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	if aIssued != 2 || !bAsked.Load() {
+		t.Fatalf("A issued %d jobs, B asked %v; want 2 and true", aIssued, bAsked.Load())
+	}
+}
+
 // TestSharedReleasesSlotsAcrossSources checks that sessions finishing
 // at different times release their slots to the survivors: once the
 // short source drains, the long one gets the whole pool.
@@ -572,7 +624,8 @@ func TestSharedDoneFalseStopsOneSource(t *testing.T) {
 
 // TestSharedRaceHammer drives many weighted sources with jittered job
 // durations under -race: the invariants are total completions, the
-// shared-slot cap, per-source caps, and exactly-once Drained.
+// shared-slot cap, per-source caps, and exactly-once Drained. A quarter
+// of the sources are capped at one job and so ask in their slots.
 func TestSharedRaceHammer(t *testing.T) {
 	const nSources, jobs, slots = 8, 30, 5
 	rng := rand.New(rand.NewSource(7))
@@ -593,8 +646,11 @@ func TestSharedRaceHammer(t *testing.T) {
 		i := i
 		issued := 0
 		max := 0
-		if i%2 == 0 {
+		switch i % 4 {
+		case 0, 2:
 			max = 2
+		case 1:
+			max = 1
 		}
 		sources[i] = SharedSource[int, int]{
 			Weight: float64(1 + i%3),
@@ -632,9 +688,9 @@ func TestSharedRaceHammer(t *testing.T) {
 		t.Fatalf("peak in-flight %d exceeds %d shared slots", p, slots)
 	}
 	for i := range perPeak {
-		if i%2 == 0 {
-			if p := perPeak[i].peak.Load(); p > 2 {
-				t.Fatalf("source %d peaked at %d in-flight, capped at 2", i, p)
+		if max := sources[i].Max; max > 0 {
+			if p := perPeak[i].peak.Load(); p > int32(max) {
+				t.Fatalf("source %d peaked at %d in-flight, capped at %d", i, p, max)
 			}
 		}
 	}
