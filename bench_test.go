@@ -191,14 +191,16 @@ func seedSuggestBench(b *testing.B, opt *bo.Optimizer, n int) {
 }
 
 // benchmarkSuggestWorkers measures one optimizer decision step on a
-// 100-observation history at a fixed worker count; the Sequential/
-// Parallel pair below shows the speedup of the concurrent candidate
-// scorer on multi-core hardware. Gated by the micro half of
+// 100-observation history at GOMAXPROCS procs, restored afterwards. An
+// ask splits its grid scan and ensemble refit across GOMAXPROCS
+// goroutines, so the Sequential/Parallel pair below shows that split's
+// speedup on multi-core hardware. Gated by the micro half of
 // scripts/bench-pairs.sh.
-func benchmarkSuggestWorkers(b *testing.B, workers int) {
+func benchmarkSuggestWorkers(b *testing.B, procs int) {
 	b.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	opt := bo.NewOptimizer(suggestBenchSpace(), bo.Options{
-		Seed: 1, Knobs: bo.Knobs{Candidates: 150, HyperSamples: 2, LocalSearchIters: -1}, Workers: workers,
+		Seed: 1, Knobs: bo.Knobs{Candidates: 150, HyperSamples: 2, LocalSearchIters: -1},
 	})
 	seedSuggestBench(b, opt, 100)
 	b.ResetTimer()
@@ -251,10 +253,11 @@ func BenchmarkFleetSchedule(b *testing.B) {
 }
 
 // BenchmarkBOSuggestSequentialScorer pins candidate scoring and GP
-// refits to one goroutine.
+// refits to one goroutine (GOMAXPROCS 1).
 func BenchmarkBOSuggestSequentialScorer(b *testing.B) { benchmarkSuggestWorkers(b, 1) }
 
-// BenchmarkBOSuggestParallelScorer fans both out across all cores.
+// BenchmarkBOSuggestParallelScorer fans both out across all cores
+// (GOMAXPROCS NumCPU).
 func BenchmarkBOSuggestParallelScorer(b *testing.B) { benchmarkSuggestWorkers(b, runtime.NumCPU()) }
 
 // BenchmarkGPObserveIncremental measures conditioning one new

@@ -216,14 +216,15 @@
 // tuned under. Watch (and the `stormtune watch` subcommand) runs the
 // session that never ends: an initial tune, then a hold phase probing
 // the incumbent on the live stream while a degradation monitor keeps a
-// noise-aware rolling baseline of utilization, then — on a sustained
-// run of degraded or backpressured samples (hysteresis and a cooldown
-// guard against noise and thrash) — a conservative retune, then back
-// to holding. The retune is seeded from the incumbent and its
-// candidates are bounded to a trust region around it that widens after
-// consecutive improvements and shrinks on regression, so exploration
-// stays near what already works while production traffic rides on
-// every trial. Retunes re-enter the normal ask/tell session loop, so
+// noise-aware rolling baseline of utilization, then — on three samples
+// in a row below 0.85 of the baseline (or lost), or two backpressured
+// ones (hysteresis and a cooldown guard against noise and thrash) — a
+// conservative retune, then back to holding. The retune is seeded from
+// the incumbent and its candidates are bounded to a trust region
+// around it that widens by 1.6 after two improvements in a row and
+// halves on any regression, so exploration stays near what already
+// works while production traffic rides on every trial. Retunes
+// re-enter the normal ask/tell session loop, so
 // retries, snapshots, Recorders and dashboards work unchanged; the
 // typed HoldSampled, RetuneTriggered and RetuneCompleted events carry
 // the episode stream to observers and the dashboard.
@@ -297,15 +298,15 @@
 // observed value by default), so the acquisition spreads the batch over
 // the landscape instead of proposing the same maximum q times. The BO
 // strategies expose this through core.BatchStrategy, and
-// ClusterSpec.MaxConcurrentTrials bounds a sensible q. Internally the
-// acquisition candidate grid and the per-hyper-sample GP refits are
-// scored by a worker pool (Options.Workers); results are bit-identical
-// for any worker count and fixed seed.
+// ClusterSpec.MaxConcurrentTrials bounds a sensible q. Internally an
+// ask splits the acquisition candidate grid and the per-hyper-sample
+// GP refits across GOMAXPROCS goroutines; results are bit-identical
+// for any GOMAXPROCS and fixed seed.
 //
 // # Determinism contracts
 //
 // The guarantees above — bit-identical results for a fixed seed and
-// any worker count, and snapshot/resume runs indistinguishable from
+// any GOMAXPROCS, and snapshot/resume runs indistinguishable from
 // uninterrupted ones — depend on invariants that are easy to erode:
 // no global or wall-clock-seeded RNGs in the proposal path, no
 // wall-clock reads in decision logic, no map-iteration order leaking

@@ -31,7 +31,7 @@ func liarValue(ys []float64) float64 {
 // fantasies, so the batch spreads over the acquisition landscape instead
 // of collapsing onto one maximum. Observe each returned point (in any
 // order) to retire its fantasy. The result is deterministic for a fixed
-// seed and any Workers count.
+// seed and any GOMAXPROCS.
 func (opt *Optimizer) SuggestBatch(q int) [][]float64 {
 	//lint:wallclock telemetry: decision-time accounting, never a proposal input
 	start := time.Now()
@@ -157,18 +157,10 @@ func (s *scorer) argmax(cands [][]float64, w int) (int, float64) {
 		score float64
 	}
 	bests := make([]chunkBest, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo := k * n / w
-		hi := (k + 1) * n / w
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			idx, score := s.scan(cands, lo, hi)
-			bests[k] = chunkBest{idx: idx, score: score}
-		}(k, lo, hi)
-	}
-	wg.Wait()
+	parallelFor(w, w, func(k int) {
+		idx, score := s.scan(cands, k*n/w, (k+1)*n/w)
+		bests[k] = chunkBest{idx: idx, score: score}
+	})
 	bi, bs := 0, math.Inf(-1)
 	for _, b := range bests {
 		if b.idx >= 0 && (b.score > bs || (b.score == bs && b.idx < bi)) {

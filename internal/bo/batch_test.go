@@ -3,6 +3,7 @@ package bo
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"stormtune/internal/gp"
@@ -115,16 +116,27 @@ func TestSuggestBatchSpreads(t *testing.T) {
 	}
 }
 
-// TestSuggestBatchDeterministic runs the same seeded optimization with 1
-// worker and many workers; every suggestion must be bit-identical.
+// setGOMAXPROCS sets GOMAXPROCS, which sizes an ask's goroutine split
+// (the grid scan's chunks and the ensemble refit), to n until the test
+// ends. GOMAXPROCS is process-wide, so a test that calls it must not
+// call t.Parallel.
+func setGOMAXPROCS(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestSuggestBatchDeterministic runs the same seeded optimization at
+// GOMAXPROCS 1 and 8; every suggestion must be bit-identical.
 func TestSuggestBatchDeterministic(t *testing.T) {
-	run := func(workers int) [][]float64 {
+	run := func(procs int) [][]float64 {
+		setGOMAXPROCS(t, procs)
 		s := MustSpace(
 			Dim{Name: "x", Kind: Float, Min: 0, Max: 1},
 			Dim{Name: "y", Kind: Float, Min: 0, Max: 1},
 		)
 		opt := NewOptimizer(s, Options{
-			Seed: 7, InitialDesign: 4, Knobs: Knobs{Candidates: 300, HyperSamples: 3}, Workers: workers,
+			Seed: 7, InitialDesign: 4, Knobs: Knobs{Candidates: 300, HyperSamples: 3},
 		})
 		var all [][]float64
 		for round := 0; round < 4; round++ {
@@ -144,7 +156,7 @@ func TestSuggestBatchDeterministic(t *testing.T) {
 	for i := range a {
 		for j := range a[i] {
 			if a[i][j] != b[i][j] {
-				t.Fatalf("suggestion %d differs between 1 and 8 workers: %v vs %v", i, a[i], b[i])
+				t.Fatalf("suggestion %d differs between GOMAXPROCS 1 and 8: %v vs %v", i, a[i], b[i])
 			}
 		}
 	}

@@ -84,45 +84,50 @@ func scalarSearch(t *testing.T) acqSearch {
 // sliding MaxGPPoints window that rebuilds the ensemble every ask (the
 // CLI's path), with and without the prior, and the parallel scan
 // (candidate counts and chunk bounds that are not multiples of the
-// block width).
+// block width). Each case pins GOMAXPROCS, which sizes the ask's
+// goroutine split, so the split runs even on a one-CPU host.
 func TestBlockedScoringMatchesScalarOracle(t *testing.T) {
 	cases := []struct {
-		name string
-		opts func() Options
+		name  string
+		procs int
+		opts  func() Options
 	}{
-		{"exact-parallel", func() Options {
-			return Options{Seed: 5, Knobs: Knobs{Candidates: 122, HyperSamples: 2, LocalSearchIters: 6}, Workers: 3}
+		// Three chunks of a grid of 133 candidates: bounds 44 and 88
+		// fall inside the 16-wide blocks.
+		{"exact-parallel", 3, func() Options {
+			return Options{Seed: 5, Knobs: Knobs{Candidates: 122, HyperSamples: 2, LocalSearchIters: 6}}
 		}},
-		{"exact-sequential-ucb", func() Options {
-			return Options{Seed: 8, Knobs: Knobs{Candidates: 57, HyperSamples: 3, LocalSearchIters: 4}, Workers: 1, Acq: UCB{}}
+		{"exact-sequential-ucb", 1, func() Options {
+			return Options{Seed: 8, Knobs: Knobs{Candidates: 57, HyperSamples: 3, LocalSearchIters: 4}, Acq: UCB{}}
 		}},
-		{"trust-region", func() Options {
+		{"trust-region", 2, func() Options {
 			return Options{
-				Seed: 6, Knobs: Knobs{Candidates: 90, HyperSamples: 2, LocalSearchIters: 5}, Workers: 2,
-				Trust: &TrustRegion{Center: []float64{0.4, 0.5, 0.6}, Radius: 0.15, GrowAfter: 2, Grow: 2, Shrink: 0.5},
+				Seed: 6, Knobs: Knobs{Candidates: 90, HyperSamples: 2, LocalSearchIters: 5},
+				Trust: &TrustRegion{Center: []float64{0.4, 0.5, 0.6}, Radius: 0.15},
 			}
 		}},
-		{"window", func() Options {
+		{"window", 2, func() Options {
 			return Options{
-				Seed: 7, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, MaxGPPoints: 10}, Workers: 2,
+				Seed: 7, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, MaxGPPoints: 10},
 				InitialDesign: 3,
 			}
 		}},
-		{"prior-mean", func() Options {
+		{"prior-mean", 2, func() Options {
 			return Options{
-				Seed: 4, Knobs: Knobs{Candidates: 93, HyperSamples: 3, LocalSearchIters: 5}, Workers: 2,
+				Seed: 4, Knobs: Knobs{Candidates: 93, HyperSamples: 3, LocalSearchIters: 5},
 				PriorMean: testPriorMean,
 			}
 		}},
-		{"prior-mean-window", func() Options {
+		{"prior-mean-window", 2, func() Options {
 			return Options{
-				Seed: 9, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, MaxGPPoints: 10}, Workers: 2,
+				Seed: 9, Knobs: Knobs{Candidates: 70, HyperSamples: 2, LocalSearchIters: 4, MaxGPPoints: 10},
 				InitialDesign: 3, PriorMean: testPriorMean,
 			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			setGOMAXPROCS(t, tc.procs)
 			blocked := NewOptimizer(cacheTestSpace(), tc.opts())
 			oracle := NewOptimizer(cacheTestSpace(), tc.opts())
 			search := scalarSearch(t)

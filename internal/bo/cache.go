@@ -2,6 +2,7 @@ package bo
 
 import (
 	"errors"
+	"runtime"
 
 	"stormtune/internal/gp"
 )
@@ -170,7 +171,7 @@ func (opt *Optimizer) rebuildModels(fant []fantasyPoint) error {
 	}
 
 	models := make([]*gp.GP, len(c.hypers))
-	parallelFor(opt.Opts.Workers, len(c.hypers), func(k int) {
+	parallelFor(runtime.GOMAXPROCS(0), len(c.hypers), func(k int) {
 		g := newMember(d)
 		if err := g.SetHypersAndRefit(c.hypers[k]); err != nil {
 			return

@@ -70,16 +70,6 @@ type Options struct {
 	// Suggest: cached values are reused for the rest of the session.
 	// Runtime-only, reconstructed on resume.
 	PriorMean func(u []float64) float64
-	// SharedSeeds are cross-session seed points pushed in mid-run (a
-	// fleet sibling's NewBest); they join the acquisition candidate
-	// pool like SeedCandidates. Install via SetSharedSeeds, which also
-	// re-ranks the unissued initial design. Runtime-only.
-	SharedSeeds [][]float64
-	// Workers bounds the goroutines used to score the acquisition
-	// candidate grid and to refit the per-hyper-sample GPs (default
-	// GOMAXPROCS; 1 forces fully sequential operation). Results are
-	// identical for any worker count.
-	Workers int
 	// Trust, when set, confines every suggestion to a trust region
 	// around the current incumbent — conservative (retune) mode. The
 	// first suggestion with no data is the region's center itself, and
@@ -121,9 +111,6 @@ func (o Options) withDefaults(d int) Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
@@ -146,6 +133,10 @@ type Optimizer struct {
 
 	// obsM0 caches PriorMean at obs[:len(obsM0)]; see obsPrior.
 	obsM0 []float64
+
+	// sharedSeeds are the cross-session seed points SetSharedSeeds
+	// installed last; they join every acquisition candidate pool.
+	sharedSeeds [][]float64
 
 	// initQueue holds the full Latin-hypercube initial design, drawn
 	// once on the first Suggest so its points are stratified against
@@ -313,7 +304,7 @@ func (opt *Optimizer) SetSharedSeeds(us [][]float64) {
 		}
 		clean = append(clean, c)
 	}
-	opt.Opts.SharedSeeds = clean
+	opt.sharedSeeds = clean
 	var fresh [][]float64
 	for _, u := range clean {
 		if !opt.seen(u) {
@@ -419,7 +410,7 @@ func (opt *Optimizer) suggestGP(search acqSearch) ([]float64, Score) {
 	cands := sample.Uniform(opt.rng, opt.Opts.Candidates/2, d)
 	cands = append(cands, sample.HaltonSeq(haltonOffset(len(opt.obs)), opt.Opts.Candidates/4, d)...)
 	cands = append(cands, opt.Opts.SeedCandidates...)
-	cands = append(cands, opt.Opts.SharedSeeds...)
+	cands = append(cands, opt.sharedSeeds...)
 	if bu, _, ok := opt.Best(); ok {
 		for i := 0; i < opt.Opts.Candidates/4; i++ {
 			c := make([]float64, d)
@@ -483,7 +474,7 @@ type acqSearch func(opt *Optimizer, sc *scorer, cands [][]float64) []float64
 // decides it in its turn. That makes exactly the decisions of scoring
 // the moves one by one.
 func (opt *Optimizer) maximize(sc *scorer, cands [][]float64) []float64 {
-	bi, bestScore := sc.argmax(cands, opt.Opts.Workers)
+	bi, bestScore := sc.argmax(cands, runtime.GOMAXPROCS(0))
 	sc.found.Grid = bestScore
 	cur := append([]float64(nil), cands[bi]...)
 	moves := 2 * len(cur)

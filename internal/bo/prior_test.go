@@ -80,11 +80,12 @@ func (a *countingAcq) Name() string { return a.inner.Name() }
 // (every new observation below n=16 starts one), a barrier batch, and
 // an async-style ask with one batch point still pending.
 func TestPriorMeanEvaluatedOncePerPoint(t *testing.T) {
+	setGOMAXPROCS(t, 2) // the scan's chunks and the refit run concurrently
 	var calls atomic.Int64
 	acq := &countingAcq{inner: EI{}}
 	const hypers = 3
 	opt := NewOptimizer(cacheTestSpace(), Options{
-		Seed: 13, Knobs: Knobs{Candidates: 61, HyperSamples: hypers, LocalSearchIters: 3}, Workers: 2, Acq: acq,
+		Seed: 13, Knobs: Knobs{Candidates: 61, HyperSamples: hypers, LocalSearchIters: 3}, Acq: acq,
 		PriorMean: func(u []float64) float64 {
 			calls.Add(1)
 			return testPriorMean(u)

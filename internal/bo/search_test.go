@@ -20,6 +20,9 @@ func TestLocalSearchScoresEachPointOnce(t *testing.T) {
 		}
 		return string(b)
 	}
+	// The counting prior writes a map, so the grid scan runs in one
+	// goroutine.
+	setGOMAXPROCS(t, 1)
 	rescored, first := 0, ""
 	search := func(opt *Optimizer, sc *scorer, cands [][]float64) []float64 {
 		bi, _ := sc.argmax(cands, 1)
@@ -47,7 +50,7 @@ func TestLocalSearchScoresEachPointOnce(t *testing.T) {
 	}
 	for _, prior := range []func([]float64) float64{nil, testPriorMean} {
 		opt := NewOptimizer(cacheTestSpace(), Options{
-			Seed: 3, Knobs: Knobs{Candidates: 40, HyperSamples: 2, LocalSearchIters: 8}, Workers: 1, PriorMean: prior,
+			Seed: 3, Knobs: Knobs{Candidates: 40, HyperSamples: 2, LocalSearchIters: 8}, PriorMean: prior,
 		})
 		for step := 0; step < 20; step++ {
 			u := opt.suggestOne(search)

@@ -5,9 +5,9 @@ package bo
 // online search: a retune session starts from the running incumbent
 // and only ever proposes configurations close to it, so a live system
 // being retuned never regresses far. The region adapts as results
-// arrive (the Big/Small phases): it widens only after GrowAfter
-// consecutive improvements and shrinks on any regression, recentering
-// on each new best.
+// arrive (the Big/Small phases): it widens by trustGrow after
+// trustGrowAfter consecutive improvements and shrinks by trustShrink
+// on any regression, recentering on each new best.
 //
 // Mutation happens exclusively in Observe, so a session replaying its
 // ask/tell log reproduces the center/radius trajectory — trust-region
@@ -23,19 +23,18 @@ type TrustRegion struct {
 	Radius    float64
 	RadiusMin float64
 	RadiusMax float64
-	// Grow multiplies Radius after GrowAfter consecutive improvements
-	// (default 1.6); Shrink multiplies it on any non-improvement
-	// (default 0.5).
-	Grow   float64
-	Shrink float64
-	// GrowAfter is the improvement streak required to widen
-	// (default 2).
-	GrowAfter int
 
 	bestY    float64
 	haveBase bool
 	streak   int
 }
+
+// The Big/Small adaptation, fixed.
+const (
+	trustGrow      = 1.6 // radius factor after trustGrowAfter improvements in a row
+	trustShrink    = 0.5 // radius factor on any non-improvement
+	trustGrowAfter = 2
+)
 
 func (t *TrustRegion) radiusMin() float64 {
 	if t.RadiusMin <= 0 {
@@ -49,27 +48,6 @@ func (t *TrustRegion) radiusMax() float64 {
 		return 0.5
 	}
 	return t.RadiusMax
-}
-
-func (t *TrustRegion) grow() float64 {
-	if t.Grow <= 1 {
-		return 1.6
-	}
-	return t.Grow
-}
-
-func (t *TrustRegion) shrink() float64 {
-	if t.Shrink <= 0 || t.Shrink >= 1 {
-		return 0.5
-	}
-	return t.Shrink
-}
-
-func (t *TrustRegion) growAfter() int {
-	if t.GrowAfter <= 0 {
-		return 2
-	}
-	return t.GrowAfter
 }
 
 // Baseline sets the objective value new observations must beat to
@@ -88,8 +66,8 @@ func (t *TrustRegion) Best() (y float64, ok bool) { return t.bestY, t.haveBase }
 
 // Observe adapts the region to one completed evaluation: an
 // improvement recenters the box on the improving point and extends the
-// streak (widening by Grow once it reaches GrowAfter); anything else
-// resets the streak and shrinks by Shrink.
+// streak (widening by trustGrow once it reaches trustGrowAfter);
+// anything else resets the streak and shrinks by trustShrink.
 func (t *TrustRegion) Observe(u []float64, y float64) {
 	if !t.haveBase {
 		t.Baseline(y)
@@ -100,9 +78,9 @@ func (t *TrustRegion) Observe(u []float64, y float64) {
 		t.bestY = y
 		t.Center = append([]float64(nil), u...)
 		t.streak++
-		if t.streak >= t.growAfter() {
+		if t.streak >= trustGrowAfter {
 			t.streak = 0
-			t.Radius *= t.grow()
+			t.Radius *= trustGrow
 			if max := t.radiusMax(); t.Radius > max {
 				t.Radius = max
 			}
@@ -110,7 +88,7 @@ func (t *TrustRegion) Observe(u []float64, y float64) {
 		return
 	}
 	t.streak = 0
-	t.Radius *= t.shrink()
+	t.Radius *= trustShrink
 	if min := t.radiusMin(); t.Radius < min {
 		t.Radius = min
 	}

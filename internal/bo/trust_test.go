@@ -13,49 +13,54 @@ func trustSpace2() *Space {
 }
 
 func TestTrustRegionWidensOnlyAfterConsecutiveImprovements(t *testing.T) {
-	tr := &TrustRegion{Center: []float64{0.5, 0.5}, Radius: 0.1, GrowAfter: 2, Grow: 2, Shrink: 0.5}
+	r0 := 0.1
+	tr := &TrustRegion{Center: []float64{0.5, 0.5}, Radius: r0}
 	tr.Baseline(10)
 
 	// One improvement: recenter, streak at 1, radius unchanged.
 	tr.Observe([]float64{0.55, 0.5}, 11)
-	if tr.Radius != 0.1 {
+	if tr.Radius != r0 {
 		t.Fatalf("radius widened after a single improvement: %v", tr.Radius)
 	}
 	if tr.Center[0] != 0.55 {
 		t.Fatalf("region did not recenter on the improvement: %v", tr.Center)
 	}
 
-	// Second consecutive improvement: widen.
+	// Second consecutive improvement (trustGrowAfter = 2): widen.
 	tr.Observe([]float64{0.6, 0.5}, 12)
-	if tr.Radius != 0.2 {
-		t.Fatalf("radius after 2 consecutive improvements = %v, want 0.2", tr.Radius)
+	wide := r0 * 1.6
+	if tr.Radius != wide {
+		t.Fatalf("radius after 2 consecutive improvements = %v, want %v", tr.Radius, wide)
 	}
 
-	// A regression shrinks and resets the streak; the next single
-	// improvement must not widen.
+	// A regression halves the radius and resets the streak; the next
+	// single improvement must not widen.
 	tr.Observe([]float64{0.7, 0.5}, 5)
-	if tr.Radius != 0.1 {
-		t.Fatalf("radius after regression = %v, want 0.1", tr.Radius)
+	if tr.Radius != wide/2 {
+		t.Fatalf("radius after regression = %v, want %v", tr.Radius, wide/2)
 	}
 	if tr.Center[0] != 0.6 {
 		t.Fatal("regression must not move the center")
 	}
 	tr.Observe([]float64{0.62, 0.5}, 13)
-	if tr.Radius != 0.1 {
+	if tr.Radius != wide/2 {
 		t.Fatalf("streak survived a regression: radius %v", tr.Radius)
 	}
 }
 
 func TestTrustRegionRadiusBounds(t *testing.T) {
-	tr := &TrustRegion{Center: []float64{0.5}, Radius: 0.4, RadiusMin: 0.05, RadiusMax: 0.45, GrowAfter: 1, Grow: 4, Shrink: 0.01}
+	tr := &TrustRegion{Center: []float64{0.5}, Radius: 0.4, RadiusMin: 0.1, RadiusMax: 0.45}
 	tr.Baseline(1)
 	tr.Observe([]float64{0.52}, 2)
+	tr.Observe([]float64{0.54}, 3) // 0.4 × 1.6 = 0.64
 	if tr.Radius != 0.45 {
 		t.Fatalf("radius not capped at RadiusMax: %v", tr.Radius)
 	}
-	tr.Observe([]float64{0.9}, 0)
-	if tr.Radius != 0.05 {
-		t.Fatalf("radius not floored at RadiusMin: %v", tr.Radius)
+	for i, want := range []float64{0.225, 0.1125, 0.1} { // the last halving, 0.05625, floored
+		tr.Observe([]float64{0.9}, 0)
+		if tr.Radius != want {
+			t.Fatalf("radius after %d regressions = %v, want %v (RadiusMin 0.1)", i+1, tr.Radius, want)
+		}
 	}
 }
 

@@ -61,8 +61,8 @@ func TestSetSharedSeedsReRanksUnissuedDesign(t *testing.T) {
 	if got := opt.Suggest(); !reflect.DeepEqual(got, seed) {
 		t.Fatalf("fresh shared seed should take the next slot, got %v", got)
 	}
-	if len(opt.Opts.SharedSeeds) != 2 {
-		t.Fatalf("wrong-dimension seed should be dropped, kept %d", len(opt.Opts.SharedSeeds))
+	if len(opt.sharedSeeds) != 2 {
+		t.Fatalf("wrong-dimension seed should be dropped, kept %d", len(opt.sharedSeeds))
 	}
 }
 

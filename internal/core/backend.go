@@ -79,10 +79,8 @@ type RetryPolicy struct {
 	// the first try included; values below 1 mean 1 (no retries).
 	MaxAttempts int `json:"maxAttempts,omitempty"`
 	// Backoff is the wait before the second attempt; each further
-	// attempt doubles it. Zero retries immediately.
+	// attempt doubles it, uncapped. Zero retries immediately.
 	Backoff time.Duration `json:"backoffNs,omitempty"`
-	// MaxBackoff caps the exponential growth; zero means uncapped.
-	MaxBackoff time.Duration `json:"maxBackoffNs,omitempty"`
 }
 
 func (p RetryPolicy) maxAttempts() int {
@@ -101,12 +99,6 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 	d := p.Backoff
 	for i := 2; i < attempt; i++ {
 		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
 	}
 	return d
 }

@@ -437,9 +437,10 @@ func TestPoolBackendDistributes(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyDelay pins the exponential backoff schedule.
+// TestRetryPolicyDelay pins the exponential backoff schedule: each
+// retry doubles the wait, uncapped.
 func TestRetryPolicyDelay(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, Backoff: 100 * time.Millisecond, MaxBackoff: 300 * time.Millisecond}
+	p := RetryPolicy{MaxAttempts: 5, Backoff: 100 * time.Millisecond}
 	for _, tc := range []struct {
 		attempt int
 		want    time.Duration
@@ -447,8 +448,8 @@ func TestRetryPolicyDelay(t *testing.T) {
 		{1, 0},
 		{2, 100 * time.Millisecond},
 		{3, 200 * time.Millisecond},
-		{4, 300 * time.Millisecond}, // capped
-		{5, 300 * time.Millisecond},
+		{4, 400 * time.Millisecond},
+		{5, 800 * time.Millisecond},
 	} {
 		if got := p.delay(tc.attempt); got != tc.want {
 			t.Fatalf("delay(%d) = %v, want %v", tc.attempt, got, tc.want)

@@ -306,20 +306,16 @@ type WarmObservation struct {
 }
 
 // RetuneOptions bound a conservative retune session's per-step
-// movement in the unit cube (see bo.TrustRegion). All fields are
-// serializable so a snapshot can reconstruct the exact region. Zero
-// values select the defaults.
+// movement in the unit cube (see bo.TrustRegion). The region widens by
+// 1.6 after two improvements in a row and halves on any
+// non-improvement. All fields are serializable so a snapshot can
+// reconstruct the exact region. Zero values select the defaults.
 type RetuneOptions struct {
 	// Radius is the initial trust-region half-width (default 0.1).
 	Radius float64 `json:"radius,omitempty"`
 	// RadiusMin/RadiusMax bound adaptation (defaults 0.02 / 0.5).
 	RadiusMin float64 `json:"radiusMin,omitempty"`
 	RadiusMax float64 `json:"radiusMax,omitempty"`
-	// Grow/Shrink/GrowAfter set the Big/Small adaptation (defaults
-	// 1.6 / 0.5 / 2).
-	Grow      float64 `json:"grow,omitempty"`
-	Shrink    float64 `json:"shrink,omitempty"`
-	GrowAfter int     `json:"growAfter,omitempty"`
 	// InitHypers seeds the retune optimizer's first hyperparameter
 	// epoch with the incumbent session's posterior (see
 	// BOStrategy.HyperState), so the episode skips the cold
@@ -359,7 +355,6 @@ func NewRetuneBO(t *topo.Topology, spec cluster.Spec, template storm.Config, opt
 	tr := &bo.TrustRegion{
 		Center: center, Radius: ro.radius(),
 		RadiusMin: ro.RadiusMin, RadiusMax: ro.RadiusMax,
-		Grow: ro.Grow, Shrink: ro.Shrink, GrowAfter: ro.GrowAfter,
 	}
 	tr.Baseline(incumbent.Y)
 	s.opt.Opts.Trust = tr

@@ -286,12 +286,14 @@ func TestFleetIncumbentSharing(t *testing.T) {
 	}
 	var wantU, gotU []float64
 	b.UpdateStrategy(func(st Strategy) {
+		// B has not drawn its initial design yet, so SetSharedSeeds
+		// puts the shared seed at the front of its warm starts.
 		bs := st.(*BOStrategy)
-		if len(bs.opt.Opts.SharedSeeds) != 1 {
-			t.Fatalf("B's optimizer holds %d shared seeds", len(bs.opt.Opts.SharedSeeds))
+		if len(bs.opt.Opts.WarmStarts) != 1 {
+			t.Fatalf("B's optimizer holds %d warm starts, want the one shared seed", len(bs.opt.Opts.WarmStarts))
 		}
 		wantU = bs.Encode(aBest)
-		gotU = bs.opt.Opts.SharedSeeds[0]
+		gotU = bs.opt.Opts.WarmStarts[0]
 	})
 	if !reflect.DeepEqual(gotU, wantU) {
 		t.Fatalf("B's shared seed %v != encoded A incumbent %v", gotU, wantU)

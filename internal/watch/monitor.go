@@ -5,6 +5,21 @@ import (
 	"stormtune/internal/storm"
 )
 
+// The monitor's thresholds, fixed: the should_online_tune shape (fire
+// when performance falls below about 0.8 of the baseline, here slightly
+// tighter), with hysteresis so one noisy dip never launches a retune.
+const (
+	// degradeFactor is the fraction of the baseline below which a
+	// sample counts as degraded.
+	degradeFactor = 0.85
+	// sustain is the number of consecutive degraded (or lost) samples
+	// that trigger a retune.
+	sustain = 3
+	// backpressureSustain is the number of consecutive backpressured
+	// samples that trigger the faster backpressure path.
+	backpressureSustain = 2
+)
+
 // MonitorOptions tune the degradation monitor. Zero values select the
 // defaults; all fields are serializable so a snapshot reconstructs the
 // monitor exactly.
@@ -13,18 +28,6 @@ type MonitorOptions struct {
 	// averages over (default 8). The monitor stays silent until the
 	// window first fills.
 	Window int `json:"window,omitempty"`
-	// DegradeFactor is the fraction of the baseline below which a
-	// sample counts as degraded (default 0.85 — the should_online_tune
-	// shape: fire when performance falls below ~baseline×0.8, here
-	// slightly tighter and configurable).
-	DegradeFactor float64 `json:"degradeFactor,omitempty"`
-	// Sustain is the number of consecutive degraded samples required
-	// to trigger (default 3) — the hysteresis that keeps one noisy dip
-	// from launching a retune.
-	Sustain int `json:"sustain,omitempty"`
-	// BackpressureSustain is the consecutive backpressured samples
-	// required for the faster backpressure trigger path (default 2).
-	BackpressureSustain int `json:"backpressureSustain,omitempty"`
 	// Cooldown is the minimum simulated seconds between triggers
 	// (default 0 — the episode structure already prevents overlapping
 	// retunes; set it to damp oscillating workloads further).
@@ -39,27 +42,6 @@ func (o MonitorOptions) window() int {
 		return 8
 	}
 	return o.Window
-}
-
-func (o MonitorOptions) degradeFactor() float64 {
-	if o.DegradeFactor <= 0 || o.DegradeFactor >= 1 {
-		return 0.85
-	}
-	return o.DegradeFactor
-}
-
-func (o MonitorOptions) sustain() int {
-	if o.Sustain <= 0 {
-		return 3
-	}
-	return o.Sustain
-}
-
-func (o MonitorOptions) backpressureSustain() int {
-	if o.BackpressureSustain <= 0 {
-		return 2
-	}
-	return o.BackpressureSustain
 }
 
 // Trigger is one monitor firing: the moment a retune episode starts.
@@ -80,7 +62,7 @@ type Trigger struct {
 // noise-aware rolling baseline (the mean of the last Window healthy
 // samples — degraded and lost samples feed the trigger streak, not the
 // baseline, so a real regression cannot drag the reference down with
-// it), requires Sustain consecutive degraded samples before firing
+// it), requires sustain (3) consecutive degraded samples before firing
 // (hysteresis), fires at most once per episode (it disarms until
 // Reset), and enforces a Cooldown between episodes. All decisions are
 // functions of the samples and their simulated timestamps — never the
@@ -150,7 +132,7 @@ func (m *Monitor) push(perf float64) {
 //
 // A failed (lost) sample measures nothing, so it never enters the
 // baseline window; it extends the degradation streak instead, and does
-// so before the baseline has filled too. Sustain consecutive failures
+// so before the baseline has filled too. sustain consecutive failures
 // therefore fire even when no sample has ever succeeded — otherwise a
 // watch whose every sample is lost would hold forever.
 func (m *Monitor) Observe(simTime float64, res storm.Result) (Trigger, bool) {
@@ -159,7 +141,7 @@ func (m *Monitor) Observe(simTime float64, res storm.Result) (Trigger, bool) {
 	}
 	perf := Perf(res)
 	base, ready := m.Baseline()
-	if res.Failed || ready && perf < base*m.opts.degradeFactor() {
+	if res.Failed || ready && perf < base*degradeFactor {
 		m.degraded++
 	} else {
 		m.degraded = 0
@@ -183,11 +165,11 @@ func (m *Monitor) Observe(simTime float64, res storm.Result) (Trigger, bool) {
 		// a watch that starts already drowning fires the moment the
 		// baseline exists.
 		return Trigger{}, false
-	case ready && m.backpressured >= m.opts.backpressureSustain():
+	case ready && m.backpressured >= backpressureSustain:
 		reason = "backpressure"
-	case m.degraded >= m.opts.sustain() && res.Failed:
+	case m.degraded >= sustain && res.Failed:
 		reason = "failure"
-	case m.degraded >= m.opts.sustain():
+	case m.degraded >= sustain:
 		reason = "degradation"
 	default:
 		return Trigger{}, false

@@ -38,10 +38,10 @@ func TestPerfPrefersUtilization(t *testing.T) {
 	}
 }
 
-// A dip shorter than Sustain must never trigger: the monitor degrades
-// then recovers and stays silent.
+// A dip shorter than sustain (3 samples) must never trigger: the
+// monitor degrades then recovers and stays silent.
 func TestMonitorIgnoresTransientDip(t *testing.T) {
-	m := NewMonitor(MonitorOptions{Window: 4, Sustain: 3})
+	m := NewMonitor(MonitorOptions{Window: 4})
 	now := fill(m, 0, 4, 1.0)
 	for _, v := range []float64{0.5, 0.5, 1.0, 1.0, 0.5, 0.5, 1.0} {
 		if _, fired := m.Observe(now, degraded(v)); fired {
@@ -57,7 +57,7 @@ func TestMonitorIgnoresTransientDip(t *testing.T) {
 // Sustained degradation triggers exactly once per episode: the monitor
 // disarms after firing and only a Reset re-arms it.
 func TestMonitorFiresOncePerEpisode(t *testing.T) {
-	m := NewMonitor(MonitorOptions{Window: 4, Sustain: 3})
+	m := NewMonitor(MonitorOptions{Window: 4})
 	now := fill(m, 0, 4, 1.0)
 	fires := 0
 	var tr Trigger
@@ -95,9 +95,10 @@ func TestMonitorFiresOncePerEpisode(t *testing.T) {
 	}
 }
 
-// Backpressure has its own, faster sustain path.
+// Backpressure has its own, faster sustain path: two backpressured
+// samples fire, although at 0.9 of the baseline neither is degraded.
 func TestMonitorBackpressureTrigger(t *testing.T) {
-	m := NewMonitor(MonitorOptions{Window: 4, Sustain: 5, BackpressureSustain: 2})
+	m := NewMonitor(MonitorOptions{Window: 4})
 	now := fill(m, 0, 4, 1.0)
 	bp := storm.Result{Throughput: 0.9, OfferedLoad: 1.0, Backpressured: true}
 	if _, fired := m.Observe(now, bp); fired {
@@ -109,12 +110,12 @@ func TestMonitorBackpressureTrigger(t *testing.T) {
 	}
 }
 
-// Lost samples never enter the baseline window, and Sustain
+// Lost samples never enter the baseline window, and sustain (3)
 // consecutive losses fire with reason "failure" — before the window
 // has filled as well as after; a healthy sample breaks the streak.
 func TestMonitorFailedSamples(t *testing.T) {
 	lost := storm.FailedResult(storm.FailureEvaluation, "lost")
-	m := NewMonitor(MonitorOptions{Window: 4, Sustain: 3})
+	m := NewMonitor(MonitorOptions{Window: 4})
 	now := 0.0
 	for _, res := range []storm.Result{lost, lost, healthy(1), lost, lost} {
 		if _, fired := m.Observe(now, res); fired {
@@ -130,7 +131,7 @@ func TestMonitorFailedSamples(t *testing.T) {
 		t.Fatalf("three losses before the baseline filled: fired=%v tr=%+v", fired, tr)
 	}
 
-	m = NewMonitor(MonitorOptions{Window: 4, Sustain: 3})
+	m = NewMonitor(MonitorOptions{Window: 4})
 	now = fill(m, 0, 4, 1.0)
 	for i := 0; i < 2; i++ {
 		if _, fired := m.Observe(now, lost); fired {
@@ -147,10 +148,11 @@ func TestMonitorFailedSamples(t *testing.T) {
 }
 
 func TestMonitorCooldown(t *testing.T) {
-	m := NewMonitor(MonitorOptions{Window: 2, Sustain: 2, Cooldown: 500})
+	m := NewMonitor(MonitorOptions{Window: 2, Cooldown: 500})
 	now := fill(m, 0, 2, 1.0)
 	m.Observe(now, degraded(0.1))
-	tr, fired := m.Observe(now+60, degraded(0.1))
+	m.Observe(now+60, degraded(0.1))
+	tr, fired := m.Observe(now+120, degraded(0.1))
 	if !fired {
 		t.Fatal("first episode did not trigger")
 	}
@@ -168,7 +170,7 @@ func TestMonitorCooldown(t *testing.T) {
 }
 
 func TestMonitorDisabled(t *testing.T) {
-	m := NewMonitor(MonitorOptions{Window: 2, Sustain: 1, Disabled: true})
+	m := NewMonitor(MonitorOptions{Window: 2, Disabled: true})
 	for i := 0; i < 20; i++ {
 		if _, fired := m.Observe(float64(i)*60, degraded(0)); fired {
 			t.Fatal("disabled monitor fired")
@@ -179,14 +181,16 @@ func TestMonitorDisabled(t *testing.T) {
 // The monitor consumes HoldSampled events off the observer chain and
 // parks the trigger for the controller.
 func TestMonitorOnEvent(t *testing.T) {
-	m := NewMonitor(MonitorOptions{Window: 2, Sustain: 2})
+	m := NewMonitor(MonitorOptions{Window: 2})
 	now := fill(m, 0, 2, 1.0)
-	m.OnEvent(core.HoldSampled{SimTime: now, Result: degraded(0.1)})
-	if _, ok := m.TakeTrigger(); ok {
-		t.Fatal("trigger before the streak sustained")
+	for i := 0; i < 2; i++ {
+		m.OnEvent(core.HoldSampled{SimTime: now + float64(i)*60, Result: degraded(0.1)})
+		if _, ok := m.TakeTrigger(); ok {
+			t.Fatal("trigger before the streak sustained")
+		}
 	}
 	m.OnEvent(core.TrialStarted{}) // foreign events are ignored
-	m.OnEvent(core.HoldSampled{SimTime: now + 60, Result: degraded(0.1)})
+	m.OnEvent(core.HoldSampled{SimTime: now + 120, Result: degraded(0.1)})
 	tr, ok := m.TakeTrigger()
 	if !ok || tr.Reason != "degradation" {
 		t.Fatalf("TakeTrigger = %+v, %v", tr, ok)
@@ -199,9 +203,11 @@ func TestMonitorOnEvent(t *testing.T) {
 // State/Restore round-trips the monitor bit-identically: the restored
 // monitor makes the same decision on the same next sample.
 func TestMonitorStateRoundTrip(t *testing.T) {
-	m := NewMonitor(MonitorOptions{Window: 3, Sustain: 2})
+	m := NewMonitor(MonitorOptions{Window: 3})
 	now := fill(m, 0, 3, 1.0)
-	m.Observe(now, degraded(0.2)) // one degraded sample: streak at 1
+	m.Observe(now, degraded(0.2)) // two degraded samples: streak at 2
+	now += 60
+	m.Observe(now, degraded(0.2))
 
 	st := m.State()
 	raw, err := json.Marshal(st)
@@ -212,7 +218,7 @@ func TestMonitorStateRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMonitor(MonitorOptions{Window: 3, Sustain: 2})
+	m2 := NewMonitor(MonitorOptions{Window: 3})
 	m2.Restore(back)
 
 	tr1, f1 := m.Observe(now+60, degraded(0.2))

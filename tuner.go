@@ -32,7 +32,8 @@ type (
 	// the per-trial deadline.
 	Trial = core.Trial
 	// RetryPolicy governs lost evaluations: attempts per trial and the
-	// exponential backoff between them. The zero value never retries.
+	// exponential backoff between them, which doubles per retry,
+	// uncapped. The zero value never retries.
 	RetryPolicy = core.RetryPolicy
 	// RunRecord is one completed optimization step.
 	RunRecord = core.RunRecord

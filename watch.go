@@ -59,11 +59,13 @@ func ParseDrift(spec string) (DriftProfile, error) { return storm.ParseDrift(spe
 // Continuous-tuning types re-exported from the watch and core packages.
 type (
 	// MonitorOptions tune the degradation monitor: rolling-baseline
-	// window, degrade factor, sustain counts (hysteresis), cooldown.
+	// window, cooldown, or disabling it. It fires after three samples
+	// in a row below 0.85 of the baseline (or lost), or two
+	// backpressured ones.
 	MonitorOptions = watch.MonitorOptions
 	// RetuneOptions bound the conservative retune search: a trust
-	// region around the incumbent that widens after consecutive
-	// improvements and shrinks on regressions.
+	// region around the incumbent that widens by 1.6 after two
+	// improvements in a row and halves on any regression.
 	RetuneOptions = core.RetuneOptions
 	// HyperState is a serializable GP hyperparameter posterior,
 	// captured from a running session (Tuner.HyperState) and fed to a

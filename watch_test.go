@@ -151,8 +151,8 @@ func (b holdLoser) Run(ctx context.Context, tr Trial) (Result, error) {
 
 // TestWatchRetunesWhenEveryHoldSampleIsLost: a lost sample never
 // enters the monitor's baseline, so a watch whose every hold sample is
-// lost still retunes — with reason "failure", within Window+Sustain
-// hold samples — instead of holding on a baseline of zeros until its
+// lost still retunes — with reason "failure", within Window plus the
+// monitor's sustain (3) hold samples — instead of holding on a baseline of zeros until its
 // horizon.
 func TestWatchRetunesWhenEveryHoldSampleIsLost(t *testing.T) {
 	tp := flashTopology()
@@ -181,7 +181,7 @@ func TestWatchRetunesWhenEveryHoldSampleIsLost(t *testing.T) {
 	if trig == nil {
 		t.Fatalf("no retune after %d lost hold samples (horizon %v)", holds, opts.Horizon)
 	}
-	const window, sustain = 6, 3 // flashWatchOptions' Window, the default Sustain
+	const window, sustain = 6, 3 // flashWatchOptions' Window, the monitor's sustain
 	if holds > window+sustain || trig.Reason != "failure" || w.Episodes() != 1 {
 		t.Fatalf("retuned after %d lost hold samples (reason %q, %d episodes); want at most %d, \"failure\", 1",
 			holds, trig.Reason, w.Episodes(), window+sustain)
