@@ -36,16 +36,19 @@ bench:
 # behind acquisition scoring (four lanes portable and vector, sixteen
 # lanes), a cold slice-sampling epoch (scalar and vector), the
 # Cholesky refactorization (scalar and vector), the kernel row (vector
-# and generic) and a scan block's kernel rows (sixteen per-lane rows vs
-# the sixteen-candidate block). Fast enough to run while iterating on
-# internal/gp, internal/linalg or internal/bo. A factorization, kernel
-# row or block takes microseconds, so those run at the default
-# benchtime rather than three iterations.
+# and generic), a scan block's kernel rows (sixteen per-lane rows vs
+# the sixteen-candidate block) and the transfer prior (the
+# Gaussian-sums kernel vs the scalar loop). Fast enough to run while
+# iterating on internal/gp, internal/linalg, internal/bo or the prior
+# in internal/core. A factorization, kernel row, block or prior takes
+# microseconds, so those run at the default benchtime rather than three
+# iterations.
 bench-gp:
 	go test -run '^$$' -bench '^Benchmark(GPFit|GPObserveIncremental|BOSuggest.*|ForwardSolveBlock)$$' -benchtime 3x -count 3 . ./internal/linalg
 	go test -run '^$$' -bench '^BenchmarkSliceSampleEpoch$$' -benchtime 3x -count 3 ./internal/gp
 	go test -run '^$$' -bench '^BenchmarkCholeskyRefactor$$' -count 3 ./internal/linalg
 	go test -run '^$$' -bench '^BenchmarkMatern(Row|Block)$$' -count 3 ./internal/gp
+	go test -run '^$$' -bench '^BenchmarkTransferPrior$$' -count 3 ./internal/core
 
 # The performance gate CI runs: paired A/B runs of the merge base (in a
 # temporary git worktree) against the working tree, alternating which
@@ -66,8 +69,9 @@ bench-smoke:
 # The native fuzz targets, 10 s each: journal recovery over arbitrary
 # file bytes, tuner/watch snapshot loading, the kernel row, the
 # sixteen-candidate kernel block, the sixteen- and four-lane forward
-# solves and the Cholesky column kernel against their scalar oracles,
-# and the serve worker's /run decoder over arbitrary request bodies.
+# solves, the Cholesky column kernel and the transfer prior against
+# their scalar oracles, and the serve worker's /run decoder over
+# arbitrary request bodies.
 # go test -fuzz takes one target per run. Each new
 # interesting input is minimized for at most 2 s: at Go's 60 s default
 # the snapshot loaders spend the whole run minimizing and barely fuzz.
@@ -78,6 +82,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzForwardSolve16$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
 	go test -run '^$$' -fuzz '^FuzzForwardSolve4$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
 	go test -run '^$$' -fuzz '^FuzzCholesky$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
+	go test -run '^$$' -fuzz '^FuzzTransferPrior$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzLoadTunerState$$' -fuzztime 10s -fuzzminimizetime 2s .
 	go test -run '^$$' -fuzz '^FuzzLoadWatchState$$' -fuzztime 10s -fuzzminimizetime 2s .
 	go test -run '^$$' -fuzz '^FuzzServeRun$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/remote

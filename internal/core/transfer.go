@@ -8,6 +8,7 @@ import (
 
 	"stormtune/internal/archive"
 	"stormtune/internal/cluster"
+	"stormtune/internal/gp"
 	"stormtune/internal/storm"
 	"stormtune/internal/topo"
 )
@@ -38,10 +39,13 @@ const (
 
 // transferPriorCap bounds how many historical observations feed the
 // prior mean — enough to shape it. Each evaluation is a sum with one
-// exp per observation, about as costly as one GP's posterior mean at
-// paper-scale history, which is why internal/bo evaluates the prior
-// once per point and shares the value across its hyper-sample
-// ensemble.
+// exp per observation; gp's Gaussian-sums kernel takes four
+// observations per instruction, about 0.3 µs at fleet-durable's 36
+// donors in 11 dimensions against 0.7 µs for the scalar loop
+// (BenchmarkTransferPrior). internal/bo evaluates the prior once per
+// point and shares the value across its hyper-sample ensemble. Only a
+// hand-made snapshot holds more observations than the cap; the kernel
+// takes any number, reading them in place with no scratch memory.
 const transferPriorCap = 64
 
 // TransferSeed is the fully materialized result of an archive query
@@ -242,7 +246,10 @@ func (s *BOStrategy) SetSharedSeeds(cfgs []storm.Config) {
 // kernel regression over the donors' z-scored observations, weighted
 // by donor similarity and shrunk toward zero (the local surrogate's
 // standardized mean) where the history is sparse — far from all donor
-// evidence the prior vanishes and the run behaves cold.
+// evidence the prior vanishes and the run behaves cold. Each
+// evaluation is one gp.GaussSums call: Σ kᵢ·zᵢ and Σ kᵢ with kᵢ =
+// wᵢ·exp(−d²ᵢ/(2ℓ²)) in donor order, four donors at a time where gp's
+// kernel runs, bitwise its scalar loop everywhere.
 func transferPrior(us [][]float64, zs, ws []float64, scale float64) func([]float64) float64 {
 	const ell = 0.25   // kernel length scale in the unit cube
 	const shrink = 1.0 // pseudo-weight pulling toward 0
@@ -251,17 +258,7 @@ func transferPrior(us [][]float64, zs, ws []float64, scale float64) func([]float
 		scale = 1
 	}
 	return func(u []float64) float64 {
-		var num, den float64
-		for i, ui := range us {
-			d2 := 0.0
-			for j := range u {
-				dd := u[j] - ui[j]
-				d2 += dd * dd
-			}
-			k := ws[i] * math.Exp(-d2/(2*ell*ell))
-			num += k * zs[i]
-			den += k
-		}
+		num, den := gp.GaussSums(u, us, ws, zs, 2*ell*ell)
 		v := scale * num / (den + shrink)
 		if v > clampZ {
 			v = clampZ

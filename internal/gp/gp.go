@@ -88,17 +88,30 @@
 // group of fewer than four points runs the row kernel with its spare
 // lanes repeating the last point, storing only the real lanes.
 //
+// A third kernel on the same exp code serves a caller outside the GP:
+// GaussSums, the Nadaraya–Watson sums Σ kᵢ·zᵢ and Σ kᵢ, kᵢ =
+// wᵢ·exp(−d²ᵢ/c), behind internal/core's archived-runs prior m₀. It
+// takes four points per instruction as the row kernel does, reading
+// them in place, and needs no scratch memory. Each lane sums d² over
+// the dimensions in order with a separate subtract, multiply and add,
+// divides by c, takes exp(−r) with every branch of the ldexp tail and
+// multiplies by wᵢ; the sums then take the lanes one by one in point
+// order, so they are bitwise the scalar loop gaussSumsGeneric.
+//
 // The kernels run only where CPUID reports AVX2 and FMA with YMM state
 // enabled by the OS (linalg.HasAVX2FMA), and only if, at package init,
-// each reproduces the scalar row bit for bit on a fixed probe; the
-// probe turns both off when math.Exp has left its FMA branch
+// each reproduces its scalar loop bit for bit on a fixed probe; the
+// probe turns all three off when math.Exp has left its FMA branch
 // (GODEBUG=cpu.fma=off), whose results differ in the last bit on about
 // one argument in eleven. A row or block with some r NaN or +Inf —
 // only a degenerate length scale (zero, NaN, or so small its
 // reciprocal overflows) or a non-finite coordinate leads there — is
 // declined and recomputed by the scalar loop per lane, as are rows
-// whose slices are too short for the unchecked assembly. Every other
-// GOARCH runs the scalar loop. EvalRow keeps its reciprocal length
+// whose slices are too short for the unchecked assembly. The sums
+// kernel declines the same way — some d²/c NaN or +Inf (a NaN or ±Inf
+// coordinate, or one so large d² overflows), a c that is not positive,
+// or a short slice — and GaussSums then runs gaussSumsGeneric over the
+// whole point. Every other GOARCH runs the scalar loops. EvalRow keeps its reciprocal length
 // scales in a stack buffer of 32 or 128 slots, so a row allocates
 // nothing up to 128 dimensions.
 package gp

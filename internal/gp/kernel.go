@@ -159,6 +159,39 @@ func maternRowGeneric(x []float64, xs [][]float64, inv []float64, amp2 float64, 
 	}
 }
 
+// GaussSums returns num = Σᵢ kᵢ·z[i] and den = Σᵢ kᵢ over the points
+// xs, kᵢ = w[i]·exp(−d²ᵢ/c) with d²ᵢ = Σ_j (x_j − xs[i]_j)², summed in
+// point order: the Nadaraya–Watson sums of a Gaussian kernel of
+// squared width c. Where the host supports it the points are taken
+// four at a time (see "Kernel rows" in the package comment), and the
+// sums are always the bits gaussSumsGeneric returns on the same host.
+func GaussSums(x []float64, xs [][]float64, w, z []float64, c float64) (num, den float64) {
+	if num, den, ok := gaussSumsVector(x, xs, w, z, c); ok {
+		return num, den
+	}
+	return gaussSumsGeneric(x, xs, w, z, c)
+}
+
+// gaussSumsGeneric is the scalar loop behind GaussSums: the path on
+// every architecture without the vector kernel and for every point it
+// declines, and the oracle the kernel is tested against bit for bit.
+// d² is summed over j ascending, each difference squared and added
+// separately, k = w·exp(−d²/c), then num += k·z and den += k in point
+// order.
+func gaussSumsGeneric(x []float64, xs [][]float64, w, z []float64, c float64) (num, den float64) {
+	for i, xi := range xs {
+		d2 := 0.0
+		for j, v := range x {
+			dd := v - xi[j]
+			d2 += dd * dd
+		}
+		k := w[i] * math.Exp(-d2/c)
+		num += k * z[i]
+		den += k
+	}
+	return num, den
+}
+
 // Dim returns the number of input dimensions.
 func (k *Matern52) Dim() int { return len(k.Lengths) }
 

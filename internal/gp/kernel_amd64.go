@@ -6,13 +6,14 @@ import (
 	"stormtune/internal/linalg"
 )
 
-// useVectorRow gates both AVX2+FMA kernels, the four-lane row and the
-// sixteen-candidate block: the host must have the instructions, with
-// YMM state enabled by the OS (linalg's feature check, shared with its
-// vector forward solve), and each kernel must reproduce
-// maternRowGeneric bit for bit on a fixed probe. The probe catches a
-// math.Exp that has left its FMA path (GODEBUG=cpu.fma=off), whose
-// results the vector exp would no longer match.
+// useVectorRow gates the three AVX2+FMA kernels with an exp: the
+// four-lane Matérn row, the sixteen-candidate block and the four-lane
+// Gaussian sums. The host must have the instructions, with YMM state
+// enabled by the OS (linalg's feature check, shared with its vector
+// forward solve), and each kernel must reproduce its scalar loop bit
+// for bit on a fixed probe. The probe catches a math.Exp that has left
+// its FMA path (GODEBUG=cpu.fma=off), whose results the vector exp
+// would no longer match.
 var useVectorRow = linalg.HasAVX2FMA() && vectorRowMatchesProbe()
 
 // maternRowVector evaluates the row with the four-lane kernel and
@@ -73,6 +74,33 @@ func maternBlockVector(xt []float64, xs [][]float64, inv []float64, amp2 float64
 //go:noescape
 func maternBlock16(xt, inv []float64, xs [][]float64, dst []float64, amp2 float64) bool
 
+// gaussSumsVector returns GaussSums's sums from the four-lane kernel
+// and reports whether it could. It declines where the kernel is off,
+// where c is not positive, where a slice is too short for the
+// unchecked assembly (every xs[i] must hold len(x) values, w and z
+// len(xs)), and where some d²ᵢ/c is NaN or +Inf.
+func gaussSumsVector(x []float64, xs [][]float64, w, z []float64, c float64) (num, den float64, ok bool) {
+	if !useVectorRow || !(c > 0) || len(w) < len(xs) || len(z) < len(xs) {
+		return 0, 0, false
+	}
+	for _, xi := range xs {
+		if len(xi) < len(x) {
+			return 0, 0, false
+		}
+	}
+	return gaussSums4(x, xs, w, z, c)
+}
+
+// gaussSums4 returns Σᵢ kᵢ·z[i] and Σᵢ kᵢ in row order, kᵢ =
+// w[i]·exp(−(Σ_j (x_j − xs[i]_j)²)/c), four rows per instruction, each
+// lane computing exactly gaussSumsGeneric's operations, exp over every
+// finite d²/c ≥ 0 its underflow included. ok is false when some d²/c is
+// NaN or +Inf. c must be positive, every xs[i] hold len(x) values, and
+// w and z len(xs).
+//
+//go:noescape
+func gaussSums4(x []float64, xs [][]float64, w, z []float64, c float64) (num, den float64, ok bool)
+
 // laneDot16 sets dst[l] = Σ_k y[k·16+l]·b[k], k ascending from zero with
 // the product and the sum rounded separately: lane l is bitwise
 // linalg.Dot of its entries with b. It needs AVX2 (linalg.HasAVX2FMA),
@@ -88,14 +116,16 @@ func laneDot16(y, b []float64, dst *[Block]float64)
 //go:noescape
 func laneSquares16(y []float64, dst *[Block]float64)
 
-// vectorRowMatchesProbe compares both vector kernels with
-// maternRowGeneric on a fixed row: 67 points in 7 dimensions (a masked
-// tail of three lanes for the row kernel) at distances that spread
-// exp's argument over [−10, 0], queried from one point by maternRow4
-// and from the first sixteen points by maternBlock16. The FMA and
-// non-FMA math.Exp sequences disagree in the last bit on about one
-// argument in eleven, so a math.Exp off its FMA path fails the
-// comparison.
+// vectorRowMatchesProbe compares the three vector kernels with their
+// scalar loops on a fixed row: 67 points in 7 dimensions (a tail of
+// three lanes for the row kernel) at distances that spread exp's
+// argument over [−10, 0], queried from one point by maternRow4, from
+// the first sixteen points by maternBlock16, and from one point over
+// the first eleven by gaussSums4 (at c = 0.3, with weights in (0, 1]
+// and one z at a time set to 1, so the sums are one point's weight
+// exactly). The FMA and non-FMA math.Exp
+// sequences disagree in the last bit on about one argument in eleven,
+// so a math.Exp off its FMA path fails the comparison.
 func vectorRowMatchesProbe() bool {
 	const d, n = 7, 67
 	x := make([]float64, d)
@@ -124,6 +154,24 @@ func vectorRowMatchesProbe() bool {
 	maternRowGeneric(x, xs, inv, 1.3, want)
 	if !maternRow4(x, inv, xs, got, 1.3) || !same(got, want) {
 		return false
+	}
+	// The first eleven points (two full groups and a tail of three),
+	// one z at a time set to 1: num is then that point's weight kᵢ
+	// exactly, whichever lane it falls in.
+	const m = 11
+	w := make([]float64, m)
+	for i := range w {
+		w[i] = 1 - 0.01*float64(i)
+	}
+	z := make([]float64, m)
+	for i := range z {
+		z[i] = 1
+		wantNum, wantDen := gaussSumsGeneric(x, xs[:m], w, z, 0.3)
+		num, den, ok := gaussSums4(x, xs[:m], w, z, 0.3)
+		if !ok || !same([]float64{num, den}, []float64{wantNum, wantDen}) {
+			return false
+		}
+		z[i] = 0
 	}
 	xt := make([]float64, Block*d)
 	for l := 0; l < Block; l++ {

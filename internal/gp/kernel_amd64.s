@@ -76,25 +76,46 @@ GLOBL maternmask<>(SB), RODATA|NOPTR, $96
 // R = r, 0 ≤ r ≤ 708, each lane the scalar kernel's operations in its
 // order, with amp2 broadcast in Y15. P, T, Q and S are scratch; KX and
 // KY name the X and Y halves of one more scratch register. exp(−r) is
-// math.archExp's FMA branch (EXPMANT), and its ldexp tail for a normal
-// result: multiply by 2^k built as (k+1023)<<52.
+// math.archExp's FMA branch (EXPNEG) and its ldexp tail for a normal
+// result (EXPSCALE).
 #define MATERN(R, P, T, Q, S, KX, KY) \
-	EXPMANT(R, P, T, Q, KX); \
+	MATERNPOLY(R, P, T); \
+	EXPNEG(R, T, Q, KX); \
+	EXPSCALE(R, S, KX, KY); \
+	VMULPD R, P, R
+
+// MATERNTAIL is MATERN for any finite r ≥ 0, through EXPSCALEFULL.
+#define MATERNTAIL(R, P, T, Q, S, KX, KY) \
+	MATERNPOLY(R, P, T); \
+	EXPNEG(R, T, Q, KX); \
+	EXPSCALEFULL(R, T, S, KX, KY); \
+	VMULPD R, P, R
+
+// MATERNPOLY sets P = amp2·((1 + r) + r·r/3) for R = r, with amp2 in
+// Y15; T is scratch.
+#define MATERNPOLY(R, P, T) \
+	VMULPD R, R, T; \
+	VDIVPD maternc<>+C_THREE(SB), T, T; \
+	VADDPD maternc<>+C_ONE(SB), R, P; \
+	VADDPD T, P, P; \
+	VMULPD P, Y15, P
+
+// EXPSCALE finishes exp(x) for a normal result, x = −r ≥ −708: R =
+// R·2^k, with 2^k built as (k+1023)<<52 from KX = k. S is scratch.
+#define EXPSCALE(R, S, KX, KY) \
 	VPMOVSXDQ KX, KY; \
 	VPADDQ    maternc<>+C_BIAS(SB), KY, S; \
 	VPSLLQ    $52, S, S; \
-	VMULPD    S, R, R; \
-	VMULPD    R, P, R
+	VMULPD    S, R, R
 
-// MATERNTAIL is MATERN for any finite r ≥ 0: the ldexp tail takes every
-// branch archExp takes for x = −r ≤ 0. With e = k + 1023, e > 0
+// EXPSCALEFULL is EXPSCALE for any finite r ≥ 0: the ldexp tail takes
+// every branch archExp takes for x = −r ≤ 0. With e = k + 1023, e > 0
 // multiplies by e<<52; −52 ≤ e ≤ 0 multiplies by (e+1022)<<52 and then
 // by 2^−1022; e < −52 gives +0. All three are computed and each lane's
 // own chosen by the sign of k + 1022 (e ≤ 0) and of k + 1075 (e < −52).
 // An r beyond the int32 range converts to k = −2^31 and so lands in
-// the last case, as in archExp.
-#define MATERNTAIL(R, P, T, Q, S, KX, KY) \
-	EXPMANT(R, P, T, Q, KX); \
+// the last case, as in archExp. T and S are scratch.
+#define EXPSCALEFULL(R, T, S, KX, KY) \
 	VPMOVSXDQ KX, KY; \
 	VPADDQ    maternc<>+C_BIAS(SB), KY, S; \
 	VPSLLQ    $52, S, S; \
@@ -106,20 +127,14 @@ GLOBL maternmask<>(SB), RODATA|NOPTR, $96
 	VPADDQ    maternc<>+C_SUBTEST(SB), KY, S; \
 	VBLENDVPD S, R, T, R; \
 	VPADDQ    maternc<>+C_UNDERTEST(SB), KY, S; \
-	VBLENDVPD S, maternc<>+C_ZERO(SB), R, R; \
-	VMULPD    R, P, R
+	VBLENDVPD S, maternc<>+C_ZERO(SB), R, R
 
-// EXPMANT sets P = amp2·((1 + r) + r·r/3) and, for x = −r, KX = k =
-// round(x·log2(e)) and R = exp(x − k·ln2): archExp's FMA branch up to
-// its ldexp tail. Reduce by k·ln2 in two fused steps, scale by 1/16,
-// Taylor polynomial by Horner, square back four times as z·(z+2) with
-// the last step fused with +1.
-#define EXPMANT(R, P, T, Q, KX) \
-	VMULPD       R, R, T; \
-	VDIVPD       maternc<>+C_THREE(SB), T, T; \
-	VADDPD       maternc<>+C_ONE(SB), R, P; \
-	VADDPD       T, P, P; \
-	VMULPD       P, Y15, P; \
+// EXPNEG sets, for x = −r with R = r, KX = k = round(x·log2(e)) and R =
+// exp(x − k·ln2): archExp's FMA branch up to its ldexp tail. Negate,
+// reduce by k·ln2 in two fused steps, scale by 1/16, Taylor polynomial
+// by Horner, square back four times as z·(z+2) with the last step fused
+// with +1. T and Q are scratch.
+#define EXPNEG(R, T, Q, KX) \
 	VXORPD       maternc<>+C_SIGN(SB), R, R; \
 	VMULPD       maternc<>+C_LOG2E(SB), R, T; \
 	VCVTPD2DQY   T, KX; \
@@ -461,4 +476,132 @@ sqdone:
 	VMOVUPD Y2, 64(R8)
 	VMOVUPD Y3, 96(R8)
 	VZEROUPPER
+	RET
+
+// GLANE adds one lane's point to the Gaussian sums in X12 (num) and X13
+// (den): with E = exp(−r) of the lane, k = E·w at W, then num += k·z at
+// Z and den += k, each product and sum rounded separately. X6 is
+// scratch.
+#define GLANE(E, W, Z) \
+	VMULSD W, E, E; \
+	VMULSD Z, E, X6; \
+	VADDSD X6, X12, X12; \
+	VADDSD E, X13, X13
+
+// func gaussSums4(x []float64, xs [][]float64, w, z []float64, c float64) (num, den float64, ok bool)
+//
+// Rows are taken four at a time, lane l holding xs[i+l]; a last group
+// of fewer rows repeats its last row pointer in the spare lanes and
+// sums only the real ones. Per lane the arithmetic is the scalar
+// loop's, in its order: d² summed over the dimensions ascending with a
+// separate subtract, multiply and add, r = d²/c (so that −r is the
+// scalar −d²/c), exp(−r) by EXPNEG and the ldexp tail, k = exp(−r)·w;
+// then num += k·z and den += k, lane by lane in row order.
+TEXT ·gaussSums4(SB), NOSPLIT, $0-121
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), DX
+	MOVQ xs_base+24(FP), BX
+	MOVQ xs_len+32(FP), CX
+	MOVQ w_base+48(FP), DI
+	MOVQ z_base+72(FP), R13
+	VBROADCASTSD c+96(FP), Y15
+	VXORPD X12, X12, X12
+	VXORPD X13, X13, X13
+	TESTQ CX, CX
+	JZ   gdone
+
+ggroup:
+	// Row pointers; spare lanes repeat the last real row.
+	MOVQ 0(BX), R8
+	MOVQ R8, R9
+	MOVQ R8, R10
+	MOVQ R8, R11
+	CMPQ CX, $2
+	JLT  grows
+	MOVQ 24(BX), R9
+	MOVQ R9, R10
+	MOVQ R9, R11
+	CMPQ CX, $3
+	JLT  grows
+	MOVQ 48(BX), R10
+	MOVQ R10, R11
+	CMPQ CX, $4
+	JLT  grows
+	MOVQ 72(BX), R11
+
+grows:
+	// Y0 = d² = Σ_j (x_j − xs_j)², j ascending.
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+	TESTQ  DX, DX
+	JZ     gdist
+
+gdim:
+	VMOVSD       (R8)(AX*8), X1
+	VMOVHPD      (R9)(AX*8), X1, X1
+	VMOVSD       (R10)(AX*8), X2
+	VMOVHPD      (R11)(AX*8), X2, X2
+	VINSERTF128  $1, X2, Y1, Y1
+	VBROADCASTSD (SI)(AX*8), Y2
+	VSUBPD       Y1, Y2, Y1
+	VMULPD       Y1, Y1, Y1
+	VADDPD       Y1, Y0, Y0
+	INCQ         AX
+	CMPQ         AX, DX
+	JLT          gdim
+
+gdist:
+	// Y0 = r = d²/c. A group with every r at most 708 takes the
+	// normal-result tail; any other goes to gfullrange.
+	VDIVPD    Y15, Y0, Y0
+	VCMPPD    $0x16, maternc<>+C_RMAX(SB), Y0, Y1
+	VMOVMSKPD Y1, AX
+	TESTQ     AX, AX
+	JNZ       gfullrange
+	EXPNEG(Y0, Y1, Y4, X3)
+	EXPSCALE(Y0, Y5, X3, Y3)
+
+gsum:
+	// The lanes, in row order, are X0, X7, X8 and X9.
+	VEXTRACTF128 $1, Y0, X8
+	VPERMILPD    $1, X0, X7
+	VPERMILPD    $1, X8, X9
+	GLANE(X0, 0(DI), 0(R13))
+	CMPQ         CX, $2
+	JLT          gdone
+	GLANE(X7, 8(DI), 8(R13))
+	CMPQ         CX, $3
+	JLT          gdone
+	GLANE(X8, 16(DI), 16(R13))
+	CMPQ         CX, $4
+	JLT          gdone
+	GLANE(X9, 24(DI), 24(R13))
+	ADDQ         $96, BX
+	ADDQ         $32, DI
+	ADDQ         $32, R13
+	SUBQ         $4, CX
+	JNZ          ggroup
+
+gdone:
+	VMOVSD X12, num+104(FP)
+	VMOVSD X13, den+112(FP)
+	VZEROUPPER
+	MOVB   $1, ok+120(FP)
+	RET
+
+gfullrange:
+	// Decline on any NaN or +Inf lane, where math.Exp takes a
+	// special-value branch; finite r takes every branch of the ldexp
+	// tail.
+	VCMPPD    $0x15, maternc<>+C_INF(SB), Y0, Y1
+	VMOVMSKPD Y1, AX
+	TESTQ     AX, AX
+	JNZ       gdeclined
+	EXPNEG(Y0, Y1, Y4, X3)
+	EXPSCALEFULL(Y0, Y1, Y5, X3, Y3)
+	JMP       gsum
+
+gdeclined:
+	VZEROUPPER
+	MOVB $0, ok+120(FP)
 	RET

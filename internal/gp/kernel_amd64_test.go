@@ -313,3 +313,101 @@ func TestVectorRowFollowsMathExp(t *testing.T) {
 		t.Fatalf("child with GODEBUG=cpu.fma=off did not run the test:\n%s", out)
 	}
 }
+
+// TestGaussSumsMatchesGeneric calls the Gaussian-sums kernel through
+// gaussSumsVector at several scales c. The sums it accepts are bitwise
+// gaussSumsGeneric's, and with one z at a time set to 1 (num is then
+// one point's weight k exactly) so is every point's weight, whichever
+// lane of whichever group it falls in. It declines exactly the rows
+// with some d²/c NaN or +Inf (non-finite or huge coordinates) and every
+// c that is not positive, and GaussSums then returns the generic sums.
+// Some queries sit far enough from the points that a weight is
+// subnormal or 0.
+func TestGaussSumsMatchesGeneric(t *testing.T) {
+	skipWithoutVectorRow(t)
+	rng := rand.New(rand.NewSource(4))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200}
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var declined, sub, under int
+	for d := 1; d <= 64; d++ {
+		for n := 0; n <= 70; n++ {
+			if n > 12 && rng.Intn(4) != 0 {
+				continue
+			}
+			c := []float64{0.125, 0.3, 1e-3, 7}[rng.Intn(4)]
+			x := make([]float64, d)
+			for j := range x {
+				x[j] = rng.Float64()
+			}
+			if rng.Intn(4) == 0 {
+				x[0] += math.Sqrt(710*c) * (1 + 0.03*rng.NormFloat64())
+			}
+			xs := make([][]float64, n)
+			w := make([]float64, n)
+			z := make([]float64, n)
+			for i := range xs {
+				xs[i] = make([]float64, d)
+				for j := range xs[i] {
+					xs[i][j] = rng.Float64()
+				}
+				w[i] = rng.Float64()
+				z[i] = rng.NormFloat64()
+			}
+			if n > 0 && rng.Intn(6) == 0 {
+				xs[rng.Intn(n)][rng.Intn(d)] = special[rng.Intn(len(special))]
+			}
+			finite := true
+			for _, xi := range xs {
+				d2 := 0.0
+				for j, v := range x {
+					dd := v - xi[j]
+					d2 += dd * dd
+				}
+				r := d2 / c
+				finite = finite && !math.IsNaN(r) && !math.IsInf(r, 1)
+			}
+			num, den, ok := gaussSumsVector(x, xs, w, z, c)
+			if ok != finite {
+				t.Fatalf("d=%d n=%d c=%v: accepted=%v, every d²/c finite=%v", d, n, c, ok, finite)
+			}
+			wantNum, wantDen := gaussSumsGeneric(x, xs, w, z, c)
+			if !ok {
+				declined++
+				num, den = GaussSums(x, xs, w, z, c)
+			}
+			if !bits(num, wantNum) || !bits(den, wantDen) {
+				t.Fatalf("d=%d n=%d c=%v accepted=%v: sums %#x, %#x; generic %#x, %#x", d, n, c, ok,
+					math.Float64bits(num), math.Float64bits(den), math.Float64bits(wantNum), math.Float64bits(wantDen))
+			}
+			if !ok {
+				continue
+			}
+			hot := make([]float64, n)
+			for i := range hot {
+				hot[i] = 1
+				k, _, _ := gaussSumsVector(x, xs, w, hot, c)
+				want, _ := gaussSumsGeneric(x, xs[i:i+1], w[i:i+1], hot[i:i+1], c)
+				if !bits(k, want) {
+					t.Fatalf("d=%d n=%d c=%v: weight %d = %v (%#x), generic %v (%#x)", d, n, c, i, k, math.Float64bits(k), want, math.Float64bits(want))
+				}
+				switch {
+				case k == 0 && w[i] != 0:
+					under++
+				case k != 0 && math.Abs(k) < 0x1p-1022:
+					sub++
+				}
+				hot[i] = 0
+			}
+		}
+	}
+	t.Logf("%d declined rows; accepted, %d subnormal weights and %d underflowed to 0", declined, sub, under)
+	if declined == 0 || sub == 0 || under == 0 {
+		t.Fatal("each of the three must be exercised")
+	}
+	one := [][]float64{{0.5}}
+	for _, c := range []float64{0, math.Copysign(0, -1), -0.125, math.NaN()} {
+		if _, _, ok := gaussSumsVector([]float64{0.25}, one, []float64{1}, []float64{1}, c); ok {
+			t.Errorf("c=%v: accepted, want declined", c)
+		}
+	}
+}

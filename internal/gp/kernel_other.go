@@ -17,6 +17,12 @@ func maternBlockVector(xt []float64, xs [][]float64, inv []float64, amp2 float64
 	return false
 }
 
+// gaussSumsVector reports false: off amd64 GaussSums runs
+// gaussSumsGeneric.
+func gaussSumsVector(x []float64, xs [][]float64, w, z []float64, c float64) (num, den float64, ok bool) {
+	return 0, 0, false
+}
+
 // laneDot16 is the portable form of the amd64 lane sum: dst[l] =
 // Σ_k y[k·16+l]·b[k], k ascending, lane l bitwise linalg.Dot. The wide
 // path that calls it runs only where linalg's vector solve is on, which

@@ -7,7 +7,9 @@
 #
 #   - micro: the GATE_BENCH micro benchmarks below. One test binary is
 #     built per tree with `go test -c`, and each pair runs it once per
-#     side with -test.bench "$GATE_BENCH" -test.benchtime 3x.
+#     side with -test.bench "$GATE_BENCH" -test.benchtime 3x
+#     -test.count $MICRO_COUNT; scripts/benchpairs takes each side's
+#     median of the MICRO_COUNT results as the pair's value.
 #   - every workload in BENCHMARK.json, end to end: one pair per seed,
 #     each run `bash bench/run.sh --workload W --seed S --seconds 20
 #     --trace 0` in its own tree, at the 20 s run length BENCHMARK.json
@@ -41,6 +43,13 @@
 # run fails, fails its correctness checks or loses a trial.
 set -euo pipefail
 
+# How many times each side runs every gated micro benchmark per pair;
+# scripts/benchpairs takes the median. One run of three iterations
+# swings by -40% to +186% from pair to pair on an unchanged benchmark.
+# Five runs take about 3 s a side on a 2-vCPU host, so CI's six micro
+# pairs stay under a minute.
+MICRO_COUNT=5
+
 # The gated micro benchmarks, and the only place they are named.
 GATE_BENCH='^Benchmark(BOSuggest(Sequential|Parallel)Scorer|BOSuggestLargeHistory(/n\d+)?|GPObserveIncremental|FleetSchedule|MonitorObserve|ArchiveQuery|WarmStartSeed)$'
 
@@ -61,7 +70,7 @@ while [[ $# -gt 0 ]]; do
     --base) base_ref="$2"; shift 2 ;;
     --base-dir) base_dir="$2"; shift 2 ;;
     --out) out="$2"; shift 2 ;;
-    -h|--help) sed -n '2,41p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,43p' "$0"; exit 0 ;;
     *) echo "bench-pairs: unknown argument $1" >&2; exit 2 ;;
   esac
 done
@@ -95,7 +104,7 @@ status=0
 micro() {
   local side="$1" dir="$2" log="$out/micro.$1.log"
   if ! (cd "$dir" && "$out/micro.$side.test" -test.run '^$' -test.bench "$GATE_BENCH" \
-      -test.benchtime 3x -test.timeout 10m) >>"$log" 2>&1; then
+      -test.benchtime 3x -test.count "$MICRO_COUNT" -test.timeout 20m) >>"$log" 2>&1; then
     echo "  $side micro pass failed, see $log" >&2
     status=1
   fi

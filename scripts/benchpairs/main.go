@@ -12,9 +12,10 @@
 // runs pair by workload and seed, and every end-to-end metric
 // BENCHMARK.json declares is decided per workload under its declared
 // bound. Micro, any other two files are logs of repeated `go test
-// -bench` passes, each pass printing every gated benchmark once: the
-// k-th result of a benchmark on one side pairs with its k-th result on
-// the other, and ns/op is decided under microBound.
+// -bench` passes, each starting at its "goos:" header line and printing
+// every gated benchmark one or more times (-test.count). A benchmark's
+// median ns/op in the k-th pass on one side pairs with its median in
+// the k-th pass on the other, and is decided under microBound.
 //
 // A metric fails only when both hold: its median over the pairs is
 // worse than the base's by more than its bound, and the change is worse
@@ -101,8 +102,9 @@ type series struct {
 	base, change           []float64
 }
 
-// microLog is a log of `go test -bench` passes: every benchmark's ns/op
-// results in log order, and the names in order of first appearance.
+// microLog is a log of `go test -bench` passes: every benchmark's
+// median ns/op in each pass it ran in, in log order, and the names in
+// order of first appearance.
 type microLog struct {
 	names []string
 	ns    map[string][]float64
@@ -223,21 +225,38 @@ func loadMicro(path string) (microLog, error) {
 		return l, err
 	}
 	defer f.Close()
+	// pass holds the current pass's results; a "goos:" header line, which
+	// `go test -bench` prints once at the start of every pass, ends it.
+	pass := map[string][]float64{}
+	endPass := func() {
+		for _, name := range l.names {
+			if rs := pass[name]; len(rs) > 0 {
+				l.ns[name] = append(l.ns[name], median(rs))
+			}
+		}
+		clear(pass)
+	}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "goos:") {
+			endPass()
+			continue
+		}
 		name, ns, ok := parseBenchLine(sc.Text())
 		if !ok {
 			continue
 		}
 		if _, seen := l.ns[name]; !seen {
 			l.names = append(l.names, name)
+			l.ns[name] = nil
 		}
-		l.ns[name] = append(l.ns[name], ns)
+		pass[name] = append(pass[name], ns)
 	}
 	if err := sc.Err(); err != nil {
 		return l, fmt.Errorf("%s: %w", path, err)
 	}
+	endPass()
 	return l, nil
 }
 
@@ -274,11 +293,11 @@ func parseBenchLine(line string) (name string, nsPerOp float64, ok bool) {
 	return name, nsPerOp, true
 }
 
-// pairMicro pairs the k-th result of every benchmark on the base side
-// with its k-th result on the change side. It names the benchmarks only
-// the base side ran (missing) and only the change side ran (added), and
-// every benchmark whose two sides hold different numbers of results, a
-// sign of a pass that did not finish.
+// pairMicro pairs every benchmark's median in the k-th pass on the base
+// side with its median in the k-th pass on the change side. It names
+// the benchmarks only the base side ran (missing) and only the change
+// side ran (added), and every benchmark that ran in different numbers
+// of passes on the two sides, a sign of a pass that did not finish.
 func pairMicro(base, change microLog) (all []series, missing, added, bad []string) {
 	for _, name := range base.names {
 		b, c := base.ns[name], change.ns[name]
@@ -287,7 +306,7 @@ func pairMicro(base, change microLog) (all []series, missing, added, bad []strin
 			missing = append(missing, name)
 			continue
 		case len(b) != len(c):
-			bad = append(bad, fmt.Sprintf("%s: %d base results, %d change results", name, len(b), len(c)))
+			bad = append(bad, fmt.Sprintf("%s: %d base passes, %d change passes", name, len(b), len(c)))
 			continue
 		}
 		s := series{workload: "micro", metric: name, unit: "ns/op", lowerIsBetter: true, bound: microBound, base: b, change: c}

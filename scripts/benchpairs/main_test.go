@@ -87,6 +87,23 @@ func TestPairMicroByPassIndex(t *testing.T) {
 	}
 }
 
+// TestLoadMicroTakesPassMedians: a pass run with -test.count prints
+// each benchmark several times, and the pass contributes their median.
+func TestLoadMicroTakesPassMedians(t *testing.T) {
+	log := "goos: linux\ngoarch: amd64\npkg: stormtune\n" +
+		"BenchmarkA-2  3  100 ns/op\nBenchmarkA-2  3  400 ns/op\nBenchmarkA-2  3  120 ns/op\n" +
+		"BenchmarkB-2  3  7 ns/op\nBenchmarkB-2  3  9 ns/op\nPASS\n" +
+		"goos: linux\ngoarch: amd64\npkg: stormtune\n" +
+		"BenchmarkA-2  3  90 ns/op\nBenchmarkA-2  3  95 ns/op\nBenchmarkA-2  3  1000 ns/op\n" +
+		"BenchmarkB-2  3  5 ns/op\nPASS\n"
+	l := mustLoadMicro(t, log)
+	want := microLog{names: []string{"BenchmarkA", "BenchmarkB"},
+		ns: map[string][]float64{"BenchmarkA": {120, 95}, "BenchmarkB": {8, 5}}}
+	if !reflect.DeepEqual(l, want) {
+		t.Errorf("loadMicro = %+v, want %+v", l, want)
+	}
+}
+
 func TestPairMicroUnevenPassesAreBad(t *testing.T) {
 	names := []string{"BenchmarkA"}
 	base := mustLoadMicro(t, microPasses(names, map[string]float64{"BenchmarkA": 1}, map[string]float64{"BenchmarkA": 2}))
