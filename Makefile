@@ -37,7 +37,8 @@ bench:
 # lanes), a cold slice-sampling epoch (scalar and vector), the
 # Cholesky refactorization (scalar and vector), the kernel row (vector
 # and generic), a scan block's kernel rows (sixteen per-lane rows vs
-# the sixteen-candidate block) and the transfer prior (the
+# the sixteen-candidate block), a local-search block's (four per-lane
+# rows vs the four-candidate block) and the transfer prior (the
 # Gaussian-sums kernel vs the scalar loop). Fast enough to run while
 # iterating on internal/gp, internal/linalg, internal/bo or the prior
 # in internal/core. A factorization, kernel row, block or prior takes
@@ -68,10 +69,10 @@ bench-smoke:
 
 # The native fuzz targets, 10 s each: journal recovery over arbitrary
 # file bytes, tuner/watch snapshot loading, the kernel row, the
-# sixteen-candidate kernel block, the sixteen- and four-lane forward
-# solves, the Cholesky column kernel and the transfer prior against
-# their scalar oracles, and the serve worker's /run decoder over
-# arbitrary request bodies.
+# sixteen- and four-candidate kernel blocks, the sixteen- and
+# four-lane forward solves, the Cholesky column kernel and the
+# transfer prior against their scalar oracles, and the serve worker's
+# /run decoder over arbitrary request bodies.
 # go test -fuzz takes one target per run. Each new
 # interesting input is minimized for at most 2 s: at Go's 60 s default
 # the snapshot loaders spend the whole run minimizing and barely fuzz.
@@ -79,6 +80,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/journal
 	go test -run '^$$' -fuzz '^FuzzMaternRow$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/gp
 	go test -run '^$$' -fuzz '^FuzzMaternBlock$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/gp
+	go test -run '^$$' -fuzz '^FuzzMaternBlock4$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/gp
 	go test -run '^$$' -fuzz '^FuzzForwardSolve16$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
 	go test -run '^$$' -fuzz '^FuzzForwardSolve4$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg
 	go test -run '^$$' -fuzz '^FuzzCholesky$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/linalg

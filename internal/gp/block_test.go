@@ -12,10 +12,11 @@ import (
 // offsets into qs, query i carrying prior mean m0[i], and requires each
 // lane to be bitwise PredictInto — with the vector kernels and linalg's
 // vector forward solve as the host runs them (full blocks take the wide
-// path, their kernel rows the sixteen-candidate block kernel), with the
-// vector kernels forced off (the wide path evaluates each lane's row
-// and scatters it), and with the vector solve forced off (every block
-// solves four lanes at a time).
+// path, their kernel rows the sixteen-candidate block kernel, and
+// shorter ones the four-candidate block kernel), with the vector
+// kernels forced off (each lane's row is evaluated and scattered), and
+// with the vector solve forced off (every block solves four lanes at a
+// time, its rows from the four-candidate block kernel).
 func checkBlockMatchesScalar(t *testing.T, name string, m *GP, qs [][]float64, m0 []float64) {
 	t.Helper()
 	checkBlockWidths(t, name, m, qs, m0)

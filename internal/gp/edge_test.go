@@ -95,26 +95,35 @@ func TestSelfCovMatchesEval(t *testing.T) {
 }
 
 // TestRefitMatrixMatchesEval pins the kernel matrix refit builds with
-// its once-per-refit reciprocal length scales: every off-diagonal entry
-// is bitwise the EvalRow entry and every diagonal entry Eval(x, x) plus
-// the noise variance.
+// its once-per-refit reciprocal length scales: every entry below the
+// diagonal is bitwise the EvalRow entry and every diagonal entry
+// Eval(x, x) plus the noise variance. The upper triangle is not
+// written (Refactor never reads it). The sizes straddle
+// panelCrossover and put a full, partial or one-point last panel
+// behind the sixteen-point panels; a NaN length scale makes every
+// panel decline, so the row loop must write the whole matrix.
 func TestRefitMatrixMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	xs, ys := randomData(rng, 19, 4)
-	g := New(&Matern52{Amp2: 1.4, Lengths: []float64{0.3, 0.05, 2, 0.7}}, 1e-3)
-	if err := g.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	n := len(xs)
-	row := make([]float64, n)
-	for i, x := range xs {
-		g.Kern.EvalRow(x, xs, row)
-		for j, w := range row {
-			if i == j {
-				w = g.Kern.Eval(x, x) + g.Noise
+	for _, n := range []int{1, 4, 15, 16, 17, 19, 33, 60} {
+		for _, lengths := range [][]float64{{0.3, 0.05, 2, 0.7}, {0.3, math.NaN(), 2, 0.7}} {
+			xs, ys := randomData(rng, n, 4)
+			g := New(&Matern52{Amp2: 1.4, Lengths: lengths}, 1e-3)
+			err := g.Fit(xs, ys)
+			if err != nil && !math.IsNaN(lengths[1]) {
+				t.Fatal(err)
 			}
-			if got := g.kmat.Data[i*n+j]; math.Float64bits(got) != math.Float64bits(w) {
-				t.Fatalf("K[%d][%d] = %v, want %v", i, j, got, w)
+			row := make([]float64, n)
+			for i, x := range xs {
+				g.Kern.EvalRow(x, xs, row)
+				for j, w := range row[:i+1] {
+					if i == j {
+						w = g.Kern.Eval(x, x) + g.Noise
+					}
+					if got := g.kmat.Data[i*n+j]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("n=%d lengths=%v: K[%d][%d] = %v (%#x), want %v (%#x)",
+							n, lengths, i, j, got, math.Float64bits(got), w, math.Float64bits(w))
+					}
+				}
 			}
 		}
 	}

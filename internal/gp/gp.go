@@ -48,14 +48,16 @@
 // summed in k order from zero by four-accumulator AVX2 loops over the
 // interleaved buffer, each lane bitwise linalg.Dot. A shorter block —
 // local search's blocks of four, a scan's last block — and every
-// block on other hosts evaluates one kernel row per lane, scatters it
-// into a four-lane interleaved buffer and is solved four lanes at a
-// time (ForwardSolve4Into, AVX2 assembly where linalg runs its
-// kernels), a group of fewer than four lanes repeating its last lane
-// in the spare ones; each lane's Σ v² is then summed in k order from
+// block on other hosts is answered four lanes at a time in a four-lane
+// interleaved buffer (four[k][q]): the four-candidate kernel block
+// writes the group's k* vectors there where the vector kernel runs
+// (else each lane's row is evaluated and scattered), a group of fewer
+// than four lanes repeating its last lane in the spare ones; the group
+// is solved by ForwardSolve4Into (AVX2 assembly where linalg runs its
+// kernels), and each lane's k·α and Σ v² are summed in k order from
 // zero. PredictBlockInto answers one block on every model of an
-// ensemble in turn, transposing a full block's candidates for the
-// kernel block once for all of them. The prior variance k(x, x) is
+// ensemble in turn, transposing the block's candidates for the kernel
+// blocks once for all of them. The prior variance k(x, x) is
 // Amp2 exactly when x is finite and no length scale is zero or NaN,
 // which the block forms use instead of evaluating the kernel. The lane
 // contract is bit-identity: lane l of a block returns exactly the bits
@@ -65,30 +67,44 @@
 //
 // # Kernel rows
 //
-// Every kernel matrix row and k* vector — refit, Observe/Extend,
+// Every kernel matrix entry and k* vector — refit, Observe/Extend,
 // PredictInto and PredictBlockInto — is the Matérn-5/2 row of
 // maternRow, with 1/ℓ computed once per refit, block or EvalRow call.
-// On amd64 two AVX2+FMA kernels (kernel_amd64.s) evaluate it: the
-// four-lane row, four training points per instruction, and the
+// On amd64 three AVX2+FMA kernels (kernel_amd64.s) evaluate it: the
+// four-lane row, four training points per instruction; the
 // sixteen-candidate block, which takes a full scan block's candidates
 // as its lanes (transposed once per block), broadcasts each training
 // point's coordinates against them in four independent chains and
-// stores lane l at k·16+l, straight into the wide solve's layout.
-// Their contract is bit-identity: each lane performs exactly the
-// scalar loop's operations in its order (r² summed dimension by
+// stores lane l at k·16+l, straight into the wide solve's layout; and
+// the four-candidate block, which does the same for a group of four
+// candidates, four training points per pass in four independent
+// chains, storing point k's lanes at four[k], the four-lane solve's
+// layout. A refit builds its matrix's diagonal and lower triangle
+// (all Refactor reads) in column panels of sixteen training points:
+// the panel's points are the sixteen-candidate block's lanes and the
+// rows below them its training points, Block at a time into a stack
+// chunk. The panel's lane for column j of row i computes x_j − x_i,
+// the exact negation of the row's x_i − x_j, so the squares and the
+// entry are the same bits. The last n mod 16 columns, the whole matrix
+// below n = 16 and any matrix a panel is declined for take the row
+// loop.
+//
+// The kernels' contract is bit-identity: each lane performs exactly
+// the scalar loop's operations in its order (r² summed dimension by
 // dimension with a separate multiply and add, √(5r²),
 // amp2·((1+r) + r·r/3)) and computes exp(−r) with the instruction
 // sequence of the FMA branch of math.Exp, its ldexp tail included for
 // every r ≥ 0: a normal result, a subnormal one (r above about 708.4)
-// and the underflow to +0 (above about 745.1). Both kernels share that
+// and the underflow to +0 (above about 745.1). All three share that
 // code (one assembler macro), take the tail's subnormal and underflow
 // branches only for a group with some r above 708, and are therefore
 // bitwise what maternRowGeneric — the unchanged scalar loop — returns;
 // no proposal, snapshot or log byte depends on which one ran. A last
 // group of fewer than four points runs the row kernel with its spare
-// lanes repeating the last point, storing only the real lanes.
+// lanes repeating the last point, storing only the real lanes; the
+// four-candidate block runs its last len mod 4 points one at a time.
 //
-// A third kernel on the same exp code serves a caller outside the GP:
+// A fourth kernel on the same exp code serves a caller outside the GP:
 // GaussSums, the Nadaraya–Watson sums Σ kᵢ·zᵢ and Σ kᵢ, kᵢ =
 // wᵢ·exp(−d²ᵢ/c), behind internal/core's archived-runs prior m₀. It
 // takes four points per instruction as the row kernel does, reading
@@ -101,7 +117,7 @@
 // The kernels run only where CPUID reports AVX2 and FMA with YMM state
 // enabled by the OS (linalg.HasAVX2FMA), and only if, at package init,
 // each reproduces its scalar loop bit for bit on a fixed probe; the
-// probe turns all three off when math.Exp has left its FMA branch
+// probe turns all four off when math.Exp has left its FMA branch
 // (GODEBUG=cpu.fma=off), whose results differ in the last bit on about
 // one argument in eleven. A row or block with some r NaN or +Inf —
 // only a degenerate length scale (zero, NaN, or so small its
@@ -111,9 +127,11 @@
 // kernel declines the same way — some d²/c NaN or +Inf (a NaN or ±Inf
 // coordinate, or one so large d² overflows), a c that is not positive,
 // or a short slice — and GaussSums then runs gaussSumsGeneric over the
-// whole point. Every other GOARCH runs the scalar loops. EvalRow keeps its reciprocal length
-// scales in a stack buffer of 32 or 128 slots, so a row allocates
-// nothing up to 128 dimensions.
+// whole point. Every other GOARCH runs the scalar loops. EvalRow keeps
+// its reciprocal length scales in a stack buffer of 32 or 128 slots,
+// and a refit's transposed panel in one of 16·32 or 16·128, so neither
+// allocates nor retains anything up to 128 dimensions; wider refits
+// take the row loop.
 package gp
 
 import (
@@ -176,34 +194,104 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 }
 
 // refit rebuilds the kernel matrix, factor and alpha on the cached
-// points and targets.
+// points and targets. Only the matrix's diagonal and lower triangle are
+// written: they are all Refactor reads.
 func (g *GP) refit() error {
 	n := len(g.x)
 	if g.kmat == nil || g.kmat.Rows != n {
 		g.kmat = linalg.NewMatrix(n, n)
 	}
-	k := g.kmat
 	var buf [bigStackDims]float64
 	inv := invLengths(buf[:0], g.Kern.Lengths)
-	for i := 0; i < n; i++ {
-		row := k.Data[i*n : i*n+i+1]
-		maternRow(g.x[i], g.x[:i+1], inv, g.Kern.Amp2, row)
-		for j := 0; j < i; j++ {
-			k.Data[j*n+i] = row[j]
-		}
-		k.Data[i*n+i] = row[i] + g.Noise
-	}
+	g.kernelRows(inv, g.kernelPanels(inv))
 	// Refactor in place: slice sampling refits the same n hundreds of
 	// times per epoch, and the factor is the largest allocation of each.
 	if g.chol == nil {
 		g.chol = &linalg.Cholesky{}
 	}
-	if err := g.chol.Refactor(k); err != nil {
+	if err := g.chol.Refactor(g.kmat); err != nil {
 		g.chol = nil
 		return err
 	}
 	g.refreshAlpha()
 	return nil
+}
+
+// kernelRows writes the kernel matrix's diagonal and lower triangle
+// from column c on, one row at a time: K[i][c..i] = maternRow(x_i,
+// x_c..x_i) for i ≥ c, then the noise variance on the diagonal. At
+// c = 0 it is the whole matrix.
+func (g *GP) kernelRows(inv []float64, c int) {
+	n := len(g.x)
+	for i := c; i < n; i++ {
+		row := g.kmat.Data[i*n+c : i*n+i+1]
+		maternRow(g.x[i], g.x[c:i+1], inv, g.Kern.Amp2, row)
+		row[i-c] += g.Noise
+	}
+}
+
+// kernelPanels writes what kernelRows writes for the first
+// len(x) − len(x) mod Block columns through the sixteen-candidate
+// kernel block, and returns how many columns it wrote: zero where the
+// vector kernels are off, above bigStackDims dimensions, for a point
+// whose length is not the kernel's dimension, and when the kernel
+// declines a panel. The transposed panel lives on the stack in the
+// smallest size class that fits, so a refit retains and allocates
+// nothing for it. The panels start to pay at one full panel: timed
+// alone at the small topology's eleven dimensions, a refit (matrix and
+// factor) ties the row loop at n = 16 and is faster from about 20,
+// while a last panel padded out to sixteen lanes loses to the rows, so
+// the last n mod 16 columns stay with the row loop.
+func (g *GP) kernelPanels(inv []float64) int {
+	if len(g.x) < Block || !useVectorRow {
+		return 0
+	}
+	switch d := len(inv); {
+	case d <= maxStackDims:
+		var xt [Block * maxStackDims]float64
+		return g.panels(inv, xt[:Block*d])
+	case d <= bigStackDims:
+		var xt [Block * bigStackDims]float64
+		return g.panels(inv, xt[:Block*d])
+	}
+	return 0
+}
+
+// panels builds the matrix's full column panels, Block training points
+// each, and returns the first column it did not write (zero if the
+// kernel declined). Panel c's points are transposed into xt as the
+// block kernel's lanes, and its rows k ≥ c run against them Block at a
+// time into a stack chunk, whose lanes on or left of the diagonal are
+// copied into the matrix. Lane c+l of row i is k(x_{c+l}, x_i),
+// computed from x_{c+l} − x_i: the exact negation of the row loop's
+// x_i − x_{c+l} under round-to-nearest, so its square, and the entry,
+// are bitwise the row loop's.
+func (g *GP) panels(inv, xt []float64) int {
+	n := len(g.x)
+	k := g.kmat.Data
+	var chunk [Block * Block]float64
+	c := 0
+	for ; c+Block <= n; c += Block {
+		if !transposeLanes(g.x[c:c+Block], xt, Block) {
+			return 0
+		}
+		for r := c; r < n; r += Block {
+			rows := g.x[r:min(r+Block, n)]
+			out := chunk[:Block*len(rows)]
+			if !maternBlockVector(xt, rows, inv, g.Kern.Amp2, out) {
+				return 0
+			}
+			for t := range rows {
+				i := r + t
+				w := min(Block, i-c+1)
+				copy(k[i*n+c:i*n+c+w], out[t*Block:t*Block+w])
+				if i < c+Block {
+					k[i*n+i] += g.Noise
+				}
+			}
+		}
+	}
+	return c
 }
 
 // Observe appends one observation to a fitted GP, extending the cached
@@ -334,7 +422,10 @@ type BlockScratch struct {
 	four  [][4]float64 // n, lane q's entry k at four[k][q]
 	wide  []float64    // Block·n, lane l's entry k at wide[k·Block+l]
 	inv   []float64    // 1/ℓ of the model answering the block
-	xt    []float64    // Block·d, dimension j of lane l at xt[j·Block+l]
+	// xt is the block's candidates dimension-major: dimension j of lane
+	// l at xt[j·Block+l] for a wide block, else group g of four lanes at
+	// xt[4d·g:], dimension j of its lane q at xt[4d·g+4j+q].
+	xt []float64
 }
 
 func (s *BlockScratch) ensureFour(n int) {
@@ -359,21 +450,33 @@ func (s *BlockScratch) ensureWide(n int) {
 	s.wide = s.wide[:Block*n]
 }
 
-// transpose writes a full block's candidates dimension-major into s.xt
-// for the sixteen-candidate kernel block and returns them, or nil where
-// the kernel block cannot run: a short block, the vector kernels off,
-// or candidates of unequal dimension.
+// wideBlock reports whether a block of m lanes takes predictWide's
+// sixteen-lane path rather than groups of four.
+func wideBlock(m int) bool { return m == Block && linalg.VectorSolve() }
+
+// transpose writes the block's candidates dimension-major into s.xt
+// for the kernel blocks and returns them: as the sixteen-candidate
+// block's lanes for a wide block, else as groups of four lanes for the
+// four-candidate block, a short group's spare lanes repeating its last
+// candidate. It returns nil where the kernel blocks cannot run: the
+// vector kernels off, or candidates of unequal dimension.
 func (s *BlockScratch) transpose(xs [][]float64) []float64 {
-	if len(xs) != Block || !useVectorRow || !linalg.VectorSolve() {
+	if len(xs) == 0 || !useVectorRow {
 		return nil
+	}
+	lanes := 4
+	if wideBlock(len(xs)) {
+		lanes = Block
 	}
 	d := len(xs[0])
 	if cap(s.xt) < Block*d {
 		s.xt = make([]float64, Block*d)
 	}
-	s.xt = s.xt[:Block*d]
-	if !transposeBlock((*[Block][]float64)(xs), s.xt) {
-		return nil
+	s.xt = s.xt[:lanes*d*((len(xs)+lanes-1)/lanes)]
+	for l0 := 0; l0 < len(xs); l0 += lanes {
+		if !transposeLanes(xs[l0:min(l0+lanes, len(xs))], s.xt[l0*d:(l0+lanes)*d], lanes) {
+			return nil
+		}
 	}
 	return s.xt
 }
@@ -420,6 +523,12 @@ func PredictBlockInto(models []*GP, s *BlockScratch, xs [][]float64, m0, mu, sig
 }
 
 // predictBlock answers xs on g; xt is the block transposed, or nil.
+// Outside predictWide it answers four lanes at a time: the
+// four-candidate kernel block writes their k* vectors interleaved where
+// the vector kernel runs (else each lane's row is evaluated and
+// scattered, and a short group's spare lanes repeat its last lane), one
+// four-lane forward solve runs over them, and each lane's k·α and
+// Σ v_k² are summed in k order from zero, linalg.Dot's order.
 func (g *GP) predictBlock(s *BlockScratch, xs [][]float64, xt, m0, mu, sigma2 []float64) {
 	if g.chol == nil {
 		for l, x := range xs {
@@ -429,44 +538,65 @@ func (g *GP) predictBlock(s *BlockScratch, xs [][]float64, xt, m0, mu, sigma2 []
 	}
 	s.inv = invLengths(s.inv, g.Kern.Lengths)
 	regular := regularLengths(g.Kern.Lengths)
-	if len(xs) == Block && linalg.VectorSolve() {
+	if wideBlock(len(xs)) {
 		g.predictWide(s, xs, xt, m0, mu, sigma2, regular)
 		return
 	}
 	n := len(g.x)
 	s.ensureFour(n)
 	for l0 := 0; l0 < len(xs); l0 += 4 {
-		m := min(4, len(xs)-l0)
-		for q, x := range xs[l0 : l0+m] {
-			maternRow(x, g.x, s.inv, g.Kern.Amp2, s.kstar)
-			mu[l0+q] = m0[l0+q] + g.Mean + linalg.Dot(s.kstar, g.alpha)
-			for k, v := range s.kstar {
-				s.four[k][q] = v
-			}
+		lanes := xs[l0:min(l0+4, len(xs))]
+		d := len(lanes[0])
+		if xt == nil || !maternBlock4Vector(xt[l0*d:(l0+4)*d], g.x, s.inv, g.Kern.Amp2, s.four) {
+			g.fourRows(s, lanes)
 		}
-		// A short group's spare lanes repeat its last lane: the solve
-		// runs four lanes whatever m is.
-		if m < 4 {
-			for k := range s.four {
-				f := &s.four[k]
-				for q := m; q < 4; q++ {
-					f[q] = f[m-1]
-				}
-			}
+		var s0, s1, s2, s3 float64
+		for k, f := range s.four {
+			a := g.alpha[k]
+			s0 += f[0] * a
+			s1 += f[1] * a
+			s2 += f[2] * a
+			s3 += f[3] * a
+		}
+		dot := [4]float64{s0, s1, s2, s3}
+		for q := range lanes {
+			mu[l0+q] = m0[l0+q] + g.Mean + dot[q]
 		}
 		g.chol.ForwardSolve4Into(s.four)
-		for q, x := range xs[l0 : l0+m] {
-			// Σ v_k² in k order from zero: linalg.Dot(v, v)'s order.
-			ss := 0.0
-			for k := range s.four {
-				v := s.four[k][q]
-				ss += v * v
+		s0, s1, s2, s3 = 0, 0, 0, 0
+		for _, f := range s.four {
+			s0 += f[0] * f[0]
+			s1 += f[1] * f[1]
+			s2 += f[2] * f[2]
+			s3 += f[3] * f[3]
+		}
+		ss := [4]float64{s0, s1, s2, s3}
+		for q, x := range lanes {
+			v := g.Kern.selfCov(x, regular) - ss[q]
+			if v < 0 {
+				v = 0
 			}
-			s2 := g.Kern.selfCov(x, regular) - ss
-			if s2 < 0 {
-				s2 = 0
+			sigma2[l0+q] = v
+		}
+	}
+}
+
+// fourRows scatters the kernel rows of one to four lanes into s.four,
+// one maternRow call per lane, a short group's spare lanes repeating
+// its last lane: the four-lane path where the kernel block cannot run.
+func (g *GP) fourRows(s *BlockScratch, lanes [][]float64) {
+	for q, x := range lanes {
+		maternRow(x, g.x, s.inv, g.Kern.Amp2, s.kstar)
+		for k, v := range s.kstar {
+			s.four[k][q] = v
+		}
+	}
+	if m := len(lanes); m < 4 {
+		for k := range s.four {
+			f := &s.four[k]
+			for q := m; q < 4; q++ {
+				f[q] = f[m-1]
 			}
-			sigma2[l0+q] = s2
 		}
 	}
 }

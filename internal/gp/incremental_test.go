@@ -23,45 +23,52 @@ func randomData(rng *rand.Rand, n, d int) ([][]float64, []float64) {
 }
 
 // TestGPObserveMatchesFit pins the cache contract: a GP grown one
-// Observe at a time is bit-identical — factor, alpha, mean, posterior —
-// to a GP fitted cold on the full data at the same hyperparameters.
+// Observe at a time (one kernel row per point) is bit-identical —
+// factor, alpha, mean, posterior — to a GP fitted cold on the same
+// data at the same hyperparameters, whose refit builds its matrix in
+// sixteen-point panels from n = Block on. The two are compared at
+// every n across the first two panels, in dimensions on both sides of
+// the panels' stack size classes.
 func TestGPObserveMatchesFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	xs, ys := randomData(rng, 30, 4)
-
-	inc := New(NewMatern52(4, 0.3), 1e-4)
-	for i := range xs {
-		if err := inc.Observe(xs[i], ys[i]); err != nil {
-			t.Fatalf("observe %d: %v", i, err)
+	for _, d := range []int{4, 11, 40} {
+		length := 0.15 * math.Sqrt(float64(d))
+		xs, ys := randomData(rng, 2*Block+3, d)
+		inc := New(NewMatern52(d, length), 1e-4)
+		var cold *GP
+		for i := range xs {
+			if err := inc.Observe(xs[i], ys[i]); err != nil {
+				t.Fatalf("d=%d: observe %d: %v", d, i, err)
+			}
+			n := i + 1
+			if n < Block-2 {
+				continue
+			}
+			cold = New(NewMatern52(d, length), 1e-4)
+			if err := cold.Fit(xs[:n], ys[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if inc.Jitter() != cold.Jitter() || inc.Mean != cold.Mean {
+				t.Fatalf("d=%d n=%d: jitter %g, mean %g incremental vs %g, %g cold", d, n, inc.Jitter(), inc.Mean, cold.Jitter(), cold.Mean)
+			}
+			for j, v := range inc.chol.L.Data {
+				if math.Float64bits(v) != math.Float64bits(cold.chol.L.Data[j]) {
+					t.Fatalf("d=%d n=%d: factor entry %d: %g vs %g", d, n, j, v, cold.chol.L.Data[j])
+				}
+			}
+			for j, v := range inc.alpha {
+				if math.Float64bits(v) != math.Float64bits(cold.alpha[j]) {
+					t.Fatalf("d=%d n=%d: alpha entry %d: %g vs %g", d, n, j, v, cold.alpha[j])
+				}
+			}
 		}
-	}
-	cold := New(NewMatern52(4, 0.3), 1e-4)
-	if err := cold.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-
-	if inc.Jitter() != cold.Jitter() {
-		t.Fatalf("jitter: incremental %g vs cold %g", inc.Jitter(), cold.Jitter())
-	}
-	if inc.Mean != cold.Mean {
-		t.Fatalf("mean: incremental %g vs cold %g", inc.Mean, cold.Mean)
-	}
-	for i, v := range inc.chol.L.Data {
-		if v != cold.chol.L.Data[i] {
-			t.Fatalf("factor entry %d: %g vs %g", i, v, cold.chol.L.Data[i])
-		}
-	}
-	for i, v := range inc.alpha {
-		if v != cold.alpha[i] {
-			t.Fatalf("alpha entry %d: %g vs %g", i, v, cold.alpha[i])
-		}
-	}
-	for trial := 0; trial < 50; trial++ {
-		q := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		m1, v1 := inc.Predict(q)
-		m2, v2 := cold.Predict(q)
-		if m1 != m2 || v1 != v2 {
-			t.Fatalf("posterior differs at %v: (%g,%g) vs (%g,%g)", q, m1, v1, m2, v2)
+		for trial := 0; trial < 50; trial++ {
+			q := randomQueries(rng, 1, d)[0]
+			m1, v1 := inc.Predict(q)
+			m2, v2 := cold.Predict(q)
+			if m1 != m2 || v1 != v2 {
+				t.Fatalf("d=%d: posterior differs at %v: (%g,%g) vs (%g,%g)", d, q, m1, v1, m2, v2)
+			}
 		}
 	}
 }

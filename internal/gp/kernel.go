@@ -68,17 +68,20 @@ func (k *Matern52) selfCov(x []float64, regular bool) float64 {
 	return k.Amp2
 }
 
-// transposeBlock writes a block's candidates dimension-major into xt,
-// xt[j·Block+l] = cands[l][j], and reports whether it could: every
-// candidate must hold d = len(xt)/Block values.
-func transposeBlock(cands *[Block][]float64, xt []float64) bool {
-	d := len(xt) / Block
-	for l, c := range cands {
+// transposeLanes writes one to lanes candidates dimension-major into
+// xt as the lanes of a kernel block, xt[j·lanes+l] = cands[l][j], the
+// spare lanes of a short group repeating its last candidate, and
+// reports whether it could: every candidate must hold
+// d = len(xt)/lanes values.
+func transposeLanes(cands [][]float64, xt []float64, lanes int) bool {
+	d := len(xt) / lanes
+	for l := 0; l < lanes; l++ {
+		c := cands[min(l, len(cands)-1)]
 		if len(c) != d {
 			return false
 		}
 		for j, v := range c {
-			xt[j*Block+l] = v
+			xt[j*lanes+l] = v
 		}
 	}
 	return true

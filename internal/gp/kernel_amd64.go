@@ -6,11 +6,11 @@ import (
 	"stormtune/internal/linalg"
 )
 
-// useVectorRow gates the three AVX2+FMA kernels with an exp: the
-// four-lane Matérn row, the sixteen-candidate block and the four-lane
-// Gaussian sums. The host must have the instructions, with YMM state
-// enabled by the OS (linalg's feature check, shared with its vector
-// forward solve), and each kernel must reproduce its scalar loop bit
+// useVectorRow gates the four AVX2+FMA kernels with an exp: the
+// four-lane Matérn row, the sixteen- and four-candidate blocks and the
+// four-lane Gaussian sums. The host must have the instructions, with
+// YMM state enabled by the OS (linalg's feature check, shared with its
+// vector forward solve), and each kernel must reproduce its scalar loop bit
 // for bit on a fixed probe. The probe catches a math.Exp that has left
 // its FMA path (GODEBUG=cpu.fma=off), whose results the vector exp
 // would no longer match.
@@ -47,7 +47,7 @@ func maternRow4(x, inv []float64, xs [][]float64, dst []float64, amp2 float64) b
 // maternBlockVector evaluates the kernel rows of Block candidates at
 // once, candidate-major: dst[k·Block+l] = k(cand l, xs[k]), bitwise
 // what maternRowGeneric returns for each candidate. xt holds the
-// candidates dimension-major, as transposeBlock writes them. It
+// candidates dimension-major, as transposeLanes writes them. It
 // reports false, leaving dst partly written, where maternRowVector
 // would decline: the kernel is off, a slice is too short, or some r is
 // NaN or +Inf.
@@ -73,6 +73,36 @@ func maternBlockVector(xt []float64, xs [][]float64, inv []float64, amp2 float64
 //
 //go:noescape
 func maternBlock16(xt, inv []float64, xs [][]float64, dst []float64, amp2 float64) bool
+
+// maternBlock4Vector evaluates the kernel rows of four candidates at
+// once, point-major: dst[k][q] = k(cand q, xs[k]), bitwise what
+// maternRowGeneric returns for each candidate. xt holds the candidates
+// dimension-major, as transposeLanes writes them. It reports false,
+// leaving dst partly written, where maternRowVector would decline: the
+// kernel is off, a slice is too short, or some r is NaN or +Inf.
+func maternBlock4Vector(xt []float64, xs [][]float64, inv []float64, amp2 float64, dst [][4]float64) bool {
+	d := len(xt) / 4
+	if !useVectorRow || len(inv) < d || len(dst) < len(xs) {
+		return false
+	}
+	for _, xi := range xs {
+		if len(xi) < d {
+			return false
+		}
+	}
+	return maternBlock4(xt[:4*d], inv[:d], xs, dst, amp2)
+}
+
+// maternBlock4 sets dst[k][q] = amp2·(1 + r + r²/3)·exp(−r), with
+// r = √(5·Σ_j ((xt[j·4+q] − xs[k]_j)·inv_j)²), four candidates per
+// training point and four training points per pass in independent
+// chains, each lane computing exactly maternRow4's operations. It
+// returns false, with dst partly written, when some r is NaN or +Inf.
+// xt must hold 4·len(inv) values, every xs[k] len(inv), and dst
+// len(xs) entries.
+//
+//go:noescape
+func maternBlock4(xt, inv []float64, xs [][]float64, dst [][4]float64, amp2 float64) bool
 
 // gaussSumsVector returns GaussSums's sums from the four-lane kernel
 // and reports whether it could. It declines where the kernel is off,
@@ -116,11 +146,13 @@ func laneDot16(y, b []float64, dst *[Block]float64)
 //go:noescape
 func laneSquares16(y []float64, dst *[Block]float64)
 
-// vectorRowMatchesProbe compares the three vector kernels with their
+// vectorRowMatchesProbe compares the four vector kernels with their
 // scalar loops on a fixed row: 67 points in 7 dimensions (a tail of
-// three lanes for the row kernel) at distances that spread exp's
-// argument over [−10, 0], queried from one point by maternRow4, from
-// the first sixteen points by maternBlock16, and from one point over
+// three lanes for the row kernel and of three points for the
+// four-candidate block) at distances that spread exp's argument over
+// [−10, 0], queried from one point by maternRow4, from the first
+// sixteen points by maternBlock16, from the first three (the fourth
+// lane repeating the third) by maternBlock4, and from one point over
 // the first eleven by gaussSums4 (at c = 0.3, with weights in (0, 1]
 // and one z at a time set to 1, so the sums are one point's weight
 // exactly). The FMA and non-FMA math.Exp
@@ -174,11 +206,7 @@ func vectorRowMatchesProbe() bool {
 		z[i] = 0
 	}
 	xt := make([]float64, Block*d)
-	for l := 0; l < Block; l++ {
-		for j, v := range xs[l] {
-			xt[j*Block+l] = v
-		}
-	}
+	transposeLanes(xs, xt, Block)
 	wide := make([]float64, Block*n)
 	if !maternBlock16(xt, inv, xs, wide, 1.3) {
 		return false
@@ -187,6 +215,21 @@ func vectorRowMatchesProbe() bool {
 		maternRowGeneric(xs[l], xs, inv, 1.3, want)
 		for k := range got {
 			got[k] = wide[k*Block+l]
+		}
+		if !same(got, want) {
+			return false
+		}
+	}
+	xt4 := make([]float64, 4*d)
+	transposeLanes(xs[:3], xt4, 4)
+	four := make([][4]float64, n)
+	if !maternBlock4(xt4, inv, xs, four, 1.3) {
+		return false
+	}
+	for q := 0; q < 4; q++ {
+		maternRowGeneric(xs[min(q, 2)], xs, inv, 1.3, want)
+		for k := range got {
+			got[k] = four[k][q]
 		}
 		if !same(got, want) {
 			return false

@@ -204,6 +204,7 @@ rows:
 	XORQ   AX, AX
 	TESTQ  DX, DX
 	JZ     dist
+	PCALIGN $32
 
 dim:
 	VMOVSD       (R8)(AX*8), X1
@@ -302,6 +303,7 @@ point:
 	MOVQ   SI, R9 // R9 = &xt[j·16]
 	TESTQ  DX, DX
 	JZ     bdist
+	PCALIGN $32
 
 bdim:
 	VBROADCASTSD (R8)(AX*8), Y4
@@ -396,6 +398,188 @@ bdeclined:
 	MOVB $0, ret+104(FP)
 	RET
 
+// func maternBlock4(xt, inv []float64, xs [][]float64, dst [][4]float64, amp2 float64) bool
+//
+// The four lanes are candidates, stored transposed: xt[j·4+q] is
+// dimension j of candidate q, for the len(inv) dimensions. Training
+// points are taken four at a time, one chain each (Y0..Y3): for each
+// dimension j the pass loads the candidates' coordinates once,
+// broadcasts inv[j] and the four points' xs[k][j], and accumulates
+// ((c_qj − xs[k][j])·inv_j)² with a separate multiply and add. It then
+// takes r = √(5r²), applies MATERN to each chain and stores point k's
+// lanes at dst[k], the four-lane solve's layout. The last len(xs) mod 4
+// points run one at a time over the same loop with one chain. Each
+// lane thus repeats maternRow4's and the scalar loop's operations for
+// its candidate. It returns false, with dst partly written, as soon as
+// some lane's r is NaN or +Inf.
+TEXT ·maternBlock4(SB), NOSPLIT, $0-105
+	MOVQ xt_base+0(FP), SI
+	MOVQ inv_base+24(FP), DI
+	MOVQ inv_len+32(FP), DX
+	MOVQ xs_base+48(FP), BX
+	MOVQ xs_len+56(FP), CX
+	MOVQ dst_base+72(FP), R12
+	VBROADCASTSD amp2+96(FP), Y15
+
+fpoints:
+	CMPQ CX, $4
+	JLT  fone
+	MOVQ   0(BX), R8  // R8..R11 = &xs[k..k+3][0]
+	MOVQ   24(BX), R9
+	MOVQ   48(BX), R10
+	MOVQ   72(BX), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX // AX = j
+	MOVQ   SI, R13 // R13 = &xt[j·4]
+	TESTQ  DX, DX
+	JZ     fdist
+	PCALIGN $32
+
+fdim:
+	VMOVUPD      (R13), Y4
+	VBROADCASTSD (DI)(AX*8), Y5
+	VBROADCASTSD (R8)(AX*8), Y6
+	VBROADCASTSD (R9)(AX*8), Y7
+	VBROADCASTSD (R10)(AX*8), Y8
+	VBROADCASTSD (R11)(AX*8), Y9
+	VSUBPD       Y6, Y4, Y6
+	VSUBPD       Y7, Y4, Y7
+	VSUBPD       Y8, Y4, Y8
+	VSUBPD       Y9, Y4, Y9
+	VMULPD       Y5, Y6, Y6
+	VMULPD       Y5, Y7, Y7
+	VMULPD       Y5, Y8, Y8
+	VMULPD       Y5, Y9, Y9
+	VMULPD       Y6, Y6, Y6
+	VMULPD       Y7, Y7, Y7
+	VMULPD       Y8, Y8, Y8
+	VMULPD       Y9, Y9, Y9
+	VADDPD       Y6, Y0, Y0
+	VADDPD       Y7, Y1, Y1
+	VADDPD       Y8, Y2, Y2
+	VADDPD       Y9, Y3, Y3
+	ADDQ         $32, R13
+	INCQ         AX
+	CMPQ         AX, DX
+	JLT          fdim
+
+fdist:
+	// r = √(5r²) in every chain. Four points with every r at most 708
+	// take the normal-result tail; any other goes to ffullrange.
+	VMULPD    maternc<>+C_FIVE(SB), Y0, Y0
+	VMULPD    maternc<>+C_FIVE(SB), Y1, Y1
+	VMULPD    maternc<>+C_FIVE(SB), Y2, Y2
+	VMULPD    maternc<>+C_FIVE(SB), Y3, Y3
+	VSQRTPD   Y0, Y0
+	VSQRTPD   Y1, Y1
+	VSQRTPD   Y2, Y2
+	VSQRTPD   Y3, Y3
+	VCMPPD    $0x16, maternc<>+C_RMAX(SB), Y0, Y4
+	VCMPPD    $0x16, maternc<>+C_RMAX(SB), Y1, Y5
+	VCMPPD    $0x16, maternc<>+C_RMAX(SB), Y2, Y6
+	VCMPPD    $0x16, maternc<>+C_RMAX(SB), Y3, Y7
+	VORPD     Y5, Y4, Y4
+	VORPD     Y7, Y6, Y6
+	VORPD     Y6, Y4, Y4
+	VMOVMSKPD Y4, AX
+	TESTQ     AX, AX
+	JNZ       ffullrange
+	MATERN(Y0, Y4, Y5, Y6, Y7, X8, Y8)
+	MATERN(Y1, Y9, Y10, Y11, Y12, X13, Y13)
+	MATERN(Y2, Y4, Y5, Y6, Y7, X8, Y8)
+	MATERN(Y3, Y9, Y10, Y11, Y12, X13, Y13)
+
+fstore:
+	VMOVUPD Y0, 0(R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y2, 64(R12)
+	VMOVUPD Y3, 96(R12)
+	ADDQ    $96, BX
+	ADDQ    $128, R12
+	SUBQ    $4, CX
+	JMP     fpoints
+
+fone:
+	// The last len(xs) mod 4 points, one chain each.
+	TESTQ  CX, CX
+	JZ     fdone
+	MOVQ   0(BX), R8
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+	MOVQ   SI, R13
+	TESTQ  DX, DX
+	JZ     fonedist
+	PCALIGN $32
+
+fonedim:
+	VMOVUPD      (R13), Y4
+	VBROADCASTSD (DI)(AX*8), Y5
+	VBROADCASTSD (R8)(AX*8), Y6
+	VSUBPD       Y6, Y4, Y6
+	VMULPD       Y5, Y6, Y6
+	VMULPD       Y6, Y6, Y6
+	VADDPD       Y6, Y0, Y0
+	ADDQ         $32, R13
+	INCQ         AX
+	CMPQ         AX, DX
+	JLT          fonedim
+
+fonedist:
+	VMULPD    maternc<>+C_FIVE(SB), Y0, Y0
+	VSQRTPD   Y0, Y0
+	VCMPPD    $0x16, maternc<>+C_RMAX(SB), Y0, Y1
+	VMOVMSKPD Y1, AX
+	TESTQ     AX, AX
+	JNZ       fonefullrange
+	MATERN(Y0, Y2, Y1, Y4, Y5, X3, Y3)
+
+fonestore:
+	VMOVUPD Y0, (R12)
+	ADDQ    $24, BX
+	ADDQ    $32, R12
+	DECQ    CX
+	JMP     fone
+
+fdone:
+	VZEROUPPER
+	MOVB $1, ret+104(FP)
+	RET
+
+ffullrange:
+	// Decline on any NaN or +Inf lane; finite r takes every branch of
+	// the ldexp tail.
+	VCMPPD     $0x15, maternc<>+C_INF(SB), Y0, Y4
+	VCMPPD     $0x15, maternc<>+C_INF(SB), Y1, Y5
+	VCMPPD     $0x15, maternc<>+C_INF(SB), Y2, Y6
+	VCMPPD     $0x15, maternc<>+C_INF(SB), Y3, Y7
+	VORPD      Y5, Y4, Y4
+	VORPD      Y7, Y6, Y6
+	VORPD      Y6, Y4, Y4
+	VMOVMSKPD  Y4, AX
+	TESTQ      AX, AX
+	JNZ        fdeclined
+	MATERNTAIL(Y0, Y4, Y5, Y6, Y7, X8, Y8)
+	MATERNTAIL(Y1, Y9, Y10, Y11, Y12, X13, Y13)
+	MATERNTAIL(Y2, Y4, Y5, Y6, Y7, X8, Y8)
+	MATERNTAIL(Y3, Y9, Y10, Y11, Y12, X13, Y13)
+	JMP        fstore
+
+fonefullrange:
+	VCMPPD    $0x15, maternc<>+C_INF(SB), Y0, Y1
+	VMOVMSKPD Y1, AX
+	TESTQ     AX, AX
+	JNZ       fdeclined
+	MATERNTAIL(Y0, Y2, Y1, Y4, Y5, X3, Y3)
+	JMP       fonestore
+
+fdeclined:
+	VZEROUPPER
+	MOVB $0, ret+104(FP)
+	RET
+
 // func laneDot16(y, b []float64, dst *[16]float64)
 //
 // dst[l] = Σ_k y[k·16+l]·b[k] over k ascending from zero, each term
@@ -412,6 +596,7 @@ TEXT ·laneDot16(SB), NOSPLIT, $0-56
 	VXORPD Y3, Y3, Y3
 	TESTQ  CX, CX
 	JZ     dotdone
+	PCALIGN $32
 
 dotk:
 	VBROADCASTSD (DI), Y4
@@ -452,6 +637,7 @@ TEXT ·laneSquares16(SB), NOSPLIT, $0-32
 	VXORPD Y3, Y3, Y3
 	TESTQ  CX, CX
 	JZ     sqdone
+	PCALIGN $32
 
 sqk:
 	VMOVUPD 0(SI), Y4
@@ -535,6 +721,7 @@ grows:
 	XORQ   AX, AX
 	TESTQ  DX, DX
 	JZ     gdist
+	PCALIGN $32
 
 gdim:
 	VMOVSD       (R8)(AX*8), X1

@@ -12,7 +12,7 @@ import (
 	"stormtune/internal/linalg"
 )
 
-// setVectorRow switches both vector kernels on or off and returns the
+// setVectorRow switches the exp kernels on or off and returns the
 // previous setting; tests restore it with
 // defer setVectorRow(setVectorRow(false)).
 func setVectorRow(on bool) (was bool) {
@@ -154,7 +154,7 @@ func checkBlock(t *testing.T, c blockCase) bool {
 	for i := range dst {
 		dst[i] = -7
 	}
-	ok := transposeBlock(&c.cands, xt) && maternBlockVector(xt, c.xs, inv, c.amp2, dst[:Block*n])
+	ok := transposeLanes(c.cands[:], xt, Block) && maternBlockVector(xt, c.xs, inv, c.amp2, dst[:Block*n])
 	if ok != finite {
 		t.Fatalf("d=%d n=%d lengths=%v: accepted=%v, every r finite=%v", d, n, c.lengths, ok, finite)
 	}
@@ -238,6 +238,112 @@ func FuzzMaternBlock(f *testing.F) {
 			c.lengths[j] = math.Float64frombits(binary.LittleEndian.Uint64(lengthBits[8*j:]))
 		}
 		checkBlock(t, c)
+	})
+}
+
+// checkBlock4 calls the four-candidate kernel on the first m of c's
+// candidates, transposed with the spare lanes repeating the last, and
+// requires that it declines exactly when some real lane's r is NaN or
+// +Inf, writes nothing past dst[n−1], and otherwise stores in lane q of
+// dst[k] the bits maternRowGeneric returns for candidate min(q, m−1).
+// It reports whether the block was accepted.
+func checkBlock4(t *testing.T, c blockCase, m int) bool {
+	t.Helper()
+	d, n := len(c.lengths), len(c.xs)
+	inv := invLengths(nil, c.lengths)
+	cands := c.cands[:m]
+	finite := true
+	for _, x := range cands {
+		finite = finite && finiteDistances(rowDistances(x, c.xs, inv))
+	}
+	xt := make([]float64, 4*d)
+	dst := make([][4]float64, n+1)
+	for k := range dst {
+		dst[k] = [4]float64{-7, -7, -7, -7}
+	}
+	ok := transposeLanes(cands, xt, 4) && maternBlock4Vector(xt, c.xs, inv, c.amp2, dst[:n])
+	if ok != finite {
+		t.Fatalf("d=%d n=%d m=%d lengths=%v: accepted=%v, every r finite=%v", d, n, m, c.lengths, ok, finite)
+	}
+	if dst[n] != [4]float64{-7, -7, -7, -7} {
+		t.Fatalf("d=%d n=%d m=%d: wrote %v past the block", d, n, m, dst[n])
+	}
+	if !ok {
+		return false
+	}
+	want := make([]float64, n)
+	for q := 0; q < 4; q++ {
+		maternRowGeneric(cands[min(q, m-1)], c.xs, inv, c.amp2, want)
+		for k, w := range want {
+			if got := dst[k][q]; math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("d=%d n=%d m=%d lengths=%v: lane %d point %d = %v (%#x), generic %v (%#x)",
+					d, n, m, c.lengths, q, k, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+		}
+	}
+	return true
+}
+
+// TestVectorBlock4MatchesGeneric sweeps the four-candidate block
+// kernel across dimensions 1..128, histories 0..70 (every n mod 4, so
+// the one-point remainder loop runs after zero to many four-point
+// passes) and one to four real lanes: log-normal length scales, rows
+// set to put r in exp's subnormal and underflow bands, and degenerate
+// length scales. Every accepted block is bitwise the scalar rows, and
+// only NaN or +Inf r declines.
+func TestVectorBlock4MatchesGeneric(t *testing.T) {
+	skipWithoutVectorRow(t)
+	rng := rand.New(rand.NewSource(5))
+	var declined, sub, under int
+	for d := 1; d <= 128; d++ {
+		for n := 0; n <= 70; n++ {
+			if n > 12 && rng.Intn(6) != 0 {
+				continue
+			}
+			c := randomBlock(rng, d, n)
+			switch rng.Intn(4) {
+			case 0:
+				tailLengths(rng, c.lengths)
+			case 1:
+				c.lengths[rng.Intn(d)] = specialLengths[rng.Intn(len(specialLengths))]
+			}
+			m := 1 + rng.Intn(4)
+			if !checkBlock4(t, c, m) {
+				declined++
+				continue
+			}
+			inv := invLengths(nil, c.lengths)
+			for _, x := range c.cands[:m] {
+				s, u := expTails(rowDistances(x, c.xs, inv))
+				sub, under = sub+s, under+u
+			}
+		}
+	}
+	t.Logf("%d declined blocks; accepted, %d lanes with a subnormal exp(−r) and %d with exp(−r) = 0", declined, sub, under)
+	if declined == 0 || sub == 0 || under == 0 {
+		t.Fatal("each of the three must be exercised")
+	}
+}
+
+// FuzzMaternBlock4 is FuzzMaternBlock for the four-candidate kernel,
+// with one to four real lanes.
+func FuzzMaternBlock4(f *testing.F) {
+	f.Add(uint8(11), uint8(60), uint8(4), int64(1), []byte{}, 1.0, false)
+	f.Add(uint8(11), uint8(61), uint8(3), int64(4), []byte{}, 1.3, true)
+	f.Add(uint8(3), uint8(7), uint8(1), int64(2), binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e-3)), 0.5, false)
+	f.Add(uint8(51), uint8(14), uint8(2), int64(3), binary.LittleEndian.AppendUint64(nil, 0x7ff8000000000001), 2.0, true)
+	f.Fuzz(func(t *testing.T, d, n, m uint8, seed int64, lengthBits []byte, amp2 float64, tails bool) {
+		skipWithoutVectorRow(t)
+		rng := rand.New(rand.NewSource(seed))
+		c := randomBlock(rng, int(d%130), int(n%72))
+		c.amp2 = amp2
+		if tails {
+			tailLengths(rng, c.lengths)
+		}
+		for j := 0; j < len(c.lengths) && 8*j+8 <= len(lengthBits); j++ {
+			c.lengths[j] = math.Float64frombits(binary.LittleEndian.Uint64(lengthBits[8*j:]))
+		}
+		checkBlock4(t, c, 1+int(m%4))
 	})
 }
 

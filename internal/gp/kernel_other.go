@@ -17,6 +17,12 @@ func maternBlockVector(xt []float64, xs [][]float64, inv []float64, amp2 float64
 	return false
 }
 
+// maternBlock4Vector reports false: off amd64 a short block's rows are
+// evaluated one candidate at a time.
+func maternBlock4Vector(xt []float64, xs [][]float64, inv []float64, amp2 float64, dst [][4]float64) bool {
+	return false
+}
+
 // gaussSumsVector reports false: off amd64 GaussSums runs
 // gaussSumsGeneric.
 func gaussSumsVector(x []float64, xs [][]float64, w, z []float64, c float64) (num, den float64, ok bool) {

@@ -185,7 +185,10 @@ func randomBlock(rng *rand.Rand, d, n int) blockCase {
 // interleaved buffer (the per-lane path) against the sixteen-candidate
 // block kernel (skipped where the vector kernels are off), at the
 // small topology's dimension with 60- and 120-point histories and at
-// the medium topology's with 12 points.
+// the medium topology's with 12 points. The four cases do the same
+// for a local-search block of four candidates in the four-lane solve's
+// layout: four EvalRow calls scattered against the four-candidate
+// kernel, its transposition included.
 func BenchmarkMaternBlock(b *testing.B) {
 	for _, s := range []struct {
 		name string
@@ -217,8 +220,32 @@ func BenchmarkMaternBlock(b *testing.B) {
 			inv := invLengths(nil, k.Lengths)
 			xt := make([]float64, Block*s.d)
 			for i := 0; i < b.N; i++ {
-				transposeBlock(&c.cands, xt)
+				transposeLanes(c.cands[:], xt, Block)
 				maternBlockVector(xt, c.xs, inv, k.Amp2, wide)
+			}
+		})
+		four := make([][4]float64, s.n)
+		b.Run("lanes4/"+s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for q, x := range c.cands[:4] {
+					k.EvalRow(x, c.xs, kstar)
+					for j, v := range kstar {
+						four[j][q] = v
+					}
+				}
+			}
+		})
+		b.Run("block4/"+s.name, func(b *testing.B) {
+			if !useVectorRow {
+				b.Skip("vector kernels are off on this host")
+			}
+			b.ReportAllocs()
+			inv := invLengths(nil, k.Lengths)
+			xt := make([]float64, 4*s.d)
+			for i := 0; i < b.N; i++ {
+				transposeLanes(c.cands[:4], xt, 4)
+				maternBlock4Vector(xt, c.xs, inv, k.Amp2, four)
 			}
 		})
 	}

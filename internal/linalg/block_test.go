@@ -233,6 +233,42 @@ func TestCholeskyColumnsMatchRows(t *testing.T) {
 	}
 }
 
+// TestRefactorIgnoresUpperTriangle: Refactor reads only the diagonal
+// and the lower triangle, the part of a kernel matrix the GP's refit
+// writes. A matrix whose upper triangle is NaN factors, escalates its
+// jitter and fails exactly as the symmetric one does, with bitwise the
+// same factor, on the scalar loop and the column kernel alike.
+func TestRefactorIgnoresUpperTriangle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 2, 5, 17, 18, 33, 64} {
+		for kind := uint8(0); kind < 5; kind++ {
+			a := choleskyCase(rng, n, kind, 40)
+			upper := a.Clone()
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					upper.Set(i, j, math.NaN())
+				}
+			}
+			for _, vec := range []bool{true, false} {
+				prev := SetVectorSolve(vec)
+				var want, got Cholesky
+				errWant, errGot := want.Refactor(a), got.Refactor(upper)
+				SetVectorSolve(prev)
+				if errWant != errGot {
+					t.Fatalf("n=%d kind=%d vector=%v: Refactor of the NaN-upper matrix: %v, symmetric: %v", n, kind, vec, errGot, errWant)
+				}
+				if errWant != nil {
+					continue
+				}
+				if got.Jitter != want.Jitter || !sameBits(got.L.Data, want.L.Data) {
+					t.Fatalf("n=%d kind=%d vector=%v: factor of the NaN-upper matrix (jitter %g) differs from the symmetric one's (jitter %g)",
+						n, kind, vec, got.Jitter, want.Jitter)
+				}
+			}
+		}
+	}
+}
+
 // FuzzCholesky is TestCholeskyColumnsMatchRows over random sizes
 // 0..160, seeds, kinds and exponent spreads.
 func FuzzCholesky(f *testing.F) {

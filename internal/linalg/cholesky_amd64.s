@@ -52,6 +52,7 @@ pass:
 	MOVQ    DX, R12          // R12 = k's left
 	TESTQ   R12, R12
 	JZ      divide
+	PCALIGN $32
 
 below:
 	VBROADCASTSD (R11), Y4

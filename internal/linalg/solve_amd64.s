@@ -30,6 +30,7 @@ row:
 	MOVQ    DI, R10 // R10 = &y[k·16]
 	TESTQ   DX, DX
 	JZ      diag
+	PCALIGN $32
 
 inner:
 	VBROADCASTSD (SI)(AX*8), Y4
@@ -102,6 +103,7 @@ panel:
 	MOVQ    DI, BX  // BX = &y[k·4]
 	TESTQ   DX, DX
 	JZ      triangle
+	PCALIGN $32
 
 below:
 	VMOVUPD      (BX), Y4
@@ -170,6 +172,7 @@ single:
 	MOVQ    DI, BX
 	TESTQ   DX, DX
 	JZ      singlediag
+	PCALIGN $32
 
 singlek:
 	VBROADCASTSD (R9)(AX*8), Y5
